@@ -46,8 +46,9 @@ Commands
     Run a supervised campaign from a plan file (or the built-in
     Table-5 plan): per-job deadlines, bounded retries, quarantine for
     poisoned inputs, and a durable run ledger that makes the campaign
-    resumable with ``--resume``. ``--workers N`` shards the pending
-    jobs across N processes with byte-identical results. ``--spec``
+    resumable with ``--resume``. ``--workers N`` runs the pending
+    jobs on N local store workers (a store at ``<ledger>.store/``)
+    with byte-identical results. ``--spec``
     compiles a declarative experiment spec (see ``docs/experiments.md``)
     into the plan instead, for ``repro compare`` afterwards.
     ``--store DIR`` registers the plan in a shared experiment store
@@ -561,13 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="stop after this many newly executed jobs, leaving the "
-        "ledger resumable (campaign sharding, CI smoke)",
+        "ledger resumable (CI smoke, staged campaigns)",
     )
     suite_run.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="worker processes to shard pending jobs across "
+        help="local store worker processes to run pending jobs on "
         "(default 1 = in-process; results are byte-identical "
         "at any count)",
     )
@@ -579,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     suite_run.add_argument(
         "--profile",
         action="store_true",
-        help="profile the campaign (workers export their span trees "
-        "to the parent) and print the attribution report",
+        help="profile the campaign (store workers return their span "
+        "trees to the parent) and print the attribution report",
     )
     suite_run.add_argument(
         "--profile-out",
@@ -732,8 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "ledger",
-        help="run ledger of the campaign to watch (shards are found "
-        "next to it)",
+        help="run ledger of the campaign to watch (worker shards are "
+        "found next to it and in its --workers store)",
     )
     top.add_argument(
         "--once",

@@ -1,14 +1,14 @@
 """Live campaign monitor: heartbeat aggregation, ETA, stragglers.
 
-Long parallel campaigns (PR 5's sharded runner) used to run blind:
-nothing visible until the shards merged. Runners now append volatile
-``heartbeat`` records to whichever ledger they hold — the canonical
-file for a serial run, the private ``<ledger>.w<k>`` shard for each
-worker — carrying wall-clock timestamp, jobs done/failed so far, shard
-total, and the label of the job being started. Heartbeats are the one
-record type every results reader skips: the byte-identical merge drops
-them, resume ignores them, and a torn heartbeat (they are flushed, not
-fsynced) costs nothing.
+Runners append volatile ``heartbeat`` records to whichever ledger they
+hold — the canonical file for a serial run, the private
+``<ledger>.w<k>`` shard of each store worker (inside
+``<ledger>.store/`` for a ``--workers`` campaign) — carrying
+wall-clock timestamp, jobs done/failed so far, total, and the label of
+the job being started. Heartbeats are the one record type every
+results reader skips: the byte-identical merge drops them, resume
+ignores them, and a torn heartbeat (they are flushed, not fsynced)
+costs nothing.
 
 :func:`read_live` folds the canonical ledger plus any live shards into
 a :class:`CampaignStatus`: per-worker progress, heartbeat age, an EWMA
@@ -193,17 +193,20 @@ def read_live(
     """Aggregate a campaign's canonical ledger plus live shards.
 
     The campaign total is taken from the runners themselves: the
-    serial runner's heartbeats carry the full job count, and in a
-    parallel run each shard's heartbeats carry that shard's count, on
-    top of whatever the canonical ledger already holds as terminal rows
-    (resumed work, or shards already merged). ``now`` is injectable
-    for deterministic tests.
+    serial runner's heartbeats carry the full job count, a store
+    ledger's header declares its grid size, and shards without either
+    sum their heartbeat totals, on top of whatever the canonical ledger
+    already holds as terminal rows (resumed work). A ``--workers``
+    campaign's live view is that of its local store
+    (``<ledger>.store/``), folded in. ``now`` is injectable for
+    deterministic tests.
     """
     import time as _time
 
     from repro.runner.ledger import (
         TERMINAL_TYPES,
         list_shards,
+        local_store_path,
         read_ledger_records,
     )
 
@@ -325,6 +328,24 @@ def read_live(
         status.done += wstat.done
         status.failed += wstat.failed
         shard_total += wstat.total
+
+    # A --workers campaign: its workers heartbeat inside its local
+    # store, whose header sizes the grid of jobs still pending.
+    store_ledger = local_store_path(ledger_path) / "ledger.jsonl"
+    if store_ledger.exists():
+        try:
+            inner = read_live(store_ledger, now, straggler_after_s)
+        except ConfigError:
+            pass  # swept by the finishing campaign
+        else:
+            status.workers += inner.workers
+            status.done += inner.done
+            status.failed += inner.failed
+            shard_total += inner.total
+            for kind, count in inner.quarantined.items():
+                status.quarantined[kind] = (
+                    status.quarantined.get(kind, 0) + count
+                )
 
     if serial_beats and not status.workers:
         wstat = _worker_from_heartbeats(None, serial_beats, now)

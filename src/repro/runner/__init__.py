@@ -8,16 +8,16 @@ This package is the host-side execution layer that guarantees it:
 * :mod:`repro.runner.plan` — declarative campaign plans (JSON files or
   the built-in Table-5 plan) and content-addressed job keys;
 * :mod:`repro.runner.ledger` — the durable, fsynced JSONL run ledger
-  that makes any campaign resumable, plus the per-worker shard
-  read/merge machinery behind parallel campaigns;
+  that makes any campaign resumable, plus the first-terminal-wins
+  merge that folds published record groups into it;
 * :mod:`repro.runner.supervisor` — per-job deadline watchdog, retry
   backoff, and the host-level (``job_hang``/``job_crash``/``job_oom``)
   fault injector;
-* :mod:`repro.runner.worker` — portable job descriptions and the
-  child-process entry point parallel campaigns fan out to;
+* :mod:`repro.runner.worker` — portable job descriptions, the unit
+  that crosses a process boundary;
 * :mod:`repro.runner.executor` — the :class:`SuiteRunner` tying them
-  together (serial or ``workers=N`` sharded), plus :func:`run_plan`
-  behind ``repro suite-run``;
+  together (serial, or ``workers=N`` local store workers), plus
+  :func:`run_plan` behind ``repro suite-run``;
 * :mod:`repro.runner.report` — post-hoc ledger summaries and diffs
   behind ``repro suite-report``;
 * :mod:`repro.runner.lease` — atomic lease files (claim, renew,
@@ -25,7 +25,7 @@ This package is the host-side execution layer that guarantees it:
 * :mod:`repro.runner.store` — the multi-host campaign fabric: a shared
   file-backed experiment store any number of independently-launched
   ``repro worker`` processes claim jobs from, behind
-  ``repro suite-run --store``;
+  ``repro suite-run --store`` and ``--workers N``;
 * :mod:`repro.runner.fsck` — the ``repro fsck`` scanner/repairer for
   store trees and ledgers (torn records, trailer mismatches, orphan
   tmp files, dead leases, missing result groups).
@@ -56,8 +56,6 @@ from repro.runner.ledger import (
     list_shards,
     merge_shards,
     read_ledger_records,
-    read_shard,
-    recover_shards,
     shard_path,
     verify_trailer,
 )
@@ -83,7 +81,6 @@ from repro.runner.worker import (
     PortableJob,
     build_job,
     plan_portable_jobs,
-    run_worker_shard,
 )
 
 __all__ = [
@@ -117,12 +114,9 @@ __all__ = [
     "plan_portable_jobs",
     "predicted_cost",
     "read_ledger_records",
-    "read_shard",
-    "recover_shards",
     "run_fsck",
     "run_plan",
     "run_store_worker",
-    "run_worker_shard",
     "shard_path",
     "table5_plan",
     "verify_trailer",

@@ -36,7 +36,7 @@ import socket
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 
@@ -137,6 +137,8 @@ class LeaseManager:
         self.ttl_s = float(ttl_s)
         self._clock = clock
         self.skew_s = float(skew_s)
+        #: Torn lease files by key: ``(file identity, first sighting)``.
+        self._torn_seen: Dict[str, Tuple[Tuple[int, int], float]] = {}
 
     # -- clock ------------------------------------------------------------
     def now(self) -> float:
@@ -160,23 +162,29 @@ class LeaseManager:
         try:
             return Lease.from_dict(json.loads(text))
         except (ValueError, KeyError, TypeError):
-            # A torn lease write (crash mid-write). Treat as claimed by
-            # an unknown owner with no deadline to renew: it will be
-            # reclaimable once readers see it as expired. We stamp the
-            # file's mtime as its acquisition so it ages out one TTL
-            # after the crash rather than living forever.
-            try:
-                stamp = path.stat().st_mtime
-            except OSError:
-                return None
-            return Lease(
-                key=path.stem,
-                owner="?torn",
-                token="?torn",
-                acquired=stamp,
-                deadline=stamp + self.ttl_s,
-                ttl_s=self.ttl_s,
-            )
+            pass
+        # A torn lease write (crash mid-write): claimed by an unknown
+        # owner with no deadline to renew. It ages from the first time
+        # this manager saw this very file torn, on this manager's
+        # clock, so it turns reclaimable one TTL later rather than
+        # living forever. The mtime only tells one torn file from the
+        # next: it comes from the kernel's (or a file server's) clock.
+        try:
+            stat = path.stat()
+        except OSError:
+            return None
+        identity = (stat.st_ino, stat.st_mtime_ns)
+        seen = self._torn_seen.get(path.stem)
+        if seen is None or seen[0] != identity:
+            seen = self._torn_seen[path.stem] = (identity, self.now())
+        return Lease(
+            key=path.stem,
+            owner="?torn",
+            token="?torn",
+            acquired=seen[1],
+            deadline=seen[1] + self.ttl_s,
+            ttl_s=self.ttl_s,
+        )
 
     def expired(self, lease: Lease, now: Optional[float] = None) -> bool:
         """True once ``now >= deadline`` — expiry exactly *at* the

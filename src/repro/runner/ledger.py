@@ -1,5 +1,4 @@
-"""The durable run ledger: what makes a campaign resumable — and, since
-the runner went parallel, the shared journal N workers checkpoint into.
+"""The durable run ledger: what makes a campaign resumable.
 
 A :class:`RunLedger` is an append-only JSONL file recording the life of
 every job in a campaign: ``start`` when an attempt begins, ``retry``
@@ -19,16 +18,16 @@ re-run from scratch. Identity is the content-addressed job key
 (:func:`repro.runner.plan.job_key`), so editing unrelated jobs in a
 plan does not invalidate completed work.
 
-Parallel campaigns shard the journal: worker ``k`` appends to its own
-``<ledger>.w<k>`` file (same record format, header carries the worker
-rank), and the parent merges the shards back into the canonical ledger
-with :func:`merge_shards` — per job, in plan order, so the merged
-ledger is byte-identical to a serial run's (modulo wall-clock fields)
-regardless of worker count or completion order. Merging is
-first-terminal-wins and skips jobs the canonical ledger already
-completed, which makes it idempotent and order-insensitive; stale
-shards left behind by a dead worker are unioned the same way on the
-next resume (:func:`recover_shards`) and then deleted.
+Parallel work never writes the canonical ledger concurrently. Workers
+publish whole per-job record groups into an experiment store
+(:mod:`repro.runner.store`; for ``--workers N`` the store lives at
+``<ledger>.store/``), and :func:`merge_shards` folds those groups into
+the canonical ledger in plan order, first terminal record wins — so the
+merged ledger is byte-identical to a serial run's (modulo wall-clock
+fields) regardless of worker count or completion order. Merging skips
+jobs the ledger already completed, which makes it idempotent and
+order-insensitive. Each store worker also keeps a ``<ledger>.w<k>``
+shard (heartbeats plus a mirror of its records) for ``repro top``.
 """
 
 from __future__ import annotations
@@ -68,10 +67,9 @@ __all__ = [
     "MergeStats",
     "shard_path",
     "list_shards",
+    "local_store_path",
     "read_ledger_records",
-    "read_shard",
     "merge_shards",
-    "recover_shards",
     "compact_ledger",
     "verify_trailer",
 ]
@@ -92,6 +90,12 @@ _SHARD_SUFFIX = re.compile(r"\.w(\d+)$")
 def shard_path(base: Union[str, Path], worker: int) -> Path:
     """The per-worker shard file of a canonical ledger path."""
     return Path(f"{base}.w{worker}")
+
+
+def local_store_path(base: Union[str, Path]) -> Path:
+    """The experiment store a ``--workers N`` campaign runs in, beside
+    its canonical ledger."""
+    return Path(f"{base}.store")
 
 
 def list_shards(base: Union[str, Path]) -> List[Path]:
@@ -159,14 +163,13 @@ class RunLedger:
         plan_name: str = "campaign",
         resume: bool = False,
         worker: Optional[int] = None,
-        overwrite: bool = False,
         exclusive: bool = False,
         header_extra: Optional[Dict[str, object]] = None,
     ) -> None:
         self.path = Path(path)
         self.plan_key = plan_key
         self.plan_name = plan_name
-        #: Worker rank when this ledger is a parallel shard.
+        #: Worker rank when this ledger is a store worker's shard.
         self.worker = worker
         #: Terminal rows by job key (``done`` and ``quarantined`` records).
         self.completed: Dict[str, dict] = {}
@@ -174,16 +177,12 @@ class RunLedger:
         self.in_flight: List[str] = []
         #: Undecodable lines skipped on load (torn/damaged records).
         self.n_skipped: int = 0
-        if overwrite and self.path.exists():
-            self.path.unlink()
         if exclusive:
             # Store workers race to claim a shard rank: the O_EXCL
-            # create *is* the claim, so the exists-check above would
-            # only narrow the window, not close it.
-            if resume or overwrite:
-                raise ConfigError(
-                    "exclusive ledger creation cannot resume/overwrite"
-                )
+            # create *is* the claim; an exists-check would only narrow
+            # the window, not close it.
+            if resume:
+                raise ConfigError("exclusive ledger creation cannot resume")
             try:
                 fd = os.open(
                     os.fspath(self.path),
@@ -361,11 +360,10 @@ class RunLedger:
 # ---------------------------------------------------------------------------
 @dataclass
 class ShardData:
-    """One worker shard, parsed and grouped for merging."""
+    """One source of per-job record groups, grouped for merging (the
+    published results of an experiment store)."""
 
-    path: Path
-    worker: Optional[int]
-    #: Per-job record groups, in the shard's own append order.
+    #: Per-job record groups, in the source's own append order.
     by_key: "Dict[str, List[dict]]" = field(default_factory=dict)
     n_skipped: int = 0
 
@@ -383,43 +381,7 @@ class MergeStats:
     merged_jobs: int = 0
     merged_records: int = 0
     skipped_completed: int = 0
-    skipped_shards: int = 0
     torn_lines: int = 0
-    by_worker: List[dict] = field(default_factory=list)
-
-
-def read_shard(
-    path: Union[str, Path], plan_key: str
-) -> Optional[ShardData]:
-    """Parse one shard file; ``None`` for a foreign-plan shard.
-
-    Lenient where the canonical loader is strict: a shard missing its
-    header (truncated at the front by a crash or an adversarial test)
-    still yields its surviving records — but a shard whose header names
-    a *different* plan is rejected wholesale rather than polluting the
-    merge.
-    """
-    try:
-        records, skipped = read_ledger_records(path)
-    except (OSError, ConfigError):
-        return None
-    shard = ShardData(path=Path(path), worker=None, n_skipped=skipped)
-    for record in records:
-        kind = record.get("type")
-        if kind == "header":
-            if record.get("plan_key") not in (None, plan_key):
-                return None
-            if shard.worker is None:
-                shard.worker = record.get("worker")
-            continue
-        if kind in VOLATILE_TYPES:
-            continue
-        key = record.get("key")
-        if not isinstance(key, str):
-            shard.n_skipped += 1
-            continue
-        shard.by_key.setdefault(key, []).append(record)
-    return shard
 
 
 def merge_shards(
@@ -427,30 +389,21 @@ def merge_shards(
     shards: Sequence[ShardData],
     key_order: Sequence[str],
 ) -> MergeStats:
-    """Union worker shards into the canonical ledger, deterministically.
+    """Union record-group sources into the canonical ledger,
+    deterministically.
 
     Jobs are appended as whole per-key record groups in ``key_order``
-    (the plan order), then any foreign keys sorted lexicographically —
-    so the merged file's job structure is byte-identical to a serial
-    run's regardless of which worker ran what or when it finished.
-    When several shards carry the same key (a stale shard from a dead
-    worker plus its re-run), the first shard with a terminal record
-    wins; jobs already terminal in the canonical ledger are skipped,
-    which is what makes merging idempotent. Groups without a terminal
-    record (jobs in flight when their worker stopped) are *not*
-    appended — they are only marked in flight, and re-run fresh.
+    (the plan order; keys outside it are not merged) — so the merged
+    file's job structure is byte-identical to a serial run's regardless
+    of which worker ran what or when it finished. When several sources
+    carry the same key, the first one with a terminal record wins; jobs
+    already terminal in the canonical ledger are skipped, which is what
+    makes merging idempotent. Groups without a terminal record (jobs in
+    flight when their worker stopped) are *not* appended — they are
+    only marked in flight, and re-run fresh.
     """
     stats = MergeStats()
-    known = set(key_order)
-    extra = sorted(
-        {
-            key
-            for shard in shards
-            for key in shard.by_key
-            if key not in known
-        }
-    )
-    for key in list(key_order) + extra:
+    for key in key_order:
         if key in ledger.completed:
             stats.skipped_completed += 1
             continue
@@ -485,38 +438,6 @@ def merge_shards(
         stats.merged_jobs += 1
     for shard in shards:
         stats.torn_lines += shard.n_skipped
-    return stats
-
-
-def recover_shards(
-    ledger: RunLedger, key_order: Sequence[str]
-) -> MergeStats:
-    """Union stale shard files from a previous (killed) parallel run.
-
-    Called on resume before any new work: every terminal row a dead
-    worker managed to fsync is folded into the canonical ledger, the
-    shard files are deleted, and only genuinely unfinished jobs re-run.
-    Foreign-plan shards are left untouched but counted.
-    """
-    stats = MergeStats()
-    shards: List[ShardData] = []
-    stale: List[Path] = []
-    for path in list_shards(ledger.path):
-        shard = read_shard(path, ledger.plan_key)
-        if shard is None:
-            stats.skipped_shards += 1
-            continue
-        shards.append(shard)
-        stale.append(path)
-    if shards:
-        merged = merge_shards(ledger, shards, key_order)
-        merged.skipped_shards = stats.skipped_shards
-        stats = merged
-    for path in stale:
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
     return stats
 
 

@@ -21,8 +21,8 @@ Store layout::
 
     store/
       store.json        registration: plan key, supervisor config,
-                        fault schedule, claim-order schedule (cost +
-                        dependency edges)  — its existence IS the
+                        fault schedule, claim-order schedule (by
+                        predicted cost) — its existence IS the
                         registration; published atomically first-wins
       jobs.json         the portable job grid, in plan order
       plan.json         provenance (when registered from a CampaignPlan)
@@ -46,11 +46,9 @@ simply never publishes: its lease expires, a survivor reclaims, and
 the retry/backoff/quarantine machinery replays identically.
 
 Scheduling: jobs are claimed cheapest-predicted-cost first
-(:func:`predicted_cost` — scale-dominated for evaluate jobs), and a
-faulted evaluate job carries a dependency edge on its clean twin (the
-same spec minus ``faults``) when that twin is in the plan — if the
-clean run quarantined, the fault sweep is published as a deterministic
-``dep_skipped`` quarantine row instead of burning a worker on it.
+(:func:`predicted_cost` — scale-dominated for evaluate jobs). Every
+claimed job runs, so no job's row can depend on which worker ran what,
+or how many workers there were.
 """
 
 from __future__ import annotations
@@ -77,6 +75,7 @@ from repro.runner.lease import (
     default_owner,
 )
 from repro.runner.ledger import (
+    MergeStats,
     RunLedger,
     ShardData,
     TERMINAL_TYPES,
@@ -129,60 +128,40 @@ def predicted_cost(job: PortableJob) -> float:
     return scale * len(tuple(schemes)) * surcharge
 
 
-def _clean_twin_key(job: PortableJob) -> Optional[str]:
-    """The job key of this evaluate job's fault-free twin, if faulted."""
-    if job.kind != "evaluate" or not job.payload.get("faults"):
-        return None
-    clean = {k: v for k, v in job.payload.items() if k != "faults"}
-    return job_key({"type": "evaluate", **clean})
-
-
 @dataclass(frozen=True)
 class ScheduleEntry:
-    """One claimable unit: key, plan index, predicted cost, dependency."""
+    """One claimable unit: key, plan index, predicted cost."""
 
     key: str
     index: int
     cost: float
-    after: Optional[str] = None
 
     def as_dict(self) -> dict:
-        out: dict = {"key": self.key, "index": self.index, "cost": self.cost}
-        if self.after is not None:
-            out["after"] = self.after
-        return out
+        return {"key": self.key, "index": self.index, "cost": self.cost}
 
     @staticmethod
     def from_dict(raw: dict) -> "ScheduleEntry":
+        # Stores registered by older revisions may carry an ``after``
+        # dependency key; it is ignored.
         return ScheduleEntry(
             key=str(raw["key"]),
             index=int(raw["index"]),
             cost=float(raw["cost"]),
-            after=raw.get("after"),
         )
 
 
 def build_schedule(jobs: Sequence[PortableJob]) -> List[ScheduleEntry]:
-    """Claim order for a job grid: cheapest first, plan order on ties,
-    with dependency edges from faulted jobs to their clean twins.
+    """Claim order for a job grid: cheapest first, plan order on ties.
 
     Computed once at registration and stored in ``store.json`` so every
     worker — whatever code revision it runs — claims in the same order.
     """
-    by_key = {job.key for job in jobs}
-    entries: List[ScheduleEntry] = []
-    for job in jobs:
-        dep = _clean_twin_key(job)
-        if dep is not None and (dep not in by_key or dep == job.key):
-            dep = None
-        entries.append(
-            ScheduleEntry(
-                key=job.key,
-                index=job.index,
-                cost=round(predicted_cost(job), 9),
-                after=dep,
-            )
+    entries = [
+        ScheduleEntry(
+            key=job.key, index=job.index, cost=round(predicted_cost(job), 9)
         )
+        for job in jobs
+    ]
     entries.sort(key=lambda entry: (entry.cost, entry.index))
     return entries
 
@@ -701,6 +680,24 @@ class ExperimentStore:
         )
 
     # -- finalize ---------------------------------------------------------
+    def merge_into(
+        self, ledger: RunLedger, key_order: Sequence[str]
+    ) -> MergeStats:
+        """Append the published groups of ``key_order`` to ``ledger``.
+
+        Groups land whole, in ``key_order``, under the first-terminal-
+        wins rule of :func:`~repro.runner.ledger.merge_shards`; jobs the
+        ledger already settled are skipped, so merging is idempotent.
+        Reads are strict: a damaged group raises
+        :class:`~repro.errors.StorageError` before anything is appended.
+        """
+        groups = ShardData()
+        for key in key_order:
+            records = self.read_result(key)
+            if records:
+                groups.by_key[key] = records
+        return merge_shards(ledger, [groups], key_order)
+
     def finalize(
         self,
         owner: Optional[str] = None,
@@ -738,13 +735,9 @@ class ExperimentStore:
                 resume=True,
             )
             try:
-                key_order = [job.key for job in self.job_list]
-                shard = ShardData(path=self.results_dir, worker=None)
-                for key in key_order:
-                    records = self.read_result(key)
-                    if records:
-                        shard.by_key[key] = records
-                stats = merge_shards(ledger, [shard], key_order)
+                stats = self.merge_into(
+                    ledger, [job.key for job in self.job_list]
+                )
                 if stats.merged_jobs:
                     ledger.append_merge_record(
                         {
@@ -871,24 +864,6 @@ class _LeaseKeeper:
                     pass  # a swept shard never blocks renewal
 
 
-def _skip_records(job: PortableJob, dep_key: str) -> List[dict]:
-    """The deterministic record group of a dependency-skipped job."""
-    row: Dict[str, object] = {
-        "index": job.index,
-        "key": job.key,
-        "label": job.label,
-        **job.meta,
-        "status": "failed",
-        "attempts": 0,
-        "failure": {
-            "kind": "dep_skipped",
-            "error": f"dependency {dep_key} quarantined",
-        },
-        "duration_s": 0.0,
-    }
-    return [{"type": "quarantined", "key": job.key, "row": row}]
-
-
 def run_store_worker(
     store: ExperimentStore,
     owner: Optional[str] = None,
@@ -901,9 +876,8 @@ def run_store_worker(
 
     Any number of these loops may run concurrently against one store —
     separate processes, separate hosts. Each pass walks the open jobs
-    in claim order: dependency-blocked jobs wait (or are published as
-    deterministic skips once the dependency quarantines), leased jobs
-    are left to their owners unless the lease expired, and every
+    in claim order: leased jobs are left to their owners unless the
+    lease expired, and every
     claimed job runs under the store's registered supervisor config
     and fault schedule so its terminal row is byte-identical to what
     any other worker — or a serial run — would produce. When no open
@@ -958,25 +932,6 @@ def run_store_worker(
                 if store.has_result(entry.key):
                     continue  # published since the scan
                 job = store.jobs[entry.key]
-                if entry.after is not None:
-                    dep_row = store.terminal_row(entry.after)
-                    if dep_row is None:
-                        continue  # dependency not settled yet
-                    if dep_row.get("status") != "ok":
-                        if store.publish(
-                            entry.key, _skip_records(job, entry.after)
-                        ):
-                            n_failed += 1
-                            n_published += 1
-                            progress = True
-                            recorder.event(
-                                "runner.store.skipped",
-                                key=entry.key,
-                                label=job.label,
-                                dependency=entry.after,
-                                worker=shard.worker,
-                            )
-                        continue
                 # Fabric faults are drawn before the claim so clock
                 # skew distorts the deadline this claim writes.
                 base_skew = manager.skew_s

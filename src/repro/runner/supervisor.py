@@ -21,7 +21,7 @@ over:
 
 Because every fire decision is stateless per ``(seed, spec, job,
 attempt)``, the injector behaves identically whether a campaign runs
-in one process or is sharded across N workers — each worker derives
+in one process or on N store workers — each worker derives
 exactly the faults its jobs would have seen in a serial run, which is
 what keeps parallel and resumed campaigns byte-identical.
 """

@@ -1,10 +1,10 @@
-"""Worker-side execution of campaign shards.
+"""Portable job descriptions: the unit that crosses a process boundary.
 
-Parallel campaigns cannot ship closures to child processes, so the
-unit that crosses the process boundary is a :class:`PortableJob`: a
-JSON-native description (kind + payload) that each worker rebuilds
-into a live :class:`~repro.runner.executor.Job` with
-:func:`build_job`. Three kinds exist:
+Parallel campaigns cannot ship closures to child processes or other
+hosts, so the unit a store registers and a worker claims is a
+:class:`PortableJob`: a JSON-native description (kind + payload) that
+each worker rebuilds into a live :class:`~repro.runner.executor.Job`
+with :func:`build_job`. Three kinds exist:
 
 * ``evaluate`` — the scientific workload: a
   :class:`~repro.runner.plan.JobSpec` dict, evaluated through the
@@ -14,18 +14,9 @@ into a live :class:`~repro.runner.executor.Job` with
 * ``fail`` — a job that raises a chosen error (adversarial tests of
   the quarantine/retry taxonomy across process boundaries).
 
-:func:`run_worker_shard` is the ``ProcessPoolExecutor`` entry point:
-given a picklable payload (worker rank, shard ledger path, supervisor
-config, fault schedule, job list) it runs its jobs under the standard
-:class:`~repro.runner.executor.SuiteRunner` supervision — per-job
-deadline watchdog, bounded retries, host-fault injection, quarantine —
-appending every record to its private ``<ledger>.w<k>`` shard. The
-parent never trusts the returned summary for results; the fsynced
-shard is the source of truth it merges
-(:func:`repro.runner.ledger.merge_shards`). Workers run with tracing
-forced off (a forked child must not interleave writes into the
-parent's trace sink); the parent emits the ``runner.worker.*``
-lifecycle events instead.
+Workers execute the rebuilt jobs under the standard
+:class:`~repro.runner.executor.SuiteRunner` supervision — see
+:func:`repro.runner.store.run_store_worker`.
 """
 
 from __future__ import annotations
@@ -36,7 +27,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigError, RetryableError
 
-__all__ = ["PortableJob", "build_job", "plan_portable_jobs", "run_worker_shard"]
+__all__ = ["PortableJob", "build_job", "plan_portable_jobs"]
 
 #: Portable job kinds the worker can rebuild.
 PORTABLE_KINDS = ("evaluate", "sleep", "fail")
@@ -277,77 +268,3 @@ def _job_meta(spec) -> Dict[str, object]:
         meta["seed"] = spec.seed
         meta["scheme"] = spec.candidate_scheme
     return meta
-
-
-# ---------------------------------------------------------------------------
-def run_worker_shard(payload: dict) -> dict:
-    """``ProcessPoolExecutor`` entry point: run one worker's shard.
-
-    ``payload`` is JSON-native: ``worker`` (rank), ``shard_path``,
-    ``plan_key``/``plan_name``, ``config`` (SupervisorConfig fields),
-    ``faults`` (schedule dict or None), and ``jobs`` (portable dicts).
-    Every record lands in the fsynced shard ledger; the returned
-    summary is bookkeeping only (rank, wall time, interrupt flag) —
-    the parent reads results from the shard so that a worker killed
-    mid-return loses nothing that was durably written.
-    """
-    from repro import obs
-    from repro.faults.spec import FaultSchedule
-    from repro.obs import profile as obs_profile
-    from repro.runner.executor import CampaignInterrupted, SuiteRunner
-    from repro.runner.ledger import RunLedger
-    from repro.runner.supervisor import SupervisorConfig
-
-    # A forked child inherits the parent's installed recorder and its
-    # open sink handle; concurrent appends from N processes would
-    # interleave mid-record. Workers therefore run untraced. The same
-    # goes for an inherited profiler (its tree would die with the
-    # fork): when the campaign is profiled, each worker runs a fresh
-    # profiler of its own and ships the span tree back in the summary
-    # for the parent to merge.
-    obs.install(None)
-    profiler = obs_profile.Profiler() if payload.get("profile") else None
-    obs_profile.install(profiler)
-
-    worker = int(payload["worker"])
-    config = SupervisorConfig(**payload.get("config", {}))
-    faults = (
-        FaultSchedule.from_dict(payload["faults"])
-        if payload.get("faults") is not None
-        else None
-    )
-    jobs = [
-        build_job(PortableJob.from_dict(raw)) for raw in payload["jobs"]
-    ]
-    ledger = RunLedger(
-        payload["shard_path"],
-        plan_key=payload["plan_key"],
-        plan_name=payload.get("plan_name", "campaign"),
-        worker=worker,
-        overwrite=True,
-    )
-    runner = SuiteRunner(
-        config=config, ledger=ledger, faults=faults, worker=worker
-    )
-    started = time.perf_counter()
-    summary = {
-        "worker": worker,
-        "n_jobs": len(jobs),
-        "interrupted": False,
-    }
-    try:
-        report = runner.run(jobs, name=payload.get("plan_name", "campaign"))
-        counts = report.counts()
-        summary["ok"] = counts.get("ok", 0)
-        summary["failed"] = counts.get("failed", 0)
-    except CampaignInterrupted as exc:
-        # SIGINT reached this worker (terminal fan-out or parent kill):
-        # the shard is already closed and crash-consistent; tell the
-        # parent so it can checkpoint the campaign as interrupted.
-        summary["interrupted"] = True
-        summary["completed"] = exc.completed
-    summary["duration_s"] = round(time.perf_counter() - started, 6)
-    if profiler is not None:
-        profiler.stop()
-        summary["profile"] = profiler.as_dict()
-    return summary

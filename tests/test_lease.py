@@ -3,6 +3,7 @@ clock skew, and torn lease files (docs/robustness.md, "multi-host
 campaigns")."""
 
 import json
+import os
 import random
 
 import pytest
@@ -231,22 +232,38 @@ class TestTornLease:
         assert lease.owner == "?torn"
 
     def test_torn_lease_eventually_reclaimable(self, tmp_path):
-        # A torn lease ages out on file mtime + ttl: unreadable claims
-        # cannot wedge a key forever. The synthetic deadline is file
-        # mtime based, so this one runs on the real clock with a tiny
-        # ttl instead of the fake clock.
-        mgr = LeaseManager(
-            tmp_path / "leases", owner="alice", ttl_s=0.0001
-        )
+        # A torn lease ages from this manager's first sighting, on its
+        # own clock, so unreadable claims cannot wedge a key forever.
+        clock = FakeClock()
+        mgr = manager(tmp_path, clock=clock)
         mgr.try_claim("job1")
         mgr.path("job1").write_text("not json", encoding="utf-8")
         lease = mgr.read("job1")
-        assert mgr.expired(lease)
+        assert lease.owner == "?torn"
+        clock.advance(9.999)
+        assert not mgr.expired(mgr.read("job1"))
+        assert mgr.reclaim("job1") is None
+        clock.advance(0.001)
+        assert mgr.expired(mgr.read("job1"))
         taken = mgr.reclaim("job1")
         assert taken is not None
         assert json.loads(
             mgr.path("job1").read_text(encoding="utf-8")
         )["owner"] == "alice"
+
+
+    def test_replaced_torn_lease_ages_afresh(self, tmp_path):
+        # A different torn file under the same key is a new sighting:
+        # it gets its own full TTL, not the remainder of the old one.
+        clock = FakeClock()
+        mgr = manager(tmp_path, clock=clock)
+        mgr.path("job1").write_text("torn once", encoding="utf-8")
+        assert mgr.read("job1").deadline == pytest.approx(1010.0)
+        clock.advance(8.0)
+        other = tmp_path / "other"
+        other.write_text("torn twice", encoding="utf-8")
+        os.replace(other, mgr.path("job1"))
+        assert mgr.read("job1").deadline == pytest.approx(1018.0)
 
 
 # ---------------------------------------------------------------------------

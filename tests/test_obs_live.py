@@ -28,9 +28,7 @@ from repro.runner import (
 from repro.runner.ledger import (
     LEDGER_VERSION,
     VOLATILE_TYPES,
-    merge_shards,
     read_ledger_records,
-    read_shard,
 )
 
 FAST = SupervisorConfig(max_retries=0, backoff_base_s=0.0)
@@ -121,9 +119,7 @@ class TestHeartbeatLedgerContract:
         assert resumed.n_skipped == 0
         resumed.close()
 
-    def test_read_shard_skips_heartbeats_without_counting_torn(
-        self, tmp_path
-    ):
+    def test_worker_shard_heartbeats_not_counted_torn(self, tmp_path):
         shard = tmp_path / "s.jsonl.w0"
         _write_ledger(
             shard,
@@ -138,31 +134,19 @@ class TestHeartbeatLedgerContract:
                 _beat(2.0, 1, worker=0),
             ],
         )
-        data = read_shard(shard, plan_key="live")
-        assert data is not None
-        # Heartbeats are volatile: not merged, not counted as torn.
-        assert data.n_skipped == 0
-        assert set(data.by_key) == {"s00"}
+        records, skipped = read_ledger_records(shard)
+        # Heartbeats are volatile records, not damage.
+        assert skipped == 0
+        assert [r["type"] for r in records].count("heartbeat") == 2
 
     def test_merge_drops_heartbeats(self, tmp_path):
         base = tmp_path / "merge.jsonl"
         ledger = RunLedger(base, plan_key="mg")
-        shard = shard_path(base, 0)
-        _write_ledger(
-            shard,
-            [
-                _header(plan_key="mg", worker=0),
-                _beat(1.0, 0, worker=0),
-                {
-                    "type": "done",
-                    "key": "s00",
-                    "row": {"status": "ok", "key": "s00"},
-                },
-            ],
+        # Store workers heartbeat into their own shards; only their
+        # published job records reach the canonical ledger.
+        SuiteRunner(config=FAST, ledger=ledger, workers=2).run_portable(
+            [_sleep_job(0), _sleep_job(1)], plan_key="mg"
         )
-        data = read_shard(shard, plan_key="mg")
-        merge_shards(ledger, [data], key_order=["s00"])
-        ledger.close()
         records, _ = read_ledger_records(base)
         kinds = [r["type"] for r in records]
         assert "heartbeat" not in kinds
@@ -324,6 +308,33 @@ class TestReadLive:
         status = live.read_live(base, now=10.0)
         assert status.workers == []
         assert status.done == 0
+
+    def test_workers_campaign_reads_its_local_store(self, tmp_path):
+        """A --workers campaign's workers heartbeat inside
+        ``<ledger>.store/``: their shards count, and the store header
+        sizes the pending grid on top of the resumed rows."""
+        base = tmp_path / "camp.jsonl"
+        done = {"type": "done", "key": "a", "row": {"status": "ok"}}
+        _write_ledger(base, [_header(), done])
+        store = tmp_path / "camp.jsonl.store"
+        store.mkdir()
+        _write_ledger(
+            store / "ledger.jsonl",
+            [{**_header(plan_key="pending"), "jobs": 3, "store": True}],
+        )
+        for worker, count in ((0, 2), (1, 0)):
+            _write_ledger(
+                store / f"ledger.jsonl.w{worker}",
+                [
+                    _header(plan_key="pending", worker=worker),
+                    _beat(5.0, count, total=3, worker=worker),
+                ],
+            )
+        status = live.read_live(base, now=6.0)
+        assert status.total == 4
+        assert status.done == 3
+        assert [w.label for w in status.workers] == ["w0", "w1"]
+        assert not status.complete
 
     def test_serial_heartbeats_drive_totals(self, tmp_path):
         path = tmp_path / "serial.jsonl"

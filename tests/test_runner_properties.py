@@ -2,17 +2,17 @@
 streams) for the runner's durability primitives: content-addressed
 job-key stability under plan permutation, ledger round-trips through
 arbitrary JSON-native rows, byte-level truncation robustness, and the
-order-insensitivity + idempotence of the shard merge."""
+order-insensitivity + idempotence of the record-group merge."""
 
 import json
 import random
 import string
 
-from repro.runner import JobSpec, RunLedger, job_key, shard_path
+from repro.runner import JobSpec, RunLedger, job_key
 from repro.runner.ledger import (
+    ShardData,
     merge_shards,
     read_ledger_records,
-    read_shard,
 )
 
 N_TRIALS = 25
@@ -188,27 +188,25 @@ class TestMergeProperties:
             for index, key in enumerate(keys)
         }
         n_workers = rng.randint(1, 4)
+        shards = []
         for worker in range(n_workers):
-            shard = RunLedger(
-                shard_path(base, worker),
-                plan_key="m",
-                worker=worker,
-                overwrite=True,
-            )
+            shard = ShardData()
             for index, key in enumerate(keys):
                 if index % n_workers != worker:
                     continue
-                shard.job_started(key, index, 1)
-                row = rows[key]
-                if row["status"] == "ok":
-                    shard.job_done(key, row)
-                else:
-                    shard.job_quarantined(key, row)
-            shard.close()
-        shards = [
-            read_shard(shard_path(base, worker), "m")
-            for worker in range(n_workers)
-        ]
+                # Rows as a worker publishes them: JSON round-tripped.
+                row = json.loads(json.dumps(rows[key]))
+                kind = "done" if row["status"] == "ok" else "quarantined"
+                shard.by_key[key] = [
+                    {
+                        "type": "start",
+                        "key": key,
+                        "index": index,
+                        "attempt": 1,
+                    },
+                    {"type": kind, "key": key, "row": row},
+                ]
+            shards.append(shard)
         return base, keys, rows, shards
 
     def test_merge_is_shard_order_insensitive(self, tmp_path):
