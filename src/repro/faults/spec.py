@@ -79,7 +79,9 @@ rate apply per campaign *job attempt* instead of per epoch. The
 fabric kinds (``lease_lost``/``clock_skew``) are interpreted by
 :mod:`repro.runner.store` workers, per claimed job. The storage kinds
 (``io_*``) are interpreted by the :class:`repro.faults.io` shim, per
-durability-critical I/O operation. A schedule may mix host-level,
+durability-critical I/O operation. Both fire only in ``--store``
+campaigns: serial and ``--workers`` runs honour the host kinds alone.
+A schedule may mix host-level,
 fabric-level, storage-level, and hardware kinds; each layer consumes
 its own.
 
