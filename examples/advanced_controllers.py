@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from repro.baselines import BASELINE, run_static
 from repro.core import (
+    HardeningConfig,
     HistoryAwareController,
     HybridPolicy,
     MemoryModeController,
@@ -27,6 +28,7 @@ from repro.core import (
     train_memory_mode_model,
 )
 from repro.experiments.harness import build_trace
+from repro.faults import noise_schedule
 from repro.transmuter import TransmuterModel
 
 
@@ -59,8 +61,8 @@ def main() -> None:
             mode,
             HybridPolicy(0.4),
             BASELINE,
-            telemetry_noise=0.15,
-            noise_seed=1,
+            faults=noise_schedule(0.15, seed=1),
+            hardening=HardeningConfig.disabled(),
         ),
     }
 

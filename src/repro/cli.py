@@ -37,11 +37,6 @@ Commands
     geomean deltas vs the baseline candidate, per-candidate health,
     regression gates (violations exit 3), optional SVG figures and a
     first-divergence drill-down between two adaptive candidates.
-``faults``
-    Run a fault-injection campaign from a schedule spec file (or the
-    built-in ``--mixed`` schedule) and print the degradation table:
-    gain over BASELINE and clean-gain retention per fault-rate scale,
-    hardened vs. unhardened.
 ``suite-run``
     Run a supervised campaign from a plan file (or the built-in
     Table-5 plan): per-job deadlines, bounded retries, quarantine for
@@ -194,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--noise-seed",
+        dest="noise_stream_seed",
         type=int,
         default=0,
         help="RNG seed of the telemetry noise stream",
@@ -273,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--noise-seed",
+        dest="noise_stream_seed",
         type=int,
         default=0,
         help="RNG seed of the telemetry noise stream (recorded in the trace)",
@@ -428,65 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--out",
         help="also write the comparison JSON to this path (atomically)",
-    )
-
-    faults = commands.add_parser(
-        "faults", help="run a fault-injection campaign"
-    )
-    faults.add_argument(
-        "spec",
-        nargs="?",
-        help="fault schedule JSON file (omit when using --mixed)",
-    )
-    faults.add_argument(
-        "--mixed",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="use the built-in all-kinds schedule at this base rate "
-        "instead of a spec file",
-    )
-    faults.add_argument(
-        "--seed", type=int, default=0, help="schedule seed for --mixed"
-    )
-    faults.add_argument(
-        "--rates",
-        default="0,0.5,1",
-        help="comma-separated rate scale factors to sweep "
-        "(multipliers on the schedule's fire rates)",
-    )
-    faults.add_argument(
-        "--kernel",
-        choices=("spmspm", "spmspv", "bfs", "sssp"),
-        default="spmspv",
-    )
-    faults.add_argument("--matrix", default="P3", help="Table-5 id")
-    faults.add_argument("--scale", type=float, default=0.3)
-    faults.add_argument("--mode", choices=sorted(_MODES), default="ee")
-    faults.add_argument(
-        "--no-unhardened",
-        action="store_true",
-        help="skip the unhardened comparison runs",
-    )
-    faults.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="per-rate-job wall-clock deadline in seconds",
-    )
-    faults.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="retry budget per rate job for retryable failures",
-    )
-    faults.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the campaign result as JSON instead of the table",
-    )
-    faults.add_argument(
-        "--out", help="also write the campaign result JSON to this path"
     )
 
     suite_run = commands.add_parser(
@@ -806,7 +744,7 @@ def _fault_setup(args):
     from repro.errors import FaultError
     from repro.faults import FaultSchedule, noise_schedule
 
-    noise = getattr(args, "noise", 0.0)
+    noise = args.noise
     if noise < 0:
         raise FaultError(f"--noise must be non-negative, got {noise:g}")
     if noise > 0 and args.faults:
@@ -818,10 +756,10 @@ def _fault_setup(args):
         )
         return schedule, hardening
     if noise > 0:
-        # Legacy noise as its fault-schedule equivalent (bit-identical
-        # stream, hardening off — the historical behaviour).
+        # --noise is shorthand for a one-spec counter_noise schedule,
+        # run unhardened.
         return (
-            noise_schedule(noise, getattr(args, "noise_seed", 0)),
+            noise_schedule(noise, args.noise_stream_seed),
             HardeningConfig.disabled(),
         )
     return None, None
@@ -1091,15 +1029,7 @@ def _command_trace(args) -> int:
     mode = _mode(args.mode)
     model_kernel = "spmspm" if args.kernel == "spmspm" else "spmspv"
     faults, hardening = _fault_setup(args)
-    if args.faults:
-        fault_kwargs = {"faults": faults, "hardening": hardening}
-    else:
-        # Legacy --noise stays on the telemetry_noise shim so existing
-        # noise traces remain byte-identical (same stream, same records).
-        fault_kwargs = {
-            "telemetry_noise": args.noise,
-            "noise_seed": args.noise_seed,
-        }
+
     def record() -> dict:
         model = (
             load_model(args.model)
@@ -1113,7 +1043,8 @@ def _command_trace(args) -> int:
             machine=TransmuterModel(bandwidth_gbps=args.bandwidth),
             mode=mode,
             policy=default_policy_for(model_kernel),
-            **fault_kwargs,
+            faults=faults,
+            hardening=hardening,
         )
         with obs.recording(args.trace_out) as recorder:
             schedule = controller.run(trace)
@@ -1289,63 +1220,6 @@ def _command_compare(args) -> int:
             file=sys.stderr,
         )
         return 3
-    return 0
-
-
-def _command_faults(args) -> int:
-    from repro.errors import FaultError
-    from repro.faults import (
-        FaultSchedule,
-        format_campaign_table,
-        mixed_schedule,
-        run_campaign,
-    )
-    from repro.obs.sinks import write_atomic
-    from repro.runner import SupervisorConfig
-
-    if (args.spec is None) == (args.mixed is None):
-        raise FaultError(
-            "pass exactly one of a schedule spec file or --mixed RATE"
-        )
-    if args.mixed is not None:
-        schedule = mixed_schedule(args.mixed, seed=args.seed)
-    else:
-        schedule = FaultSchedule.from_file(args.spec)
-    try:
-        rates = tuple(
-            float(token) for token in args.rates.split(",") if token.strip()
-        )
-    except ValueError:
-        raise FaultError(
-            f"--rates must be comma-separated numbers, got {args.rates!r}"
-        ) from None
-    if not rates:
-        raise FaultError("--rates must name at least one rate scale")
-
-    result = run_campaign(
-        schedule,
-        rates=rates,
-        kernel=args.kernel,
-        matrix_id=args.matrix,
-        scale=args.scale,
-        mode=_mode(args.mode),
-        include_unhardened=not args.no_unhardened,
-        runner_config=SupervisorConfig(
-            deadline_s=args.deadline, max_retries=args.max_retries
-        ),
-    )
-    payload = _to_jsonable(result.as_dict())
-    if args.out:
-        write_atomic(
-            args.out,
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(format_campaign_table(result))
-        if args.out:
-            print(f"campaign result written to {args.out}")
     return 0
 
 
@@ -1937,7 +1811,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "explain": lambda: _command_explain(args),
         "diff": lambda: _command_diff(args),
         "compare": lambda: _command_compare(args),
-        "faults": lambda: _command_faults(args),
         "suite-run": lambda: _command_suite_run(args),
         "worker": lambda: _command_worker(args),
         "ledger-compact": lambda: _command_ledger_compact(args),

@@ -28,10 +28,10 @@ Fault-free runs are byte-identical to a controller without any of this
 machinery: every fault/hardening step is gated behind the injector and
 the hardening flag.
 
-``telemetry_noise``/``noise_seed`` are deprecated: they are a shim
-over a single rate-1.0 ``counter_noise`` fault spec seeded with
-``noise_seed``, reproducing the historical noise stream bit-exactly
-(see :func:`repro.faults.noise_schedule`).
+Telemetry noise is a fault schedule like any other:
+``faults=noise_schedule(sigma, seed)`` with
+``hardening=HardeningConfig.disabled()`` (see
+:func:`repro.faults.noise_schedule`).
 
 When a trace recorder is installed (``repro.obs.recording``), the
 controller emits one ``epoch`` span per executed epoch plus a
@@ -55,7 +55,6 @@ change any decision.
 
 from __future__ import annotations
 
-import warnings
 from time import perf_counter
 from typing import Dict, List, Optional
 
@@ -71,7 +70,7 @@ from repro.core.policies import HybridPolicy, ReconfigurationPolicy
 from repro.core.schedule import EpochRecord, ScheduleResult
 from repro.errors import ConfigError
 from repro.faults.injector import FaultInjector
-from repro.faults.spec import FaultSchedule, noise_schedule
+from repro.faults.spec import FaultSchedule
 from repro.kernels.base import KernelTrace
 from repro.transmuter import params
 from repro.transmuter.config import RUNTIME_PARAMETERS, HardwareConfig
@@ -120,49 +119,23 @@ class SparseAdaptController:
         mode: OptimizationMode,
         policy: Optional[ReconfigurationPolicy] = None,
         initial_config: Optional[HardwareConfig] = None,
-        telemetry_noise: float = 0.0,
-        noise_seed: int = 0,
         faults: Optional[FaultSchedule] = None,
         hardening: Optional[HardeningConfig] = None,
         safe_config: Optional[HardwareConfig] = None,
     ) -> None:
-        if telemetry_noise < 0:
-            raise ConfigError("telemetry_noise must be non-negative")
-        legacy_noise = telemetry_noise > 0.0
-        if legacy_noise:
-            if faults is not None:
-                raise ConfigError(
-                    "telemetry_noise cannot be combined with faults=; "
-                    "add a counter_noise spec to the schedule instead"
-                )
-            warnings.warn(
-                "telemetry_noise/noise_seed are deprecated; pass "
-                "faults=repro.faults.noise_schedule(sigma, seed) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            faults = noise_schedule(telemetry_noise, noise_seed)
         self.model = model
         self.machine = machine
         self.mode = mode
         self.policy = policy or HybridPolicy()
-        self.telemetry_noise = telemetry_noise
-        self.noise_seed = noise_seed
         self.faults = faults
-        # Legacy-shim runs must record byte-identical traces: no fault
-        # keys in controller.start, no fault.injected events.
-        self._legacy_noise = legacy_noise
         # The injector lives on the controller (not in run()) so its
-        # RNG streams persist across runs — exactly like the historical
-        # noise RNG it replaces.
+        # RNG streams persist across runs.
         self._injector = FaultInjector(faults) if faults is not None else None
         if hardening is None:
-            # Hardening is opt-out for explicit fault schedules but must
-            # stay off for the legacy noise shim, whose behaviour
-            # (including bit-exact traces) predates the hardened path.
+            # Hardening is opt-out for fault schedules.
             hardening = (
                 HardeningConfig()
-                if faults is not None and not legacy_noise
+                if faults is not None
                 else HardeningConfig.disabled()
             )
         self.hardening = hardening
@@ -215,7 +188,6 @@ class SparseAdaptController:
         injector = self._injector
         hardened = self.hardening.enabled
         clean = injector is None and not hardened
-        emit_faults = injector is not None and not self._legacy_noise
         sanitizer = CounterSanitizer(self.hardening) if hardened else None
         safe_machine = SafeModeMachine(self.hardening) if hardened else None
         # Hardware truth vs. host belief; they only diverge when an
@@ -250,15 +222,12 @@ class SparseAdaptController:
                 n_epochs=trace.n_epochs,
                 mode=self.mode.value,
                 policy=self.policy.name,
-                telemetry_noise=self.telemetry_noise,
-                noise_seed=self.noise_seed,
+                faults=(
+                    self.faults.as_dict() if self.faults is not None else None
+                ),
                 bandwidth_gbps=self.bandwidth_gbps,
                 initial_config=config_dict(config),
             )
-            if emit_faults:
-                start_payload["fault_seed"] = self.faults.seed
-                start_payload["fault_kinds"] = sorted(self.faults.kinds())
-                start_payload["n_fault_specs"] = len(self.faults)
             if hardened:
                 start_payload["hardening"] = dict(
                     fault_streak_threshold=self.hardening.fault_streak_threshold,
@@ -286,7 +255,7 @@ class SparseAdaptController:
                 "controller.policy_verdicts",
                 "hysteresis policy accept/reject outcomes",
             )
-            if emit_faults:
+            if injector is not None:
                 injected_counter = obs.metrics.counter(
                     "faults.injected", "fault occurrences injected"
                 )
@@ -554,7 +523,7 @@ class SparseAdaptController:
                     reconfig_counter.inc()
                     for parameter in pending_reconfig.changed:
                         reconfig_by_param.labels(parameter=parameter).inc()
-                if traced and emit_faults:
+                if traced and injector is not None:
                     for fault in injector.injected[epoch_faults_start:]:
                         recorder.event("fault.injected", **fault.as_dict())
                         injected_counter.labels(kind=fault.kind).inc()

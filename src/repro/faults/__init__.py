@@ -8,10 +8,9 @@ seeded executor a controller run drives. The same schedule + seed
 always reproduces the same faults.
 
 See ``docs/robustness.md`` for the fault taxonomy, the on-disk spec
-format, and a campaign walkthrough.
+format, and the fault-rate sweep (``experiments/specs/fault_rates.json``).
 """
 
-from repro.faults.campaign import CampaignResult, format_campaign_table, run_campaign
 from repro.faults.injector import FaultInjector, InjectedFault
 from repro.faults.spec import (
     COUNTER_FAULTS,
@@ -35,13 +34,10 @@ __all__ = [
     "MACHINE_FAULTS",
     "RECONFIG_FAULTS",
     "STORE_FAULTS",
-    "CampaignResult",
     "FaultInjector",
     "FaultSchedule",
     "FaultSpec",
     "InjectedFault",
-    "format_campaign_table",
     "mixed_schedule",
     "noise_schedule",
-    "run_campaign",
 ]

@@ -11,8 +11,8 @@ Fault kinds (see ``docs/robustness.md`` for the full taxonomy):
 Kind                   Effect when it fires
 =====================  ====================================================
 ``counter_noise``      Multiplicative Gaussian noise (sigma = severity) on
-                       every non-echo counter — the legacy
-                       ``telemetry_noise`` behaviour as a fault kind.
+                       every non-echo counter (``--noise`` is a one-spec
+                       schedule of this kind).
 ``counter_dropout``    Each non-echo counter is lost with probability
                        ``severity``; a lost counter reads NaN (default) or
                        zero (``params: {"mode": "zero"}``).
@@ -87,8 +87,8 @@ its own.
 
 ``rate`` is the per-epoch probability that a spec fires inside its
 ``[start_epoch, end_epoch)`` window; a rate of 1.0 fires every epoch
-*without consuming a random draw*, which is what lets the deprecated
-``telemetry_noise`` shim reproduce its historical noise stream exactly.
+*without consuming a random draw*, so a rate-1.0 spec's stream depends
+on its seed alone.
 """
 
 from __future__ import annotations
@@ -404,13 +404,12 @@ class FaultSchedule:
 
 # ---------------------------------------------------------------------------
 def noise_schedule(sigma: float, seed: int = 0) -> FaultSchedule:
-    """The legacy ``telemetry_noise`` behaviour as a fault schedule.
+    """Gaussian telemetry noise (``--noise sigma --noise-seed seed``).
 
     The single ``counter_noise`` spec fires every epoch (rate 1.0, so no
-    fire draws are consumed) and pins its private stream to ``seed``,
-    which makes the produced counter perturbations bit-identical to the
-    historical ``SparseAdaptController(telemetry_noise=sigma,
-    noise_seed=seed)`` stream.
+    fire draws are consumed) and pins its private stream to ``seed``, so
+    the counter perturbations depend on ``sigma`` and ``seed`` alone.
+    Pair it with ``HardeningConfig.disabled()`` to see the raw noise.
     """
     if sigma <= 0:
         raise FaultError(f"noise sigma must be positive, got {sigma}")
@@ -434,9 +433,10 @@ def mixed_schedule(
 
     Every fault family is present: the counter faults fire independently
     at ``rate``, the reconfiguration faults at ``rate``, and the two
-    transient machine events at ``rate / 2`` with short windows. Used by
-    ``repro faults --mixed``, ``bench_robustness.py`` and the CI
-    determinism guard.
+    transient machine events at ``rate / 2`` with short windows.
+    ``experiments/specs/fault_rates.json`` inlines
+    ``mixed_schedule(0.1).scaled(f).as_dict()`` for each swept rate
+    factor ``f``.
     """
     if not 0.0 <= rate <= 1.0:
         raise FaultError(f"fault rate must be in [0, 1], got {rate}")

@@ -87,7 +87,8 @@ METRICS: Dict[str, MetricDef] = {
         MetricDef(
             "fault_detection_rate",
             True,
-            "detected / injected faults (faulted runs only)",
+            "sanitizer flags per injected fault (one fault can flag "
+            "several counters, so this can exceed 1; faulted runs only)",
         ),
         MetricDef(
             "wall_clock_s",

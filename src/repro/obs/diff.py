@@ -24,6 +24,7 @@ rejected with a :class:`ValueError` naming the problem.
 
 from __future__ import annotations
 
+import json
 from collections import Counter as TallyCounter
 from typing import Dict, List, Optional, Sequence
 
@@ -231,15 +232,13 @@ def render_diff(diff: Dict, max_timeline_rows: int = 24) -> str:
     for side in (a, b):
         run = side.get("run", {})
         lines.append(
-            "{}: trace={} scheme={} policy={} noise={} seed={} "
-            "epochs={}".format(
+            "{}: trace={} scheme={} policy={} epochs={} faults={}".format(
                 side["label"],
                 run.get("trace", "?"),
                 run.get("scheme", "?"),
                 run.get("policy", "?"),
-                _fmt(run.get("telemetry_noise")),
-                run.get("noise_seed", "-"),
                 side["n_epochs"],
+                json.dumps(run.get("faults")),
             )
         )
     if not diff["epoch_counts_match"]:

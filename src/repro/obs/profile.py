@@ -279,7 +279,7 @@ class profiling:
     exit, and freeze its wall-clock window::
 
         with profile.profiling() as prof:
-            run_campaign()
+            run_plan(plan)
         print(format_profile_report(prof.as_dict()))
     """
 

@@ -18,6 +18,7 @@ render as blanks, never exceptions).
 
 from __future__ import annotations
 
+import json
 from collections import Counter as TallyCounter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -208,11 +209,9 @@ def render(summary: Dict, top: int = 5, max_timeline_rows: int = 64) -> str:
                 run.get("n_epochs", "?"),
             )
         )
-        lines.append(
-            "determinism: telemetry_noise={} noise_seed={}".format(
-                _fmt(run.get("telemetry_noise")), run.get("noise_seed", "-")
-            )
-        )
+        # The whole fault schedule (noise included), so the run can
+        # be replayed from the trace alone.
+        lines.append(f"determinism: faults={json.dumps(run.get('faults'))}")
 
     epochs = summary.get("epochs", [])
     lines.append("")

@@ -30,9 +30,9 @@ This package is the host-side execution layer that guarantees it:
   store trees and ledgers (torn records, trailer mismatches, orphan
   tmp files, dead leases, missing result groups).
 
-``repro faults`` and ``repro experiment`` route their multi-job work
-through the same :class:`SuiteRunner`, so supervision, retries, and
-ledgers behave identically everywhere. See ``docs/robustness.md``.
+``repro run``, ``repro trace`` and ``repro experiment`` route their
+work through the same :class:`SuiteRunner`, so supervision, retries,
+and ledgers behave identically everywhere. See ``docs/robustness.md``.
 """
 
 from repro.runner.executor import (
@@ -54,7 +54,6 @@ from repro.runner.ledger import (
     RunLedger,
     compact_ledger,
     list_shards,
-    merge_shards,
     read_ledger_records,
     shard_path,
     verify_trailer,
@@ -110,7 +109,6 @@ __all__ = [
     "format_suite_table",
     "job_key",
     "list_shards",
-    "merge_shards",
     "plan_portable_jobs",
     "predicted_cost",
     "read_ledger_records",

@@ -32,10 +32,11 @@ fields the stable view strips (``duration_s`` at the report and row
 levels); everything else in a row is replayed from the ledger verbatim
 on resume.
 
-``repro suite-run`` fronts :func:`run_plan`; the ``repro faults``
-campaign driver and ``repro experiment`` submit their own job lists
-through the same :class:`SuiteRunner`, so every multi-job path in the
-repository shares one supervision/retry/ledger code path.
+``repro suite-run`` fronts :func:`run_plan` (fault-rate sweeps are
+specs it runs); ``repro run``, ``repro trace`` and ``repro experiment``
+submit their single jobs through the same :class:`SuiteRunner`, so
+every path in the repository shares one supervision/retry/ledger code
+path.
 """
 
 from __future__ import annotations

@@ -21,13 +21,15 @@ plan does not invalidate completed work.
 Parallel work never writes the canonical ledger concurrently. Workers
 publish whole per-job record groups into an experiment store
 (:mod:`repro.runner.store`; for ``--workers N`` the store lives at
-``<ledger>.store/``), and :func:`merge_shards` folds those groups into
-the canonical ledger in plan order, first terminal record wins — so the
-merged ledger is byte-identical to a serial run's (modulo wall-clock
-fields) regardless of worker count or completion order. Merging skips
-jobs the ledger already completed, which makes it idempotent and
-order-insensitive. Each store worker also keeps a ``<ledger>.w<k>``
-shard (heartbeats plus a mirror of its records) for ``repro top``.
+``<ledger>.store/``), and
+:meth:`~repro.runner.store.ExperimentStore.merge_into` folds those
+groups into the canonical ledger in plan order, first terminal record
+wins — so the merged ledger is byte-identical to a serial run's
+(modulo wall-clock fields) regardless of worker count or completion
+order. Merging skips jobs the ledger already completed, which makes it
+idempotent and order-insensitive. Each store worker also keeps a
+``<ledger>.w<k>`` shard (heartbeats plus a mirror of its records) for
+``repro top``.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.obs import profile as obs_profile
@@ -63,13 +64,10 @@ __all__ = [
     "TERMINAL_TYPES",
     "VOLATILE_TYPES",
     "RunLedger",
-    "ShardData",
-    "MergeStats",
     "shard_path",
     "list_shards",
     "local_store_path",
     "read_ledger_records",
-    "merge_shards",
     "compact_ledger",
     "verify_trailer",
 ]
@@ -355,90 +353,6 @@ class RunLedger:
     def __exit__(self, *exc_info) -> bool:
         self.close()
         return False
-
-
-# ---------------------------------------------------------------------------
-@dataclass
-class ShardData:
-    """One source of per-job record groups, grouped for merging (the
-    published results of an experiment store)."""
-
-    #: Per-job record groups, in the source's own append order.
-    by_key: "Dict[str, List[dict]]" = field(default_factory=dict)
-    n_skipped: int = 0
-
-    def terminal(self, key: str) -> Optional[dict]:
-        for record in self.by_key.get(key, ()):
-            if record.get("type") in TERMINAL_TYPES:
-                return record
-        return None
-
-
-@dataclass
-class MergeStats:
-    """What one :func:`merge_shards` pass did."""
-
-    merged_jobs: int = 0
-    merged_records: int = 0
-    skipped_completed: int = 0
-    torn_lines: int = 0
-
-
-def merge_shards(
-    ledger: RunLedger,
-    shards: Sequence[ShardData],
-    key_order: Sequence[str],
-) -> MergeStats:
-    """Union record-group sources into the canonical ledger,
-    deterministically.
-
-    Jobs are appended as whole per-key record groups in ``key_order``
-    (the plan order; keys outside it are not merged) — so the merged
-    file's job structure is byte-identical to a serial run's regardless
-    of which worker ran what or when it finished. When several sources
-    carry the same key, the first one with a terminal record wins; jobs
-    already terminal in the canonical ledger are skipped, which is what
-    makes merging idempotent. Groups without a terminal record (jobs in
-    flight when their worker stopped) are *not* appended — they are
-    only marked in flight, and re-run fresh.
-    """
-    stats = MergeStats()
-    for key in key_order:
-        if key in ledger.completed:
-            stats.skipped_completed += 1
-            continue
-        chosen: Optional[ShardData] = None
-        for shard in shards:
-            if key not in shard.by_key:
-                continue
-            if chosen is None or (
-                chosen.terminal(key) is None
-                and shard.terminal(key) is not None
-            ):
-                chosen = shard
-        if chosen is None:
-            continue
-        group = chosen.by_key[key]
-        terminal = chosen.terminal(key)
-        if terminal is None:
-            # Start/retry records of a job interrupted mid-flight:
-            # not merged — the job simply re-runs, writing its records
-            # fresh, which keeps the canonical ledger free of orphan
-            # ``start`` groups.
-            if group and key not in ledger.in_flight:
-                ledger.in_flight.append(key)
-            continue
-        for record in group:
-            ledger._append(record)
-            stats.merged_records += 1
-            # A duplicated terminal row inside one shard: first wins.
-            if record is terminal:
-                break
-        ledger.completed[key] = terminal
-        stats.merged_jobs += 1
-    for shard in shards:
-        stats.torn_lines += shard.n_skipped
-    return stats
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,9 @@ from repro.runner.lease import (
     default_owner,
 )
 from repro.runner.ledger import (
-    MergeStats,
     RunLedger,
-    ShardData,
     TERMINAL_TYPES,
     list_shards,
-    merge_shards,
     shard_path,
 )
 from repro.runner.plan import CampaignPlan, job_key
@@ -208,6 +205,15 @@ def _publish_file(path: Path, text: str) -> bool:
     if won:
         fsync_dir(path.parent)
     return won
+
+
+@dataclass
+class MergeStats:
+    """What one :meth:`ExperimentStore.merge_into` pass did."""
+
+    merged_jobs: int = 0
+    merged_records: int = 0
+    skipped_completed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -685,18 +691,40 @@ class ExperimentStore:
     ) -> MergeStats:
         """Append the published groups of ``key_order`` to ``ledger``.
 
-        Groups land whole, in ``key_order``, under the first-terminal-
-        wins rule of :func:`~repro.runner.ledger.merge_shards`; jobs the
-        ledger already settled are skipped, so merging is idempotent.
-        Reads are strict: a damaged group raises
-        :class:`~repro.errors.StorageError` before anything is appended.
+        Groups land whole, in ``key_order`` (the plan order; other keys
+        are not merged), so the merged file's job structure is
+        byte-identical to a serial run's whoever ran what, whenever.
+        A group ends at its first terminal record (first wins); jobs
+        the ledger already settled are skipped, which makes merging
+        idempotent. A group without a terminal record (a job in flight
+        when its worker stopped) is not appended: the key is only
+        marked in flight, so the job re-runs fresh. Reads are strict:
+        a damaged group raises :class:`~repro.errors.StorageError`
+        before anything is appended.
         """
-        groups = ShardData()
-        for key in key_order:
-            records = self.read_result(key)
-            if records:
-                groups.by_key[key] = records
-        return merge_shards(ledger, [groups], key_order)
+        groups = [(key, self.read_result(key)) for key in key_order]
+        stats = MergeStats()
+        for key, group in groups:
+            if key in ledger.completed:
+                stats.skipped_completed += 1
+                continue
+            if not group:
+                continue
+            terminal = next(
+                (r for r in group if r.get("type") in TERMINAL_TYPES), None
+            )
+            if terminal is None:
+                if key not in ledger.in_flight:
+                    ledger.in_flight.append(key)
+                continue
+            for record in group:
+                ledger._append(record)
+                stats.merged_records += 1
+                if record is terminal:
+                    break
+            ledger.completed[key] = terminal
+            stats.merged_jobs += 1
+        return stats
 
     def finalize(
         self,

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -175,7 +176,7 @@ class TestTraceCommands:
         assert "epoch timeline" in report_out
         assert "reconfigurations by parameter" in report_out
         assert "host decision latency" in report_out
-        assert "noise_seed=0" in report_out
+        assert "determinism: faults=null" in report_out
 
     def test_trace_report_top_flag(self, tmp_path, capsys):
         trace_path = tmp_path / "run.jsonl"
@@ -382,109 +383,120 @@ class TestExplainAndDiffCommands:
         assert "min/max" in out
 
 
+FAULT_RATES = str(
+    pathlib.Path(__file__).resolve().parent.parent
+    / "experiments"
+    / "specs"
+    / "fault_rates.json"
+)
+
+
+def _assert_one_line_error(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
 class TestFaultsCommand:
-    CAMPAIGN = [
-        "faults", "--mixed", "0.2", "--rates", "0,1",
-        "--kernel", "spmspv", "--matrix", "P1", "--scale", "0.15",
-    ]
+    """Fault campaigns from the CLI: the shipped fault-rate spec runs
+    through ``suite-run --spec`` and ``compare``, and schedule files
+    ride inline in a spec's candidates."""
 
-    def _assert_one_line_error(self, capsys, argv):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
-        return err
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        ledger = tmp_path_factory.mktemp("faults") / "faults.jsonl"
+        argv = ["suite-run", "--spec", FAULT_RATES, "--ledger", str(ledger)]
+        assert main(argv) == 0
+        return ledger
 
-    def test_mixed_campaign_table(self, capsys):
-        assert main(self.CAMPAIGN) == 0
+    def _spec(self, tmp_path, faults):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "name": "faults",
+                    "defaults": {"kernel": "spmspv", "scale": 0.15},
+                    "candidates": [
+                        {"name": "clean"},
+                        {"name": "hardened", "faults": faults},
+                    ],
+                    "workloads": [{"matrix": "P1"}],
+                }
+            )
+        )
+        return str(spec)
+
+    def test_mixed_campaign_table(self, campaign, capsys):
+        assert main(["compare", FAULT_RATES, str(campaign)]) == 0
         out = capsys.readouterr().out
-        assert "Fault campaign" in out
-        assert "hardened" in out
-        assert "unhardened" in out
-        assert "retain" in out
+        assert "hardened-1" in out
+        assert "unhardened-1" in out
+        assert "fault_detection_rate" in out
+        assert "[PASS] hardened-1" in out
 
-    def test_campaign_json_and_artifact(self, tmp_path, capsys):
-        artifact = tmp_path / "campaign.json"
-        assert main(self.CAMPAIGN + ["--json", "--out", str(artifact)]) == 0
+    def test_campaign_json_and_artifact(self, campaign, tmp_path, capsys):
+        artifact = tmp_path / "compare.json"
+        argv = ["compare", FAULT_RATES, str(campaign), "--json"]
+        assert main(argv + ["--out", str(artifact)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == json.loads(artifact.read_text())
-        assert payload["kernel"] == "spmspv"
-        assert len(payload["rows"]) == 2
-        fault_free, faulty = payload["rows"]
-        assert fault_free["hardened"]["retention"] == 1.0
-        assert faulty["hardened"]["n_faults_injected"] > 0
+        (gate,) = payload["gates"]
+        assert gate["candidate"] == "hardened-1"
+        assert gate["passed"] is True
 
-    def test_campaign_artifact_is_deterministic(self, tmp_path, capsys):
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        assert main(self.CAMPAIGN + ["--out", str(first)]) == 0
-        assert main(self.CAMPAIGN + ["--out", str(second)]) == 0
+    def test_campaign_artifact_is_deterministic(
+        self, campaign, tmp_path, capsys
+    ):
+        rerun = tmp_path / "rerun.jsonl"
+        argv = ["suite-run", "--spec", FAULT_RATES, "--ledger", str(rerun)]
+        assert main(argv) == 0
         capsys.readouterr()
-        assert first.read_bytes() == second.read_bytes()
+        assert main(["suite-report", str(campaign), "--diff", str(rerun)]) == 0
 
     def test_spec_file_campaign(self, tmp_path, capsys):
         from repro.faults import mixed_schedule
 
-        spec = tmp_path / "schedule.json"
-        mixed_schedule(0.2, seed=3).save(spec)
-        assert (
-            main(
-                [
-                    "faults", str(spec), "--rates", "1",
-                    "--kernel", "spmspv", "--matrix", "P1",
-                    "--scale", "0.15", "--no-unhardened",
-                ]
-            )
-            == 0
-        )
+        schedule = tmp_path / "schedule.json"
+        mixed_schedule(0.2, seed=3).save(schedule)
+        spec = self._spec(tmp_path, json.loads(schedule.read_text()))
+        ledger = tmp_path / "spec.jsonl"
+        argv = ["suite-run", "--spec", spec, "--ledger", str(ledger)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["compare", spec, str(ledger)]) == 0
         out = capsys.readouterr().out
         assert "hardened" in out
-        assert "unhardened" not in out
+        assert "all 2 job(s) ok" in out
 
-    def test_negative_mixed_rate(self, capsys):
-        err = self._assert_one_line_error(
-            capsys, ["faults", "--mixed", "-0.1"]
+    def test_negative_mixed_rate(self, tmp_path, capsys):
+        faults = {"faults": [{"kind": "counter_noise", "rate": -0.1}]}
+        err = _assert_one_line_error(
+            capsys, ["suite-run", "--spec", self._spec(tmp_path, faults)]
         )
         assert "rate" in err
 
-    def test_spec_and_mixed_conflict(self, tmp_path, capsys):
-        spec = tmp_path / "s.json"
-        spec.write_text('{"faults": []}')
-        self._assert_one_line_error(
-            capsys, ["faults", str(spec), "--mixed", "0.1"]
-        )
-
-    def test_neither_spec_nor_mixed(self, capsys):
-        self._assert_one_line_error(capsys, ["faults"])
-
     def test_missing_spec_file(self, capsys):
-        self._assert_one_line_error(
-            capsys, ["faults", "/nonexistent/spec.json"]
+        _assert_one_line_error(
+            capsys, ["suite-run", "--spec", "/nonexistent/spec.json"]
         )
 
     def test_malformed_spec_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
-        err = self._assert_one_line_error(capsys, ["faults", str(bad)])
+        err = _assert_one_line_error(
+            capsys, ["suite-run", "--spec", str(bad)]
+        )
         assert "malformed" in err
 
     def test_unknown_fault_kind_in_spec(self, tmp_path, capsys):
-        bad = tmp_path / "unknown.json"
-        bad.write_text(json.dumps({"faults": [{"kind": "gamma_burst"}]}))
-        err = self._assert_one_line_error(capsys, ["faults", str(bad)])
+        faults = {"faults": [{"kind": "gamma_burst"}]}
+        err = _assert_one_line_error(
+            capsys, ["suite-run", "--spec", self._spec(tmp_path, faults)]
+        )
         assert "gamma_burst" in err
-
-    def test_malformed_rates_list(self, capsys):
-        self._assert_one_line_error(
-            capsys, ["faults", "--mixed", "0.1", "--rates", "0,fast"]
-        )
-        self._assert_one_line_error(
-            capsys, ["faults", "--mixed", "0.1", "--rates", ","]
-        )
-        self._assert_one_line_error(
-            capsys, ["faults", "--mixed", "0.1", "--rates", "0,-1"]
-        )
 
 
 class TestRunFaultArguments:
@@ -525,6 +537,43 @@ class TestRunFaultArguments:
         assert main(["run", "--faults", "/nonexistent.json"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("{oops", "malformed"),
+            ('{"faults": [{"kind": "gamma_burst"}]}', "gamma_burst"),
+        ],
+        ids=["malformed-json", "unknown-kind"],
+    )
+    def test_run_bad_schedule_file_is_one_line_error(
+        self, tmp_path, capsys, text, expected
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        err = _assert_one_line_error(capsys, ["run", "--faults", str(bad)])
+        assert expected in err
+
+    def test_trace_noise_records_replayable_schedule(self, tmp_path, capsys):
+        from repro.faults import noise_schedule
+
+        trace_path = tmp_path / "noisy.jsonl"
+        argv = [
+            "trace", "--kernel", "spmspv", "--matrix", "P1",
+            "--scale", "0.15", "--noise", "0.2", "--noise-seed", "7",
+            "--trace-out", str(trace_path),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        records = list(map(json.loads, trace_path.read_text().splitlines()))
+        start = next(r for r in records if r["name"] == "controller.start")
+        expected = noise_schedule(0.2, seed=7).as_dict()
+        assert start["attrs"]["faults"] == expected
+        assert "hardening" not in start["attrs"]
+        assert any(r["name"] == "fault.injected" for r in records)
+        assert main(["trace-report", str(trace_path)]) == 0
+        report = capsys.readouterr().out
+        assert f"determinism: faults={json.dumps(expected)}" in report
 
     def test_trace_with_faults_records_fault_events(self, tmp_path, capsys):
         from repro.faults import mixed_schedule

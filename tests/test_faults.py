@@ -466,38 +466,50 @@ class TestHostFaultKinds:
 
 class TestCampaignHostFaults:
     def test_crashing_rate_job_is_quarantined(self):
-        """A rate-1.0 ``job_crash`` window turns exactly that rate job
-        into a failure row; the rest of the sweep still completes."""
-        from repro.faults import run_campaign
-        from repro.runner import SupervisorConfig
+        """A rate-1.0 ``job_crash`` window over one job of a fault-rate
+        spec turns exactly that job into a failure row; the rest of
+        the sweep still completes."""
+        import dataclasses
 
-        schedule = FaultSchedule(
+        from repro.experiments.spec import ExperimentSpec, compile_plan
+        from repro.runner import SupervisorConfig, run_plan
+
+        noise = FaultSpec(kind="counter_noise", rate=0.3, severity=0.2)
+        spec = ExperimentSpec.from_dict(
+            {
+                "name": "crash-sweep",
+                "defaults": {"kernel": "spmspv", "scale": 0.12},
+                "candidates": [
+                    {
+                        "name": f"hardened-{factor:g}",
+                        "faults": FaultSchedule(specs=(noise,), seed=4)
+                        .scaled(factor)
+                        .as_dict(),
+                    }
+                    for factor in (0.0, 0.5, 1.0)
+                ],
+                "workloads": [{"matrix": "P1"}],
+            }
+        )
+        crash = FaultSchedule(
             specs=(
-                FaultSpec(kind="counter_noise", rate=0.3, severity=0.2),
                 FaultSpec(
                     kind="job_crash", rate=1.0, start_epoch=1, end_epoch=2
                 ),
             ),
             seed=4,
         )
-        result = run_campaign(
-            schedule,
-            rates=(0.0, 0.5, 1.0),
-            kernel="spmspv",
-            matrix_id="P1",
-            scale=0.12,
-            include_unhardened=False,
-            runner_config=SupervisorConfig(
-                max_retries=1, backoff_base_s=0.0
-            ),
+        plan = dataclasses.replace(compile_plan(spec), faults=crash)
+        report = run_plan(
+            plan, config=SupervisorConfig(max_retries=1, backoff_base_s=0.0)
         )
-        assert len(result.rows) == 3
-        failed = [row for row in result.rows if "failure" in row]
+        assert len(report.rows) == 3
+        failed = [row for row in report.rows if row["status"] != "ok"]
         assert len(failed) == 1
-        assert failed[0]["rate_scale"] == 0.5
+        assert failed[0]["candidate"] == "hardened-0.5"
         assert failed[0]["failure"]["kind"] == "retryable"
         assert "injected job_crash" in failed[0]["failure"]["error"]
         assert failed[0]["attempts"] == 2
-        for row in result.rows:
-            if "failure" not in row:
-                assert "hardened" in row
+        for row in report.rows:
+            if row["status"] == "ok":
+                assert "SparseAdapt" in row["result"]["schemes"]

@@ -105,6 +105,25 @@ def test_dvfs_never_speeds_up_execution(workload):
         assert slower >= faster - 1e-15
 
 
+#: Off-chip bandwidths swept by the bandwidth monotonicity property.
+_BANDWIDTHS_GBPS = (32.0, 64.0, 128.0, 256.0, 512.0)
+_BANDWIDTH_MACHINES = [
+    TransmuterModel(bandwidth_gbps=bandwidth) for bandwidth in _BANDWIDTHS_GBPS
+]
+
+
+@given(workloads(), configs())
+@settings(max_examples=60, deadline=None)
+def test_more_bandwidth_never_slows_epoch(workload, config):
+    """Raising the HBM bandwidth can only keep or decrease epoch time."""
+    times = [
+        machine.simulate_epoch(workload, config).time_s
+        for machine in _BANDWIDTH_MACHINES
+    ]
+    for narrower, wider in zip(times, times[1:]):
+        assert wider <= narrower
+
+
 @given(workloads())
 @settings(max_examples=50, deadline=None)
 def test_dvfs_reduces_onchip_energy(workload):

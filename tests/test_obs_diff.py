@@ -1,9 +1,11 @@
 """Tests for trace diffing (obs.diff) and provenance explain (obs.explain)."""
 
+import json
 import math
 
 import pytest
 
+from repro.faults import noise_schedule
 from repro.obs.diff import diff_traces, render_diff
 from repro.obs.explain import explain, render_explanation
 
@@ -23,8 +25,7 @@ def _start(**overrides):
         "scheme": "sparseadapt",
         "trace": "spmspv-U1",
         "policy": "hybrid",
-        "telemetry_noise": 0.0,
-        "noise_seed": 0,
+        "faults": None,
     }
     attrs.update(overrides)
     return {
@@ -175,13 +176,14 @@ class TestDiffTraces:
             diff_traces([_header(), _start()], _trace([CONFIG_A]))
 
     def test_render_mentions_run_metadata(self):
-        a = _trace([CONFIG_A, CONFIG_A], telemetry_noise=0.0)
-        b = _trace([CONFIG_A, CONFIG_B], telemetry_noise=0.15,
-                   noise_seed=7)
+        noise = noise_schedule(0.15, seed=7).as_dict()
+        a = _trace([CONFIG_A, CONFIG_A])
+        b = _trace([CONFIG_A, CONFIG_B], faults=noise)
         text = render_diff(diff_traces(a, b, "clean", "noisy"))
         assert "clean" in text and "noisy" in text
         assert "first divergence: epoch 1" in text
-        assert "noise=0.15" in text
+        assert "faults=null" in text
+        assert f"faults={json.dumps(noise)}" in text
 
 
 class TestExplain:

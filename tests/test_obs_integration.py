@@ -90,7 +90,9 @@ class TestControllerTracing:
 
     def test_noise_seed_recorded_for_reproducibility(self, matrix, vector):
         from repro.core.controller import SparseAdaptController
+        from repro.core.hardening import HardeningConfig
         from repro.core.training import train_default_model
+        from repro.faults import FaultSchedule, noise_schedule
         from repro.kernels.spmspv import trace_spmspv
         from repro.transmuter.machine import TransmuterModel
 
@@ -99,13 +101,13 @@ class TestControllerTracing:
         )
         trace = trace_spmspv(matrix.to_csc(), vector, 500)
 
-        def run_traced(seed):
+        def run_traced(faults):
             controller = SparseAdaptController(
                 model=model,
                 machine=TransmuterModel(),
                 mode=OptimizationMode.ENERGY_EFFICIENT,
-                telemetry_noise=0.05,
-                noise_seed=seed,
+                faults=faults,
+                hardening=HardeningConfig.disabled(),
             )
             with obs.recording(None) as recorder:
                 schedule = controller.run(trace)
@@ -116,12 +118,14 @@ class TestControllerTracing:
             ]
             return schedule, starts[0]["attrs"]
 
-        schedule_a, attrs_a = run_traced(1234)
-        assert attrs_a["noise_seed"] == 1234
-        assert attrs_a["telemetry_noise"] == pytest.approx(0.05)
-        # Replaying with the seed recovered from the trace reproduces
-        # the noisy run exactly.
-        schedule_b, _ = run_traced(attrs_a["noise_seed"])
+        schedule_a, attrs_a = run_traced(noise_schedule(0.05, seed=1234))
+        assert attrs_a["faults"]["seed"] == 1234
+        assert attrs_a["faults"]["faults"][0]["severity"] == pytest.approx(
+            0.05
+        )
+        # Replaying with the schedule recovered from the trace
+        # reproduces the noisy run exactly.
+        schedule_b, _ = run_traced(FaultSchedule.from_dict(attrs_a["faults"]))
         assert schedule_a.summary() == schedule_b.summary()
         assert schedule_a.config_sequence() == schedule_b.config_sequence()
 
@@ -334,7 +338,9 @@ class TestProvenanceRecords:
 
     def test_noisy_run_perturbs_observed_counters(self, matrix, vector):
         from repro.core.controller import SparseAdaptController
+        from repro.core.hardening import HardeningConfig
         from repro.core.training import train_default_model
+        from repro.faults import noise_schedule
         from repro.kernels.spmspv import trace_spmspv
         from repro.transmuter.machine import TransmuterModel
 
@@ -346,8 +352,8 @@ class TestProvenanceRecords:
             model=model,
             machine=TransmuterModel(),
             mode=OptimizationMode.ENERGY_EFFICIENT,
-            telemetry_noise=0.1,
-            noise_seed=3,
+            faults=noise_schedule(0.1, seed=3),
+            hardening=HardeningConfig.disabled(),
         )
         with obs.recording(None) as recorder:
             controller.run(trace)

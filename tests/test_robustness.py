@@ -1,8 +1,10 @@
 """Tests for telemetry-noise robustness, the hardened controller
-(sanitization, read-back, safe mode), fault campaigns, energy breakdown
-aggregation, and the element-wise sparse operations."""
+(sanitization, read-back, safe mode), the shipped fault-rate spec,
+energy breakdown aggregation, and the element-wise sparse operations."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -23,26 +25,41 @@ from repro.faults import (
     FaultSpec,
     mixed_schedule,
     noise_schedule,
-    run_campaign,
 )
 from repro.sparse import COOMatrix, generators
 from repro.sparse.ops import hadamard, sparse_add
 from repro.transmuter.counters import PerformanceCounters
 
 EE = OptimizationMode.ENERGY_EFFICIENT
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FAULT_RATES_SPEC = ROOT / "experiments" / "specs" / "fault_rates.json"
+FAULT_RATES_GOLDEN = ROOT / "tests" / "golden" / "fault_rates_campaign.json"
 
 
 class TestTelemetryNoise:
+    """Telemetry noise is an ordinary fault schedule, run unhardened."""
+
+    def _noisy(self, model_ee, machine, faults):
+        return SparseAdaptController(
+            model_ee,
+            machine,
+            EE,
+            HybridPolicy(0.4),
+            faults=faults,
+            hardening=HardeningConfig.disabled(),
+        )
+
     def test_zero_noise_is_exact(self, model_ee, machine, spmspv_trace):
         clean = SparseAdaptController(
             model_ee, machine, EE, HybridPolicy(0.4)
         ).run(spmspv_trace)
-        zero_noise = SparseAdaptController(
-            model_ee, machine, EE, HybridPolicy(0.4), telemetry_noise=0.0
-        ).run(spmspv_trace)
-        assert clean.total_energy_j == pytest.approx(
-            zero_noise.total_energy_j
+        silent = FaultSchedule(
+            specs=(FaultSpec("counter_noise", rate=0.0, severity=0.2),)
         )
+        zero_noise = self._noisy(model_ee, machine, silent).run(
+            spmspv_trace
+        )
+        assert clean.total_energy_j == zero_noise.total_energy_j
 
     def test_noise_degrades_gracefully(self, model_ee, machine, spmspv_trace):
         """Strong noise must not crash the controller and must not cost
@@ -50,92 +67,53 @@ class TestTelemetryNoise:
         clean = SparseAdaptController(
             model_ee, machine, EE, HybridPolicy(0.4)
         ).run(spmspv_trace)
-        noisy = SparseAdaptController(
-            model_ee,
-            machine,
-            EE,
-            HybridPolicy(0.4),
-            telemetry_noise=0.3,
-            noise_seed=1,
+        noisy = self._noisy(
+            model_ee, machine, noise_schedule(0.3, seed=1)
         ).run(spmspv_trace)
         assert noisy.n_epochs == clean.n_epochs
         assert noisy.gflops_per_watt > 0.5 * clean.gflops_per_watt
 
     def test_noise_is_seeded(self, model_ee, machine, spmspv_trace):
         runs = [
-            SparseAdaptController(
-                model_ee,
-                machine,
-                EE,
-                HybridPolicy(0.4),
-                telemetry_noise=0.2,
-                noise_seed=7,
-            ).run(spmspv_trace)
+            self._noisy(model_ee, machine, noise_schedule(0.2, seed=7)).run(
+                spmspv_trace
+            )
             for _ in range(2)
         ]
-        assert runs[0].total_energy_j == pytest.approx(
-            runs[1].total_energy_j
-        )
+        assert runs[0].total_energy_j == runs[1].total_energy_j
 
-    def test_negative_noise_rejected(self, model_ee, machine):
-        with pytest.raises(ConfigError):
-            SparseAdaptController(
-                model_ee, machine, EE, telemetry_noise=-0.1
-            )
+    def test_negative_noise_rejected(self):
+        with pytest.raises(FaultError):
+            noise_schedule(-0.1)
 
 
 class TestLegacyNoiseShim:
-    def test_deprecation_warning(self, model_ee, machine):
-        with pytest.warns(DeprecationWarning, match="telemetry_noise"):
-            SparseAdaptController(
-                model_ee, machine, EE, telemetry_noise=0.2
-            )
+    """``--noise SIGMA --noise-seed SEED`` is the one surviving legacy
+    noise interface: shorthand for an unhardened noise schedule."""
 
-    def test_zero_noise_emits_no_warning(self, model_ee, machine):
-        import warnings
+    @staticmethod
+    def _args(noise, seed=0, faults=None):
+        import argparse
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            SparseAdaptController(
-                model_ee, machine, EE, telemetry_noise=0.0
-            )
+        return argparse.Namespace(
+            noise=noise, noise_stream_seed=seed, faults=faults
+        )
 
-    def test_shim_matches_explicit_schedule_bit_exactly(
-        self, model_ee, machine, spmspv_trace
-    ):
-        """The deprecated kwargs are a pure shim: the same run through
-        ``faults=noise_schedule(...)`` reproduces the historical noise
-        stream bit-for-bit, not approximately."""
-        with pytest.warns(DeprecationWarning):
-            legacy = SparseAdaptController(
-                model_ee,
-                machine,
-                EE,
-                HybridPolicy(0.4),
-                telemetry_noise=0.2,
-                noise_seed=7,
-            ).run(spmspv_trace)
-        explicit = SparseAdaptController(
-            model_ee,
-            machine,
-            EE,
-            HybridPolicy(0.4),
-            faults=noise_schedule(0.2, seed=7),
-            hardening=HardeningConfig.disabled(),
-        ).run(spmspv_trace)
-        assert legacy.total_energy_j == explicit.total_energy_j
-        assert legacy.total_time_s == explicit.total_time_s
-        assert legacy.n_reconfigurations == explicit.n_reconfigurations
+    def test_shim_matches_explicit_schedule_bit_exactly(self):
+        from repro.cli import _fault_setup
 
-    def test_noise_cannot_combine_with_faults(self, model_ee, machine):
-        with pytest.raises(ConfigError):
-            SparseAdaptController(
-                model_ee,
-                machine,
-                EE,
-                telemetry_noise=0.1,
-                faults=mixed_schedule(0.1),
-            )
+        faults, hardening = _fault_setup(self._args(0.2, seed=7))
+        assert faults == noise_schedule(0.2, seed=7)
+        assert hardening == HardeningConfig.disabled()
+        assert _fault_setup(self._args(0.0)) == (None, None)
+
+    def test_noise_cannot_combine_with_faults(self, tmp_path):
+        from repro.cli import _fault_setup
+
+        spec = tmp_path / "s.json"
+        mixed_schedule(0.1).save(spec)
+        with pytest.raises(FaultError, match="not both"):
+            _fault_setup(self._args(0.1, faults=str(spec)))
 
 
 class TestHardeningConfig:
@@ -328,7 +306,7 @@ class TestFaultFreeIntegrity:
         assert not any(name.startswith("fault.") for name in events)
         assert "controller.safe_mode" not in events
         start = next(r for r in records if r["name"] == "controller.start")
-        assert "fault_seed" not in start["attrs"]
+        assert start["attrs"]["faults"] is None
         assert "hardening" not in start["attrs"]
 
 
@@ -425,7 +403,8 @@ class TestHardenedController:
         assert "fault.injected" in events
         assert "fault.detected" in events
         start = next(r for r in records if r["name"] == "controller.start")
-        assert start["attrs"]["fault_seed"] == 2
+        expected = mixed_schedule(0.3, seed=2).as_dict()
+        assert start["attrs"]["faults"] == expected
         assert start["attrs"]["hardening"]["fault_streak_threshold"] >= 1
 
     def test_safe_config_must_match_l1_type(self, model_ee, machine):
@@ -441,36 +420,107 @@ class TestHardenedController:
             )
 
 
+@pytest.fixture(scope="module")
+def fault_rates_rows(tmp_path_factory):
+    """Run the shipped fault-rate spec, plus a rate-0 hardened and
+    unhardened pair, and return ``{candidate: SparseAdapt entry}``
+    from the ledger's terminal rows."""
+    from repro.experiments.spec import ExperimentSpec, compile_plan
+    from repro.obs.compare import ledger_terminal_rows
+    from repro.runner import run_plan
+
+    raw = json.loads(FAULT_RATES_SPEC.read_text())
+    rate_zero = mixed_schedule(0.1, seed=0).scaled(0.0).as_dict()
+    raw["candidates"] += [
+        {"name": "hardened-0", "faults": rate_zero},
+        {"name": "unhardened-0", "hardening": False, "faults": rate_zero},
+    ]
+    ledger = tmp_path_factory.mktemp("fault_rates") / "fault_rates.jsonl"
+    run_plan(compile_plan(ExperimentSpec.from_dict(raw)), ledger_path=ledger)
+    _, rows = ledger_terminal_rows(ledger)
+    assert all(row["status"] == "ok" for row in rows)
+    return {
+        row["candidate"]: row["result"]["schemes"]["SparseAdapt"]
+        for row in rows
+    }
+
+
 class TestFaultCampaign:
     def test_rejects_bad_inputs(self):
-        with pytest.raises(FaultError):
-            run_campaign("not a schedule")
-        with pytest.raises(FaultError):
-            run_campaign(mixed_schedule(0.1), rates=())
-        with pytest.raises(FaultError):
-            run_campaign(mixed_schedule(0.1), rates=(-1.0,))
+        """A fault-rate candidate's inline schedule is validated when
+        the spec compiles, before anything runs."""
+        from repro.experiments.spec import ExperimentSpec, compile_plan
 
-    def test_retention_at_ten_percent_mixed_faults(self):
-        """The documented acceptance number: at the 10% mixed-fault
-        campaign the hardened controller retains a sizeable fraction of
-        the clean adaptive gain over BASELINE (docs/robustness.md)."""
-        result = run_campaign(
-            mixed_schedule(0.1, seed=0),
-            rates=(0.0, 1.0),
-            kernel="spmspv",
-            matrix_id="P3",
-            scale=0.15,
-            mode=EE,
+        def compile_with(faults):
+            raw = json.loads(FAULT_RATES_SPEC.read_text())
+            raw["candidates"][-1]["faults"] = faults
+            compile_plan(ExperimentSpec.from_dict(raw))
+
+        with pytest.raises(ConfigError):
+            compile_with("not a schedule")
+        with pytest.raises(FaultError):
+            compile_with({"seed": 0})
+        with pytest.raises(FaultError):
+            compile_with(
+                {"faults": [{"kind": "counter_noise", "rate": -0.1}]}
+            )
+
+    def test_spec_schedules_are_scaled_mixed_schedules(self):
+        from repro.experiments.spec import load_spec
+
+        spec = load_spec(FAULT_RATES_SPEC)
+        factors = {"0.25": 0.25, "0.5": 0.5, "1": 1.0}
+        faulted = [c for c in spec.candidates if c.faults is not None]
+        assert len(faulted) == 2 * len(factors)
+        for candidate in faulted:
+            variant, tag = candidate.name.split("-")
+            expected = mixed_schedule(0.1).scaled(factors[tag]).as_dict()
+            assert candidate.faults == expected
+            assert candidate.hardening is (
+                False if variant == "unhardened" else None
+            )
+
+    def test_spec_matches_recorded_campaign(self, fault_rates_rows):
+        """Every candidate reproduces the recorded fault-rate sweep
+        (tests/golden/fault_rates_campaign.json) float-exactly."""
+        golden = json.loads(FAULT_RATES_GOLDEN.read_text())
+        assert fault_rates_rows["clean"]["efficiency_gain"] == (
+            golden["clean_gain"]
         )
-        assert result.clean_gain > 1.0
-        fault_free = result.rows[0]
-        assert fault_free["hardened"]["retention"] == pytest.approx(1.0)
-        assert fault_free["unhardened"]["retention"] == pytest.approx(1.0)
-        full = result.rows[1]["hardened"]
-        assert full["n_faults_injected"] > 0
-        assert full["n_faults_detected"] > 0
-        assert full["retention"] >= 0.35
-        assert full["gain"] > 1.0
+        assert "fault_stats" not in fault_rates_rows["clean"]
+        tags = {0.0: "0", 0.25: "0.25", 0.5: "0.5", 1.0: "1"}
+        for row in golden["rows"]:
+            for variant in ("hardened", "unhardened"):
+                entry = fault_rates_rows[
+                    f"{variant}-{tags[row['rate_scale']]}"
+                ]
+                recorded = row[variant]
+                assert entry["efficiency_gain"] == recorded["gain"]
+                assert entry["reconfigurations"] == (
+                    recorded["reconfigurations"]
+                )
+                for key, value in entry["fault_stats"].items():
+                    assert value == recorded[key], (variant, key)
+
+    def test_retention_at_ten_percent_mixed_faults(self, fault_rates_rows):
+        """The documented acceptance number: at the 10% mixed-fault
+        rate the hardened controller retains a sizeable fraction of
+        the clean adaptive gain over BASELINE (docs/robustness.md)."""
+
+        def retention(candidate):
+            gain = fault_rates_rows[candidate]["efficiency_gain"]
+            return (gain - 1.0) / (clean_gain - 1.0)
+
+        clean_gain = fault_rates_rows["clean"]["efficiency_gain"]
+        assert clean_gain > 1.0
+        assert retention("hardened-0") == pytest.approx(1.0)
+        assert retention("unhardened-0") == pytest.approx(1.0)
+        full = fault_rates_rows["hardened-1"]
+        assert full["fault_stats"]["n_faults_injected"] > 0
+        assert full["fault_stats"]["n_faults_detected"] > 0
+        assert retention("hardened-1") >= 0.35
+        assert full["efficiency_gain"] > 1.0
+
     def test_components_sum_to_total(self, model_ee, machine, spmspv_trace):
         schedule = SparseAdaptController(
             model_ee, machine, EE, HybridPolicy(0.4)

@@ -37,10 +37,8 @@ from repro.runner import (
 )
 from repro.runner.ledger import (
     VOLATILE_TYPES,
-    ShardData,
     list_shards,
     local_store_path,
-    merge_shards,
     read_ledger_records,
 )
 from repro.runner.fsck import run_fsck
@@ -420,60 +418,54 @@ class TestWorkerIsolation:
 
 
 # ---------------------------------------------------------------------------
-def _read_groups(path):
-    """A record file grouped per job, as the merge consumes it."""
-    records, skipped = read_ledger_records(path)
-    groups = ShardData(n_skipped=skipped)
-    for record in records:
-        if record["type"] not in ("header",) + VOLATILE_TYPES:
-            groups.by_key.setdefault(record["key"], []).append(record)
-    return groups
-
-
 class TestShardAdversarial:
-    def _shard_with(self, tmp_path, worker, plan_key, rows, starts=()):
-        """A fabricated worker shard with the given terminal rows."""
-        path = shard_path(tmp_path / "camp.jsonl", worker)
-        shard = RunLedger(path, plan_key=plan_key, worker=worker)
-        for key, index in starts:
-            shard.job_started(key, index, 1)
-        for key, row in rows:
-            shard.job_started(key, row.get("index", 0), 1)
-            shard.job_done(key, row)
-        shard.close()
-        return path
+    def _store_with(self, tmp_path, groups):
+        """A store over keys a and b with the given (fabricated) record
+        groups published."""
+        store = ExperimentStore.create(
+            tmp_path / "camp.jsonl.store",
+            jobs=[_sleep_job(0, key="a"), _sleep_job(1, key="b")],
+            name="adversarial",
+            config=FAST,
+        )
+        for key, records in groups.items():
+            store.publish(key, records)
+        return store
+
+    @staticmethod
+    def _group(key, *rows):
+        start = {"type": "start", "key": key, "index": 0, "attempt": 1}
+        return [start] + [
+            {"type": "done", "key": key, "row": row} for row in rows
+        ]
 
     def test_torn_shard_tail_is_skipped(self, tmp_path):
-        """A shard truncated mid-record (the one write a crash can
-        tear) still yields every intact record."""
-        path = self._shard_with(
-            tmp_path,
-            0,
-            "plan",
-            [("a", {"index": 0, "key": "a", "status": "ok"})],
-        )
+        """A worker shard truncated mid-record (the one write a crash
+        can tear) still yields every intact record to ``repro top``."""
+        path = shard_path(tmp_path / "camp.jsonl", 0)
+        shard = RunLedger(path, plan_key="plan", worker=0)
+        shard.job_started("a", 0, 1)
+        shard.job_done("a", {"index": 0, "key": "a", "status": "ok"})
+        shard.close()
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"type": "done", "key": "b", "row": {"ind')
-        shard = _read_groups(path)
-        assert shard.n_skipped == 1
-        assert shard.terminal("a") is not None
-        assert shard.terminal("b") is None
+        records, skipped = read_ledger_records(path)
+        assert skipped == 1
+        assert [r["key"] for r in records if r["type"] == "done"] == ["a"]
 
     def test_torn_terminal_leaves_job_in_flight(self, tmp_path):
-        """If a job's done record was torn but its start survived, the
-        merge marks it in flight (to be re-run fresh) without copying
-        the orphan start records into the canonical ledger."""
-        ledger = RunLedger(tmp_path / "m.jsonl", plan_key="plan")
-        path = self._shard_with(
+        """A published group whose done record never made it (only its
+        start survived) is marked in flight, to be re-run fresh,
+        without copying the orphan start record into the ledger."""
+        store = self._store_with(
             tmp_path,
-            0,
-            "plan",
-            [("a", {"index": 0, "key": "a", "status": "ok"})],
-            starts=[("b", 1)],
+            {
+                "a": self._group("a", {"index": 0, "key": "a"}),
+                "b": self._group("b"),
+            },
         )
-        stats = merge_shards(
-            ledger, [_read_groups(path)], ["a", "b"]
-        )
+        ledger = RunLedger(tmp_path / "m.jsonl", plan_key="plan")
+        stats = store.merge_into(ledger, ["a", "b"])
         ledger.close()
         assert stats.merged_jobs == 1
         assert "a" in ledger.completed
@@ -483,31 +475,19 @@ class TestShardAdversarial:
 
     def test_duplicate_terminal_records_first_wins(self, tmp_path):
         """An adversarially duplicated terminal row (same key, twice in
-        one shard) merges exactly once."""
-        path = self._shard_with(
+        one group) merges exactly once."""
+        store = self._store_with(
             tmp_path,
-            0,
-            "plan",
-            [("a", {"index": 0, "key": "a", "status": "ok", "v": 1})],
-        )
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "type": "done",
-                        "key": "a",
-                        "row": {
-                            "index": 0,
-                            "key": "a",
-                            "status": "failed",
-                            "v": 2,
-                        },
-                    }
+            {
+                "a": self._group(
+                    "a",
+                    {"index": 0, "key": "a", "status": "ok", "v": 1},
+                    {"index": 0, "key": "a", "status": "failed", "v": 2},
                 )
-                + "\n"
-            )
+            },
+        )
         ledger = RunLedger(tmp_path / "m.jsonl", plan_key="plan")
-        merge_shards(ledger, [_read_groups(path)], ["a"])
+        store.merge_into(ledger, ["a"])
         ledger.close()
         records, _ = read_ledger_records(ledger.path)
         dones = [r for r in records if r.get("type") == "done"]
@@ -516,16 +496,14 @@ class TestShardAdversarial:
         assert ledger.completed["a"]["row"]["status"] == "ok"
 
     def test_merge_is_idempotent(self, tmp_path):
-        """Merging the same shard twice adds nothing the second time."""
-        path = self._shard_with(
-            tmp_path,
-            0,
-            "plan",
-            [("a", {"index": 0, "key": "a", "status": "ok"})],
+        """Merging the same store twice adds nothing the second time."""
+        store = self._store_with(
+            tmp_path, {"a": self._group("a", {"index": 0, "key": "a"})}
         )
         ledger = RunLedger(tmp_path / "m.jsonl", plan_key="plan")
-        first = merge_shards(ledger, [_read_groups(path)], ["a"])
-        second = merge_shards(ledger, [_read_groups(path)], ["a"])
+        first = store.merge_into(ledger, ["a"])
+        second = store.merge_into(ledger, ["a"])
+        ledger.close()
         assert first.merged_jobs == 1
         assert second.merged_jobs == 0
         assert second.skipped_completed == 1

@@ -2,18 +2,21 @@
 streams) for the runner's durability primitives: content-addressed
 job-key stability under plan permutation, ledger round-trips through
 arbitrary JSON-native rows, byte-level truncation robustness, and the
-order-insensitivity + idempotence of the record-group merge."""
+publish-order insensitivity + idempotence of the store's record-group
+merge (``ExperimentStore.merge_into``)."""
 
 import json
 import random
 import string
 
-from repro.runner import JobSpec, RunLedger, job_key
-from repro.runner.ledger import (
-    ShardData,
-    merge_shards,
-    read_ledger_records,
+from repro.runner import (
+    ExperimentStore,
+    JobSpec,
+    PortableJob,
+    RunLedger,
+    job_key,
 )
+from repro.runner.ledger import read_ledger_records
 
 N_TRIALS = 25
 
@@ -177,10 +180,10 @@ class TestLedgerRoundTrip:
 
 # ---------------------------------------------------------------------------
 class TestMergeProperties:
-    def _make_shards(self, rng, tmp_path, trial):
-        """A random campaign sharded over a random worker count, as
-        (base_path, key_order, {key: row}) plus the shard files."""
-        base = tmp_path / f"merge{trial}.jsonl"
+    def _make_groups(self, rng):
+        """A random campaign's published record groups, dealt over a
+        random worker count: (key_order, {key: row}, per-worker
+        [(key, group)] lists in each worker's publish order)."""
         n_jobs = rng.randint(1, 12)
         keys = [f"job{index:02d}" for index in range(n_jobs)]
         rows = {
@@ -188,80 +191,117 @@ class TestMergeProperties:
             for index, key in enumerate(keys)
         }
         n_workers = rng.randint(1, 4)
-        shards = []
-        for worker in range(n_workers):
-            shard = ShardData()
-            for index, key in enumerate(keys):
-                if index % n_workers != worker:
-                    continue
-                # Rows as a worker publishes them: JSON round-tripped.
-                row = json.loads(json.dumps(rows[key]))
-                kind = "done" if row["status"] == "ok" else "quarantined"
-                shard.by_key[key] = [
-                    {
-                        "type": "start",
-                        "key": key,
-                        "index": index,
-                        "attempt": 1,
-                    },
-                    {"type": kind, "key": key, "row": row},
-                ]
-            shards.append(shard)
-        return base, keys, rows, shards
+        workers = [[] for _ in range(n_workers)]
+        for index, key in enumerate(keys):
+            # Rows as a worker publishes them: JSON round-tripped.
+            row = json.loads(json.dumps(rows[key]))
+            kind = "done" if row["status"] == "ok" else "quarantined"
+            workers[index % n_workers].append(
+                (
+                    key,
+                    [
+                        {
+                            "type": "start",
+                            "key": key,
+                            "index": index,
+                            "attempt": 1,
+                        },
+                        {"type": kind, "key": key, "row": row},
+                    ],
+                )
+            )
+        return keys, rows, workers
+
+    def _store(self, root, keys, workers, rng=None):
+        """A real store over ``keys`` with every worker's groups
+        published, workers interleaved in a (shuffled) order."""
+        jobs = [
+            PortableJob(kind="sleep", key=key, label=key, index=index)
+            for index, key in enumerate(keys)
+        ]
+        store = ExperimentStore.create(root, jobs=jobs, name="merge")
+        queue = [list(groups) for groups in workers]
+        if rng is not None:
+            for groups in queue:
+                rng.shuffle(groups)
+            rng.shuffle(queue)
+        while any(queue):
+            for groups in queue:
+                if groups:
+                    key, group = groups.pop(0)
+                    store.publish(key, group)
+        return store
+
+    def _merged(self, store, keys, target):
+        ledger = RunLedger(target, plan_key="m")
+        stats = store.merge_into(ledger, keys)
+        ledger.close()
+        return ledger, stats
 
     def test_merge_is_shard_order_insensitive(self, tmp_path):
-        """merge(shards) produces byte-identical canonical ledgers no
-        matter the order the shards are presented in."""
+        """merge_into produces byte-identical canonical ledgers no
+        matter the order the workers published their groups in."""
         for trial in range(N_TRIALS):
             rng = _rng(trial)
-            base, keys, rows, shards = self._make_shards(
-                rng, tmp_path, trial
-            )
+            keys, rows, workers = self._make_groups(rng)
             outputs = []
             for attempt in range(2):
-                ordered = list(shards)
-                rng.shuffle(ordered)
+                store = self._store(
+                    tmp_path / f"store{trial}_{attempt}", keys, workers, rng
+                )
                 target = tmp_path / f"out{trial}_{attempt}.jsonl"
-                ledger = RunLedger(target, plan_key="m")
-                merge_shards(ledger, ordered, keys)
-                ledger.close()
+                self._merged(store, keys, target)
                 outputs.append(target.read_bytes())
             assert outputs[0] == outputs[1]
 
     def test_merge_is_idempotent(self, tmp_path):
         for trial in range(N_TRIALS):
             rng = _rng(trial)
-            base, keys, rows, shards = self._make_shards(
-                rng, tmp_path, trial
-            )
+            keys, rows, workers = self._make_groups(rng)
+            store = self._store(tmp_path / f"store{trial}", keys, workers)
             target = tmp_path / f"idem{trial}.jsonl"
-            ledger = RunLedger(target, plan_key="m")
-            first = merge_shards(ledger, shards, keys)
-            ledger.close()
+            _, first = self._merged(store, keys, target)
             once = target.read_bytes()
             ledger = RunLedger(target, plan_key="m", resume=True)
-            second = merge_shards(ledger, shards, keys)
+            second = store.merge_into(ledger, keys)
             ledger.close()
             assert first.merged_jobs == len(keys)
             assert second.merged_jobs == 0
             assert second.merged_records == 0
+            assert second.skipped_completed == len(keys)
             assert target.read_bytes() == once
 
     def test_merge_recovers_every_terminal_row(self, tmp_path):
         for trial in range(N_TRIALS):
             rng = _rng(trial)
-            base, keys, rows, shards = self._make_shards(
-                rng, tmp_path, trial
+            keys, rows, workers = self._make_groups(rng)
+            store = self._store(tmp_path / f"store{trial}", keys, workers)
+            ledger, _ = self._merged(
+                store, keys, tmp_path / f"all{trial}.jsonl"
             )
-            target = tmp_path / f"all{trial}.jsonl"
-            ledger = RunLedger(target, plan_key="m")
-            merge_shards(ledger, shards, keys)
-            ledger.close()
             assert set(ledger.completed) == set(keys)
             for key in keys:
                 assert ledger.completed[key]["row"] == json.loads(
                     json.dumps(rows[key])
                 )
+
+    def test_first_published_terminal_wins(self, tmp_path):
+        """A second publish of a job (a re-run by a worker that lost
+        its lease) never replaces the first group."""
+        for trial in range(N_TRIALS):
+            rng = _rng(trial)
+            keys, rows, workers = self._make_groups(rng)
+            store = self._store(tmp_path / f"store{trial}", keys, workers)
+            for key in keys:
+                late = {"index": 0, "key": key, "status": "late"}
+                assert not store.publish(
+                    key, [{"type": "done", "key": key, "row": late}]
+                )
+            ledger, _ = self._merged(
+                store, keys, tmp_path / f"first{trial}.jsonl"
+            )
+            for key in keys:
+                assert ledger.completed[key]["row"]["status"] != "late"
 
 
 # ---------------------------------------------------------------------------
