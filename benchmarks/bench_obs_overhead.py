@@ -27,6 +27,7 @@ from repro.core.training import train_default_model
 from repro.experiments.harness import build_trace
 from repro.transmuter import params
 from repro.transmuter.machine import TransmuterModel
+from repro.transmuter import reconfig
 from repro.transmuter.reconfig import (
     host_decision_overhead_s,
     reconfiguration_cost,
@@ -195,8 +196,15 @@ def test_profiling_byte_identical_results(benchmark, emit):
     )
 
     baseline = controller.run(trace).summary()
+    # Profile a fresh controller over an empty transition-cost memo, so
+    # the run does the inference and reconfig work instead of answering
+    # from the memos the first run filled.
+    reconfig._COST_MEMO.clear()
+    fresh = SparseAdaptController(
+        model=model, machine=TransmuterModel(), mode=mode
+    )
     with obs_profile.profiling() as prof:
-        profiled = controller.run(trace).summary()
+        profiled = fresh.run(trace).summary()
     assert profiled == baseline, (
         "profiling changed the schedule: the profiler must only "
         "observe, never perturb"

@@ -337,8 +337,8 @@ def test_fastpath_speedup(benchmark, emit):
     Steady-state regime: traces and transition-cost memos warm, the
     repeated-evaluation shape of real campaigns (sweeps, compare runs,
     resume). The cold first pass is reported for honesty but not
-    asserted — it is dominated by trace synthesis, which both legs
-    share. Byte-identical reports across the legs are the safety rail:
+    asserted — its scalar leg runs first and also synthesizes the
+    traces, which the fast leg reuses. Byte-identical reports across the legs are the safety rail:
     a vectorization that drifts by one ulp fails here before it can
     skew a paper table.
     """
@@ -374,8 +374,8 @@ def test_fastpath_speedup(benchmark, emit):
                 f"{len(FASTPATH_SCHEMES)} table-heavy schemes)",
                 f"  cold:   scalar {cold_scalar_s:6.3f}s   "
                 f"fast {cold_fast_s:6.3f}s  "
-                f"({cold_scalar_s / cold_fast_s:5.2f}x, trace "
-                f"synthesis dominates, not asserted)",
+                f"({cold_scalar_s / cold_fast_s:5.2f}x, scalar leg "
+                f"includes trace synthesis, not asserted)",
                 f"  steady: scalar {scalar_s:6.3f}s   "
                 f"fast {fast_s:6.3f}s  ({speedup:5.2f}x, floor "
                 f"{MIN_FASTPATH_SPEEDUP:.0f}x)",

@@ -18,16 +18,12 @@ from repro.errors import SimulationError
 from repro.kernels.base import KernelTrace
 from repro.transmuter.config import HardwareConfig, sample_configs
 from repro.transmuter.machine import EpochResult, TransmuterModel
-from repro.transmuter.reconfig import reconfiguration_cost
+from repro.transmuter.reconfig import (
+    reconfiguration_cost,
+    transition_matrices,
+)
 
 __all__ = ["EpochTable"]
-
-#: Fast-path memo for whole transition matrices: the matrices are a pure
-#: function of the sampled config set, the machine geometry, and the
-#: table's dirty-bytes bound, and campaigns rebuild tables over the same
-#: sampled set for every job/scheme.
-_MATRICES_MEMO: Dict[tuple, tuple] = {}
-_MATRICES_MEMO_MAX = 64
 
 
 class EpochTable:
@@ -106,7 +102,6 @@ class EpochTable:
                 [w.stores * params.WORD_BYTES for w in trace.epochs]
             )
         )
-        self._reconfig_cache: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -134,22 +129,6 @@ class EpochTable:
         return self.results[epoch][self.config_index(config)]
 
     # ------------------------------------------------------------------
-    def reconfig_time_energy(
-        self, source: HardwareConfig, target: HardwareConfig
-    ) -> tuple:
-        """Cached (time, energy) of one configuration transition."""
-        key = (source, target)
-        if key not in self._reconfig_cache:
-            cost = reconfiguration_cost(
-                source,
-                target,
-                self.machine.power,
-                self.bandwidth_gbps,
-                dirty_bytes_hint=self.dirty_bytes_hint,
-            )
-            self._reconfig_cache[key] = (cost.time_s, cost.energy_j)
-        return self._reconfig_cache[key]
-
     def reconfig_cost(self, source: HardwareConfig, target: HardwareConfig):
         """Full transition cost with this table's dirty-bytes bound."""
         return reconfiguration_cost(
@@ -162,33 +141,9 @@ class EpochTable:
 
     def reconfig_matrices(self) -> tuple:
         """(time, energy) transition matrices over the sampled configs."""
-        from repro import fastpath
-
-        memo_key = None
-        if fastpath.enabled():
-            memo_key = (
-                tuple(self.configs),
-                self.machine.power.n_tiles,
-                self.machine.power.gpes_per_tile,
-                self.bandwidth_gbps,
-                self.dirty_bytes_hint,
-            )
-            cached = _MATRICES_MEMO.get(memo_key)
-            if cached is not None:
-                times, energies = cached
-                return times.copy(), energies.copy()
-        n = self.n_configs
-        times = np.zeros((n, n))
-        energies = np.zeros((n, n))
-        for i, source in enumerate(self.configs):
-            for j, target in enumerate(self.configs):
-                if i == j:
-                    continue
-                times[i, j], energies[i, j] = self.reconfig_time_energy(
-                    source, target
-                )
-        if memo_key is not None:
-            if len(_MATRICES_MEMO) >= _MATRICES_MEMO_MAX:
-                _MATRICES_MEMO.clear()
-            _MATRICES_MEMO[memo_key] = (times.copy(), energies.copy())
-        return times, energies
+        return transition_matrices(
+            self.configs,
+            self.machine.power,
+            self.bandwidth_gbps,
+            self.dirty_bytes_hint,
+        )

@@ -114,7 +114,13 @@ class _BaseTree:
     def _node_value(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _best_split(self, x_col, y, order):
+    def _split_gains(self, y_sorted: np.ndarray, positions: np.ndarray):
+        """Impurity decrease of every split ``[:pos] | [pos:]``.
+
+        ``y_sorted`` holds one row of node targets per candidate
+        feature, in that feature's ascending order; the result has one
+        row per candidate and one column per entry of ``positions``.
+        """
         raise NotImplementedError
 
     # -- fitting ---------------------------------------------------------
@@ -139,7 +145,16 @@ class _BaseTree:
         self._importance_raw = np.zeros(self.n_features_)
         rng = np.random.default_rng(self.random_state)
         indices = np.arange(features.shape[0])
-        self.root_ = self._build(features, encoded, indices, depth=0, rng=rng)
+        # Presort once: row f lists the samples in stable x[:, f] order.
+        # Children inherit order-preserving partitions of the rows, and
+        # node indices stay ascending, so each row equals what a stable
+        # argsort of the node's own column would give.
+        presorted = np.ascontiguousarray(
+            np.argsort(features, axis=0, kind="stable").T
+        )
+        self.root_ = self._build(
+            features, encoded, indices, presorted, depth=0, rng=rng
+        )
         if self.ccp_alpha > 0.0:
             self._prune(self.root_)
         total = self._importance_raw.sum()
@@ -153,6 +168,7 @@ class _BaseTree:
         features: np.ndarray,
         encoded: np.ndarray,
         indices: np.ndarray,
+        presorted: np.ndarray,
         depth: int,
         rng: np.random.Generator,
     ) -> TreeNode:
@@ -175,25 +191,19 @@ class _BaseTree:
             candidate_features = rng.choice(
                 self.n_features_, size=self.max_features, replace=False
             )
-
-        best_gain = 0.0
-        best_feature = -1
-        best_threshold = 0.0
-        for feat in candidate_features:
-            x_col = features[indices, feat]
-            order = np.argsort(x_col, kind="stable")
-            gain, threshold = self._best_split(x_col, y_node, order)
-            if gain > best_gain + 1e-15:
-                best_gain = gain
-                best_feature = int(feat)
-                best_threshold = threshold
-
+        best_feature, best_threshold, best_gain = self._best_split(
+            features,
+            encoded,
+            presorted[candidate_features],
+            candidate_features,
+        )
         if best_feature < 0:
             return node
 
-        go_left = features[indices, best_feature] <= best_threshold
-        left_idx = indices[go_left]
-        right_idx = indices[~go_left]
+        # Only the node's own samples are ever looked up in this mask.
+        go_left = features[:, best_feature] <= best_threshold
+        left_idx = indices[go_left[indices]]
+        right_idx = indices[~go_left[indices]]
         if (
             left_idx.size < self.min_samples_leaf
             or right_idx.size < self.min_samples_leaf
@@ -203,9 +213,66 @@ class _BaseTree:
         node.feature = best_feature
         node.threshold = best_threshold
         self._importance_raw[best_feature] += best_gain * indices.size
-        node.left = self._build(features, encoded, left_idx, depth + 1, rng)
-        node.right = self._build(features, encoded, right_idx, depth + 1, rng)
+        sorted_left = go_left[presorted]
+        n_features = presorted.shape[0]
+        node.left = self._build(
+            features,
+            encoded,
+            left_idx,
+            presorted[sorted_left].reshape(n_features, -1),
+            depth + 1,
+            rng,
+        )
+        node.right = self._build(
+            features,
+            encoded,
+            right_idx,
+            presorted[~sorted_left].reshape(n_features, -1),
+            depth + 1,
+            rng,
+        )
         return node
+
+    def _best_split(
+        self,
+        features: np.ndarray,
+        encoded: np.ndarray,
+        sorted_rows: np.ndarray,
+        candidates: np.ndarray,
+    ):
+        """(feature, threshold, gain) of the best split at one node.
+
+        Every candidate feature is scored in one array pass over its
+        presorted row; ``feature`` is -1 when no split decreases the
+        impurity. Splits fall between distinct consecutive x values and
+        honor ``min_samples_leaf`` on both sides; ties go to the first
+        position, then to the first candidate.
+        """
+        n = sorted_rows.shape[1]
+        lo = self.min_samples_leaf
+        hi = n - self.min_samples_leaf
+        if hi < lo or not len(candidates):
+            return -1, 0.0, 0.0
+        positions = np.arange(lo, hi + 1)
+        x_sorted = features[sorted_rows, candidates[:, None]]
+        gains = self._split_gains(encoded[sorted_rows], positions)
+        distinct = x_sorted[:, positions] > x_sorted[:, positions - 1] + 1e-15
+        gains[~distinct] = -np.inf
+        best_columns = np.argmax(gains, axis=1)
+        row_gains = gains[np.arange(len(candidates)), best_columns]
+
+        best_gain = 0.0
+        best_feature = -1
+        best_threshold = 0.0
+        for row, gain in enumerate(row_gains.tolist()):
+            if gain > best_gain + 1e-15:
+                pos = positions[best_columns[row]]
+                best_gain = gain
+                best_feature = int(candidates[row])
+                best_threshold = float(
+                    0.5 * (x_sorted[row, pos - 1] + x_sorted[row, pos])
+                )
+        return best_feature, best_threshold, best_gain
 
     # -- pruning ----------------------------------------------------------
     def _prune(self, node: TreeNode) -> None:
@@ -386,53 +453,34 @@ class DecisionTreeClassifier(_BaseTree):
             return np.full(self._n_classes, 1.0 / self._n_classes)
         return counts / total
 
-    def _best_split(self, x_col, y, order):
-        """Best threshold on one feature via class-count prefix sums."""
-        x_sorted = x_col[order]
-        y_sorted = y[order]
-        n = y_sorted.size
-        one_hot = np.zeros((n, self._n_classes))
-        one_hot[np.arange(n), y_sorted] = 1.0
-        prefix = np.cumsum(one_hot, axis=0)
-        total = prefix[-1]
+    def _batch_impurity(self, counts: np.ndarray, sizes: np.ndarray):
+        """Impurity of many splits' sides; classes on the last axis."""
+        p = counts / sizes[:, None]
+        if self.criterion == "gini":
+            return 1.0 - np.sum(p * p, axis=-1)
+        logs = np.zeros_like(p)
+        np.log2(p, where=p > 0, out=logs)
+        return -np.sum(p * logs, axis=-1)
+
+    def _split_gains(self, y_sorted, positions):
+        """Gains from cumulative class counts along each sorted row."""
+        n = y_sorted.shape[1]
+        prefix = np.cumsum(
+            y_sorted[:, :, None] == np.arange(self._n_classes),
+            axis=1,
+            dtype=np.float64,
+        )
+        total = prefix[0, -1]
         parent_impurity = self._impurity_from_counts(total)
-
-        # Candidate split positions: between distinct consecutive x values,
-        # honoring min_samples_leaf on both sides.
-        lo = self.min_samples_leaf
-        hi = n - self.min_samples_leaf
-        if hi < lo:
-            return 0.0, 0.0
-        positions = np.arange(lo, hi + 1)
-        distinct = x_sorted[positions] > x_sorted[positions - 1] + 1e-15
-        positions = positions[distinct]
-        if positions.size == 0:
-            return 0.0, 0.0
-
-        left_counts = prefix[positions - 1]
+        left_counts = prefix[:, positions - 1]
         right_counts = total - left_counts
         n_left = positions.astype(np.float64)
         n_right = n - n_left
-
-        def batch_impurity(counts, sizes):
-            p = counts / sizes[:, None]
-            if self.criterion == "gini":
-                return 1.0 - np.sum(p * p, axis=1)
-            logs = np.zeros_like(p)
-            np.log2(p, where=p > 0, out=logs)
-            return -np.sum(p * logs, axis=1)
-
         weighted = (
-            n_left * batch_impurity(left_counts, n_left)
-            + n_right * batch_impurity(right_counts, n_right)
+            n_left * self._batch_impurity(left_counts, n_left)
+            + n_right * self._batch_impurity(right_counts, n_right)
         ) / n
-        gains = parent_impurity - weighted
-        best = int(np.argmax(gains))
-        if gains[best] <= 0:
-            return 0.0, 0.0
-        pos = positions[best]
-        threshold = 0.5 * (x_sorted[pos - 1] + x_sorted[pos])
-        return float(gains[best]), float(threshold)
+        return parent_impurity - weighted
 
     # -- public API -----------------------------------------------------------
     def fit(self, features, labels) -> "DecisionTreeClassifier":
@@ -493,41 +541,28 @@ class DecisionTreeRegressor(_BaseTree):
     def _node_value(self, y: np.ndarray) -> np.ndarray:
         return np.array([float(np.mean(y))]) if y.size else np.zeros(1)
 
-    def _best_split(self, x_col, y, order):
-        x_sorted = x_col[order]
-        y_sorted = y[order].astype(np.float64)
-        n = y_sorted.size
-        prefix = np.cumsum(y_sorted)
-        prefix_sq = np.cumsum(y_sorted * y_sorted)
-        total, total_sq = prefix[-1], prefix_sq[-1]
-        parent = total_sq / n - (total / n) ** 2
-
-        lo = self.min_samples_leaf
-        hi = n - self.min_samples_leaf
-        if hi < lo:
-            return 0.0, 0.0
-        positions = np.arange(lo, hi + 1)
-        distinct = x_sorted[positions] > x_sorted[positions - 1] + 1e-15
-        positions = positions[distinct]
-        if positions.size == 0:
-            return 0.0, 0.0
+    def _split_gains(self, y_sorted, positions):
+        """Gains from prefix sums and sums of squares along each row."""
+        n = y_sorted.shape[1]
+        prefix = np.cumsum(y_sorted, axis=1)
+        prefix_sq = np.cumsum(y_sorted * y_sorted, axis=1)
+        total, total_sq = prefix[:, -1], prefix_sq[:, -1]
+        # Scalar arithmetic per row: numpy's scalar ``** 2`` can differ
+        # in the last bit from array squaring.
+        parent = np.array(
+            [sq / n - (t / n) ** 2 for t, sq in zip(total, total_sq)]
+        )
 
         n_left = positions.astype(np.float64)
         n_right = n - n_left
-        sum_left = prefix[positions - 1]
-        sq_left = prefix_sq[positions - 1]
+        sum_left = prefix[:, positions - 1]
+        sq_left = prefix_sq[:, positions - 1]
         var_left = sq_left / n_left - (sum_left / n_left) ** 2
-        sum_right = total - sum_left
-        sq_right = total_sq - sq_left
+        sum_right = total[:, None] - sum_left
+        sq_right = total_sq[:, None] - sq_left
         var_right = sq_right / n_right - (sum_right / n_right) ** 2
         weighted = (n_left * var_left + n_right * var_right) / n
-        gains = parent - weighted
-        best = int(np.argmax(gains))
-        if gains[best] <= 0:
-            return 0.0, 0.0
-        pos = positions[best]
-        threshold = 0.5 * (x_sorted[pos - 1] + x_sorted[pos])
-        return float(gains[best]), float(threshold)
+        return parent[:, None] - weighted
 
     def fit(self, features, targets) -> "DecisionTreeRegressor":
         """Fit the tree on continuous targets."""

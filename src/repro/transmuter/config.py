@@ -186,10 +186,24 @@ def runtime_space(l1_type: str = "cache") -> List[HardwareConfig]:
     Cache mode varies all six runtime parameters (1800 points); SPM mode
     pins the L1 capacity (360 points).
     """
+    return list(_runtime_space(l1_type)[0])
+
+
+#: Per L1 type: the runtime space in enumeration order, and each
+#: config's position in it (built once; configs hash field by field).
+_RUNTIME_SPACES: Dict[str, Tuple[Tuple[HardwareConfig, ...], Dict]] = {}
+
+
+def _runtime_space(
+    l1_type: str,
+) -> Tuple[Tuple[HardwareConfig, ...], Dict[HardwareConfig, int]]:
+    cached = _RUNTIME_SPACES.get(l1_type)
+    if cached is not None:
+        return cached
     if l1_type not in L1_TYPES:
         raise ConfigError(f"bad l1_type {l1_type!r}")
     l1_choices = CAPACITIES_KB if l1_type == "cache" else (SPM_FIXED_L1_KB,)
-    return [
+    space = tuple(
         HardwareConfig(l1_type, l1s, l2s, l1_kb, l2_kb, clk, pf)
         for l1s in SHARING_MODES
         for l2s in SHARING_MODES
@@ -197,7 +211,10 @@ def runtime_space(l1_type: str = "cache") -> List[HardwareConfig]:
         for l2_kb in CAPACITIES_KB
         for clk in CLOCKS_MHZ
         for pf in PREFETCH_LEVELS
-    ]
+    )
+    cached = (space, {cfg: i for i, cfg in enumerate(space)})
+    _RUNTIME_SPACES[l1_type] = cached
+    return cached
 
 
 #: Fast-path memo for seeded samples (the sample is a pure function of
@@ -225,10 +242,11 @@ def sample_configs(
         cached = _SAMPLE_MEMO.get(memo_key)
         if cached is not None:
             return list(cached)
-    space = runtime_space(l1_type)
-    forced = [cfg for cfg in include if cfg in set(space)]
+    space, position = _runtime_space(l1_type)
+    forced = [cfg for cfg in include if cfg in position]
     rng = np.random.default_rng(seed)
-    remaining = [cfg for cfg in space if cfg not in set(forced)]
+    taken = {position[cfg] for cfg in forced}
+    remaining = [cfg for i, cfg in enumerate(space) if i not in taken]
     count = min(count, len(space))
     extra = max(0, count - len(forced))
     picked_idx = rng.choice(len(remaining), size=extra, replace=False)

@@ -23,13 +23,15 @@ Configuration changes fall into the paper's taxonomy:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.obs import profile as obs_profile
 from repro.transmuter import params
 from repro.transmuter.config import RUNTIME_PARAMETERS, HardwareConfig
-from repro.transmuter.dvfs import operating_point
+from repro.transmuter.dvfs import OperatingPoint, operating_point
 from repro.transmuter.power import PowerModel
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "changed_parameters",
     "change_granularity",
     "reconfiguration_cost",
+    "transition_matrices",
     "apply_transition",
     "parameter_change_cost",
 ]
@@ -177,7 +180,7 @@ def reconfiguration_cost(
     if fastpath.enabled():
         # The cost is a pure function of its (hashable) inputs, and
         # campaigns re-evaluate the same transitions thousands of times
-        # (transition matrices, per-epoch policy checks) — memoize
+        # (per-epoch policy checks) — memoize
         # process-wide. ReconfigCost is frozen, so sharing is safe.
         key = (
             old,
@@ -274,6 +277,100 @@ def _reconfiguration_cost(
         flushed_l2=flush_l2,
         changed=tuple(changed),
     )
+
+
+def transition_matrices(
+    configs: Sequence[HardwareConfig],
+    power: PowerModel,
+    bandwidth_gbps: float,
+    dirty_bytes_hint: Optional[float],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(time, energy) of every transition ``configs[i] -> configs[j]``.
+
+    Cell ``[i, j]`` equals ``_reconfiguration_cost(configs[i],
+    configs[j], ...)`` bit for bit: every term is computed from
+    per-config vectors and combined in the scalar function's operand
+    order. Cells with no changed parameter (the diagonal included) are
+    0. The L1 memory type is compile-time only, so a set that mixes
+    ``l1_type`` raises :class:`ConfigError` like
+    :func:`changed_parameters`.
+    """
+    with obs_profile.span("reconfig"):
+        if len({cfg.l1_type for cfg in configs}) > 1:
+            raise ConfigError(
+                "the L1 memory type is compile-time only and cannot be "
+                "reconfigured at runtime (coarse-grained parameter)"
+            )
+
+        def column(values) -> np.ndarray:
+            return np.array(values, dtype=np.float64)
+
+        # Runtime parameters, one entry per config (sharing as 0/1).
+        l1_shared = column([cfg.l1_sharing == "shared" for cfg in configs])
+        l2_shared = column([cfg.l2_sharing == "shared" for cfg in configs])
+        l1_kb = column([cfg.l1_kb for cfg in configs])
+        l2_kb = column([cfg.l2_kb for cfg in configs])
+        clock = column([cfg.clock_mhz for cfg in configs])
+        prefetch = column([cfg.prefetch for cfg in configs])
+
+        def differs(values: np.ndarray) -> np.ndarray:
+            return values[:, None] != values[None, :]
+
+        changed = (
+            differs(l1_shared)
+            | differs(l2_shared)
+            | differs(l1_kb)
+            | differs(l2_kb)
+            | differs(clock)
+            | differs(prefetch)
+        )
+        # Rows are the old config, columns the new one; shrinking a
+        # capacity or changing a sharing mode flushes that layer.
+        flush_l1 = differs(l1_shared) | (l1_kb[None, :] < l1_kb[:, None])
+        flush_l2 = differs(l2_shared) | (l2_kb[None, :] < l2_kb[:, None])
+
+        # Per new config: the fixed latch update at its operating point.
+        points = [operating_point(cfg.clock_mhz) for cfg in configs]
+        fixed_time = params.RECONFIG_FIXED_CYCLES / (clock * 1e6)
+        fixed_energy = (
+            params.RECONFIG_FIXED_CYCLES * params.E_CORE_OP
+        ) * column([point.dynamic_scale for point in points])
+        leakage_scale = column([point.leakage_scale for point in points])
+
+        # Per old config: gated leakage before DVFS scaling, dirty bytes.
+        unscaled = OperatingPoint(
+            params.F_NOMINAL_MHZ, params.VDD_NOMINAL, 1.0, 1.0
+        )
+        base_leak = column(
+            [power.leakage_power(cfg, unscaled) for cfg in configs]
+        )
+        leak_w = (
+            base_leak[:, None] * leakage_scale[None, :]
+        ) * params.FLUSH_GATED_LEAK_FRACTION
+        dirty_l1 = column(
+            [power.provisioned_l1_kb(cfg) * 1024.0 for cfg in configs]
+        ) * params.FLUSH_DIRTY_FRACTION
+        dirty_l2 = column(
+            [power.provisioned_l2_kb(cfg) * 1024.0 for cfg in configs]
+        ) * params.FLUSH_DIRTY_FRACTION
+        if dirty_bytes_hint is not None:
+            dirty_l1 = np.minimum(dirty_l1, dirty_bytes_hint)
+            dirty_l2 = np.minimum(dirty_l2, dirty_bytes_hint)
+        flush_hz = params.F_NOMINAL_MHZ * 1e6
+        time_l1 = (dirty_l1 / L1_FLUSH_BYTES_PER_CYCLE) / flush_hz
+        time_l2 = dirty_l2 / (bandwidth_gbps * 1e9)
+
+        n = len(configs)
+        times = np.broadcast_to(fixed_time, (n, n))
+        energies = np.broadcast_to(fixed_energy, (n, n))
+        for flushed, dirty, byte_energy, flush_time in (
+            (flush_l1, dirty_l1, E_FLUSH_L1_BYTE, time_l1[:, None]),
+            (flush_l2, dirty_l2, E_FLUSH_L2_BYTE, time_l2[:, None]),
+        ):
+            layer_energy = (dirty * byte_energy)[:, None] + leak_w * flush_time
+            times = np.where(flushed, times + flush_time, times)
+            energies = np.where(flushed, energies + layer_energy, energies)
+        return np.where(changed, times, 0.0), np.where(changed, energies, 0.0)
 
 
 @dataclass(frozen=True)

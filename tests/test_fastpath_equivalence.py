@@ -18,14 +18,17 @@ golden instance.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from repro import fastpath
+from repro.baselines.table import EpochTable
 from repro.core.controller import SparseAdaptController
 from repro.core.modes import OptimizationMode
 from repro.core.training import train_default_model
+from repro.errors import ConfigError
 from repro.experiments.harness import (
     EvaluationContext,
     build_trace,
@@ -33,12 +36,22 @@ from repro.experiments.harness import (
 )
 from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.fastpath.tables import compile_estimator, compile_forest
-from repro.ml.decision_tree import DecisionTreeClassifier
+from repro.ml import random_forest
+from repro.ml.decision_tree import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+)
 from repro.ml.random_forest import RandomForestClassifier
-from repro.transmuter.config import sample_configs
+from repro.transmuter.config import HardwareConfig, sample_configs
 from repro.transmuter.machine import TransmuterModel
+from repro.transmuter.reconfig import (
+    _reconfiguration_cost,
+    transition_matrices,
+)
 
 SEEDS = (0, 1, 2)
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 ALL_SCHEMES = (
     "Baseline",
@@ -238,6 +251,378 @@ class TestEpochGrid:
                 cell = grid.result(i, j)
                 assert grid.times[i, j] == cell.time_s
                 assert grid.energies[i, j] == cell.energy_j
+
+
+class TestTransitionMatrices:
+    """Whole-matrix transition costs vs. the pairwise scalar cost."""
+
+    @staticmethod
+    def _pairwise(configs, power, bandwidth_gbps, hint):
+        n = len(configs)
+        times = np.zeros((n, n))
+        energies = np.zeros((n, n))
+        for i, source in enumerate(configs):
+            for j, target in enumerate(configs):
+                cost = _reconfiguration_cost(
+                    source, target, power, bandwidth_gbps, hint, False
+                )
+                times[i, j], energies[i, j] = cost.time_s, cost.energy_j
+        return times, energies
+
+    @pytest.mark.parametrize("l1_type", ["cache", "spm"])
+    @pytest.mark.parametrize(
+        "kernel,matrix", [("spmspm", "R03"), ("spmspv", "R11")]
+    )
+    def test_matrices_bit_identical(self, kernel, matrix, l1_type):
+        table = EpochTable(
+            TransmuterModel(),
+            build_trace(kernel, matrix, scale=0.12),
+            n_samples=48,
+            l1_type=l1_type,
+            seed=4,
+        )
+        power = table.machine.power
+        assert all(
+            np.array_equal(got, want)
+            for got, want in zip(
+                table.reconfig_matrices(),
+                self._pairwise(
+                    table.configs,
+                    power,
+                    table.bandwidth_gbps,
+                    table.dirty_bytes_hint,
+                ),
+            )
+        )
+        for bandwidth_gbps in (0.1, 1.0, 10.0, 100.0):
+            for hint in (table.dirty_bytes_hint, None, 1.0):
+                got = transition_matrices(
+                    table.configs, power, bandwidth_gbps, hint
+                )
+                want = self._pairwise(
+                    table.configs, power, bandwidth_gbps, hint
+                )
+                assert np.array_equal(got[0], want[0]), (bandwidth_gbps, hint)
+                assert np.array_equal(got[1], want[1]), (bandwidth_gbps, hint)
+
+    def test_mixed_l1_type_rejected(self):
+        configs = [HardwareConfig(), HardwareConfig(l1_type="spm")]
+        with pytest.raises(ConfigError):
+            transition_matrices(configs, TransmuterModel().power, 1.0, None)
+
+
+def _reference_fit_tree(self, features, encoded):
+    """The per-node, per-feature-argsort CART builder that presorting
+    replaced, kept verbatim (as a method body) as the reference."""
+    self.n_features_ = features.shape[1]
+    self._importance_raw = np.zeros(self.n_features_)
+    rng = np.random.default_rng(self.random_state)
+    indices = np.arange(features.shape[0])
+    self.root_ = _reference_build(self, features, encoded, indices, 0, rng)
+    if self.ccp_alpha > 0.0:
+        self._prune(self.root_)
+    total = self._importance_raw.sum()
+    if total > 0:
+        self.feature_importances_ = self._importance_raw / total
+    else:
+        self.feature_importances_ = np.zeros(self.n_features_)
+
+
+def _reference_build(self, features, encoded, indices, depth, rng):
+    from repro.ml.decision_tree import TreeNode
+
+    y_node = encoded[indices]
+    impurity = self._node_impurity(y_node)
+    node = TreeNode(
+        value=self._node_value(y_node),
+        n_samples=indices.size,
+        impurity=impurity,
+    )
+    if (
+        impurity <= 1e-12
+        or indices.size < self.min_samples_split
+        or (self.max_depth is not None and depth >= self.max_depth)
+    ):
+        return node
+    candidate_features = np.arange(self.n_features_)
+    if self.max_features is not None and self.max_features < self.n_features_:
+        candidate_features = rng.choice(
+            self.n_features_, size=self.max_features, replace=False
+        )
+    best_gain = 0.0
+    best_feature = -1
+    best_threshold = 0.0
+    for feat in candidate_features:
+        x_col = features[indices, feat]
+        order = np.argsort(x_col, kind="stable")
+        gain, threshold = self._reference_split(x_col, y_node, order)
+        if gain > best_gain + 1e-15:
+            best_gain = gain
+            best_feature = int(feat)
+            best_threshold = threshold
+    if best_feature < 0:
+        return node
+    go_left = features[indices, best_feature] <= best_threshold
+    left_idx = indices[go_left]
+    right_idx = indices[~go_left]
+    if (
+        left_idx.size < self.min_samples_leaf
+        or right_idx.size < self.min_samples_leaf
+    ):
+        return node
+    node.feature = best_feature
+    node.threshold = best_threshold
+    self._importance_raw[best_feature] += best_gain * indices.size
+    node.left = _reference_build(
+        self, features, encoded, left_idx, depth + 1, rng
+    )
+    node.right = _reference_build(
+        self, features, encoded, right_idx, depth + 1, rng
+    )
+    return node
+
+
+def _split_positions(x_sorted, n, min_samples_leaf):
+    lo = min_samples_leaf
+    hi = n - min_samples_leaf
+    if hi < lo:
+        return None
+    positions = np.arange(lo, hi + 1)
+    distinct = x_sorted[positions] > x_sorted[positions - 1] + 1e-15
+    positions = positions[distinct]
+    return positions if positions.size else None
+
+
+def _best_of(gains, positions, x_sorted):
+    best = int(np.argmax(gains))
+    if gains[best] <= 0:
+        return 0.0, 0.0
+    pos = positions[best]
+    threshold = 0.5 * (x_sorted[pos - 1] + x_sorted[pos])
+    return float(gains[best]), float(threshold)
+
+
+class ReferenceClassifier(DecisionTreeClassifier):
+    _fit_tree = _reference_fit_tree
+
+    def _reference_split(self, x_col, y, order):
+        x_sorted = x_col[order]
+        y_sorted = y[order]
+        n = y_sorted.size
+        one_hot = np.zeros((n, self._n_classes))
+        one_hot[np.arange(n), y_sorted] = 1.0
+        prefix = np.cumsum(one_hot, axis=0)
+        total = prefix[-1]
+        parent_impurity = self._impurity_from_counts(total)
+        positions = _split_positions(x_sorted, n, self.min_samples_leaf)
+        if positions is None:
+            return 0.0, 0.0
+        left_counts = prefix[positions - 1]
+        right_counts = total - left_counts
+        n_left = positions.astype(np.float64)
+        n_right = n - n_left
+
+        def batch_impurity(counts, sizes):
+            p = counts / sizes[:, None]
+            if self.criterion == "gini":
+                return 1.0 - np.sum(p * p, axis=1)
+            logs = np.zeros_like(p)
+            np.log2(p, where=p > 0, out=logs)
+            return -np.sum(p * logs, axis=1)
+
+        weighted = (
+            n_left * batch_impurity(left_counts, n_left)
+            + n_right * batch_impurity(right_counts, n_right)
+        ) / n
+        return _best_of(parent_impurity - weighted, positions, x_sorted)
+
+
+class ReferenceRegressor(DecisionTreeRegressor):
+    _fit_tree = _reference_fit_tree
+
+    def _reference_split(self, x_col, y, order):
+        x_sorted = x_col[order]
+        y_sorted = y[order].astype(np.float64)
+        n = y_sorted.size
+        prefix = np.cumsum(y_sorted)
+        prefix_sq = np.cumsum(y_sorted * y_sorted)
+        total, total_sq = prefix[-1], prefix_sq[-1]
+        parent = total_sq / n - (total / n) ** 2
+        positions = _split_positions(x_sorted, n, self.min_samples_leaf)
+        if positions is None:
+            return 0.0, 0.0
+        n_left = positions.astype(np.float64)
+        n_right = n - n_left
+        sum_left = prefix[positions - 1]
+        sq_left = prefix_sq[positions - 1]
+        var_left = sq_left / n_left - (sum_left / n_left) ** 2
+        sum_right = total - sum_left
+        sq_right = total_sq - sq_left
+        var_right = sq_right / n_right - (sum_right / n_right) ** 2
+        weighted = (n_left * var_left + n_right * var_right) / n
+        return _best_of(parent - weighted, positions, x_sorted)
+
+
+def _preorder(tree):
+    """Every fitted node's fields, in preorder, exactly comparable."""
+    rows = []
+    stack = [tree.root_]
+    while stack:
+        node = stack.pop()
+        rows.append(
+            (
+                node.feature,
+                node.threshold,
+                node.n_samples,
+                node.impurity,
+                tuple(node.value.tolist()),
+            )
+        )
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    return rows
+
+
+def _same_tree(got, want):
+    return _preorder(got) == _preorder(want) and np.array_equal(
+        got.feature_importances_, want.feature_importances_
+    )
+
+
+class TestPresortedTree:
+    """The presorted CART builder vs. the per-node argsort reference."""
+
+    def _dataset(self, seed: int, n: int = 300, features: int = 8):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, features))
+        labels = (
+            (rows[:, 0] + rows[:, 1] ** 2 - rows[:, 2] > 0.2).astype(int)
+            + (rows[:, 3] > 0.5).astype(int)
+            + 2 * (rng.random(n) < 0.15)
+        )
+        return rows, labels
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize(
+        "max_depth,min_samples_leaf", [(10, 5), (6, 1), (14, 20), (None, 1)]
+    )
+    def test_classifier_identical(
+        self, criterion, max_depth, min_samples_leaf
+    ):
+        for seed in SEEDS:
+            rows, labels = self._dataset(seed)
+            params = dict(
+                criterion=criterion,
+                max_depth=max_depth,
+                min_samples_leaf=min_samples_leaf,
+                random_state=seed,
+            )
+            assert _same_tree(
+                DecisionTreeClassifier(**params).fit(rows, labels),
+                ReferenceClassifier(**params).fit(rows, labels),
+            ), seed
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_forest_identical(self, criterion, monkeypatch):
+        rows, labels = self._dataset(3)
+        params = dict(
+            n_estimators=6, criterion=criterion, max_depth=8, random_state=3
+        )
+        forest = RandomForestClassifier(**params).fit(rows, labels)
+        monkeypatch.setattr(
+            random_forest, "DecisionTreeClassifier", ReferenceClassifier
+        )
+        reference = RandomForestClassifier(**params).fit(rows, labels)
+        assert all(
+            _same_tree(got, want)
+            for got, want in zip(forest.trees_, reference.trees_)
+        )
+        assert np.array_equal(
+            forest.feature_importances_, reference.feature_importances_
+        )
+
+    @pytest.mark.parametrize(
+        "max_depth,min_samples_leaf", [(10, 5), (6, 1), (None, 1)]
+    )
+    def test_regressor_identical(self, max_depth, min_samples_leaf):
+        for seed in SEEDS:
+            rows, _ = self._dataset(seed)
+            targets = 3.0 * rows[:, 0] + np.sin(rows[:, 1]) + (rows[:, 2] > 0)
+            params = dict(
+                max_depth=max_depth, min_samples_leaf=min_samples_leaf
+            )
+            assert _same_tree(
+                DecisionTreeRegressor(**params).fit(rows, targets),
+                ReferenceRegressor(**params).fit(rows, targets),
+            ), seed
+
+    def test_tied_and_duplicate_values_identical(self):
+        """Few distinct x values and a duplicated column: split scores
+        tie within a feature and across features, and the order of
+        tied samples decides every prefix sum."""
+        rng = np.random.default_rng(7)
+        rows = np.round(rng.normal(size=(240, 4)) * 2.0) / 2.0
+        rows = np.hstack([rows, rows[:, :1]])
+        labels = (rows[:, 0] + rows[:, 1] > 0).astype(int) + (
+            rows[:, 2] > 0.5
+        )
+        targets = 1.7 * rows[:, 0] + 0.1 * rng.normal(size=240)
+        small = np.array(
+            [[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.5, 1.0],
+             [2.0, 1.0], [1.0, 1.0], [0.5, 0.0], [3.0, 0.0], [3.0, 1.0]]
+        )
+        small_labels = np.array([0, 1, 1, 0, 0, 1, 1, 0, 2, 2])
+        cases = [
+            (rows, labels, targets),
+            (small, small_labels, small_labels * 0.7),
+        ]
+        for x, y, t in cases:
+            for min_samples_leaf in (1, 2, 3):
+                params = dict(min_samples_leaf=min_samples_leaf)
+                assert _same_tree(
+                    DecisionTreeClassifier(**params).fit(x, y),
+                    ReferenceClassifier(**params).fit(x, y),
+                )
+                assert _same_tree(
+                    DecisionTreeRegressor(**params).fit(x, t),
+                    ReferenceRegressor(**params).fit(x, t),
+                )
+
+
+class TestStockTreeGolden:
+    """The four quick stock models, node by node, against the preorder
+    arrays recorded from the per-feature builder that presorting
+    replaced (``tests/golden/stock_trees.json``)."""
+
+    @pytest.mark.parametrize(
+        "kernel,tag,mode",
+        [
+            ("spmspv", "ee", OptimizationMode.ENERGY_EFFICIENT),
+            ("spmspv", "pp", OptimizationMode.POWER_PERFORMANCE),
+            ("spmspm", "ee", OptimizationMode.ENERGY_EFFICIENT),
+            ("spmspm", "pp", OptimizationMode.POWER_PERFORMANCE),
+        ],
+    )
+    def test_stock_model_matches_golden(self, kernel, tag, mode):
+        golden = json.loads((GOLDEN_DIR / "stock_trees.json").read_text())
+        model = train_default_model(mode, kernel=kernel)
+        recorded = golden[f"{kernel}/{tag}"]
+        assert sorted(model.trees) == sorted(recorded)
+        for name, arrays in recorded.items():
+            tree = model.trees[name]
+            nodes = _preorder(tree)
+            assert [list(field) for field in zip(*nodes)] == [
+                arrays["feature"],
+                arrays["threshold"],
+                arrays["n_samples"],
+                arrays["impurity"],
+                [tuple(value) for value in arrays["value"]],
+            ], name
+            assert tree.classes_.tolist() == arrays["classes"], name
+            assert (
+                tree.feature_importances_.tolist()
+                == arrays["feature_importances"]
+            ), name
 
 
 class TestSchemes:
