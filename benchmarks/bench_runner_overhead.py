@@ -289,8 +289,9 @@ def test_store_fabric_overhead(benchmark, emit):
 
 
 # ---------------------------------------------------------------------------
-#: Required steady-state speedup of the fast path (REPRO_FASTPATH=1,
-#: the default) over the scalar reference on the Table-5 campaign.
+#: Required steady-state speedup of the production path over the
+#: scalar reference copies (``tests/scalar_reference.py``) on the
+#: Table-5 campaign.
 MIN_FASTPATH_SPEEDUP = 10.0
 
 #: Table-heavy scheme set: every scheme that walks the epoch x config
@@ -309,11 +310,11 @@ FASTPATH_SCHEMES = (
 
 
 def _run_table5_campaign(fast: bool):
-    from repro import fastpath
     from repro.runner import run_plan, table5_plan
+    from tests.scalar_reference import code_path
 
     plan = table5_plan(scale=0.15, schemes=FASTPATH_SCHEMES)
-    with fastpath.overridden(fast):
+    with code_path(fast):
         report = run_plan(plan, config=SupervisorConfig(max_retries=0))
     assert report.counts() == {"ok": 16, "failed": 0}
     return report

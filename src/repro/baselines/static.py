@@ -14,9 +14,10 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.baselines.table import EpochTable
-from repro.core.modes import OptimizationMode
+from repro.core.modes import OptimizationMode, metric_value
 from repro.core.schedule import EpochRecord, ScheduleResult
 from repro.errors import ConfigError
+from repro.fastpath.epochs import simulate_trace
 from repro.kernels.base import KernelTrace
 from repro.transmuter.config import HardwareConfig
 from repro.transmuter.machine import TransmuterModel
@@ -110,65 +111,28 @@ def run_static(
     scheme: str = "static",
 ) -> ScheduleResult:
     """Run every epoch of a trace on one fixed configuration."""
-    from repro import fastpath
-
     schedule = ScheduleResult(scheme=scheme)
-    if trace.epochs and fastpath.batch_active():
-        from repro.fastpath.epochs import simulate_trace
-
+    if trace.epochs:
         results = simulate_trace(machine, trace.epochs, config)
-    else:
-        results = [
-            machine.simulate_epoch(workload, config)
-            for workload in trace.epochs
-        ]
-    for index, result in enumerate(results):
-        schedule.append(
-            EpochRecord(index=index, config=config, result=result)
-        )
+        for index, result in enumerate(results):
+            schedule.append(
+                EpochRecord(index=index, config=config, result=result)
+            )
     return schedule
 
 
 def ideal_static(table: EpochTable, mode: OptimizationMode) -> ScheduleResult:
-    """Best whole-trace static configuration from the sampled space."""
-    from repro import fastpath
-
-    if fastpath.enabled():
-        return _ideal_static_fast(table, mode)
-    best_schedule = None
-    best_metric = float("-inf")
-    for config in table.configs:
-        schedule = ScheduleResult(scheme="ideal-static")
-        for index in range(table.n_epochs):
-            schedule.append(
-                EpochRecord(
-                    index=index,
-                    config=config,
-                    result=table.result(index, config),
-                )
-            )
-        metric = schedule.metric(mode)
-        if metric > best_metric:
-            best_metric = metric
-            best_schedule = schedule
-    return best_schedule
-
-
-def _ideal_static_fast(
-    table: EpochTable, mode: OptimizationMode
-) -> ScheduleResult:
-    """Same selection from the table's time/energy columns.
+    """Best whole-trace static configuration from the sampled space.
 
     A static schedule pays no reconfiguration or host overhead, so its
     metric depends only on the per-epoch times and energies the table
     already holds. ``x + 0.0 == x`` bitwise for the positive epoch
     values, and Python's left-to-right ``sum`` here matches
     ``ScheduleResult.total_*`` term for term, so both the totals and
-    the first-strict-max winner are bit-identical to the scalar loop —
-    without materializing an ``EpochRecord`` per (epoch, config) cell.
+    the first-strict-max winner are bit-identical to scoring a full
+    schedule per configuration — without materializing an
+    ``EpochRecord`` per (epoch, config) cell.
     """
-    from repro.core.modes import metric_value
-
     flops = sum(workload.flops for workload in table.trace.epochs)
     best_index = None
     best_metric = float("-inf")

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.fastpath.epochs import EpochGrid
 from repro.kernels.base import KernelTrace
 from repro.transmuter.config import HardwareConfig, sample_configs
 from repro.transmuter.machine import EpochResult, TransmuterModel
@@ -66,32 +67,13 @@ class EpochTable:
         }
         n_epochs = len(trace.epochs)
         n_configs = len(self.configs)
-        from repro import fastpath
-
-        if fastpath.batch_active():
-            # One vectorized pass over the whole epoch x config grid;
-            # EpochResult cells materialize lazily as schemes index them
-            # (bit-identical to the scalar loop, see repro.fastpath).
-            from repro.fastpath.epochs import EpochGrid
-
-            grid = EpochGrid(machine, trace.epochs, self.configs)
-            self.results = grid.rows()
-            self.times = grid.times
-            self.energies = grid.energies
-        else:
-            self.results = [
-                [
-                    machine.simulate_epoch(workload, config)
-                    for config in self.configs
-                ]
-                for workload in trace.epochs
-            ]
-            self.times = np.array(
-                [[r.time_s for r in row] for row in self.results]
-            )
-            self.energies = np.array(
-                [[r.energy_j for r in row] for row in self.results]
-            )
+        # One vectorized pass over the whole epoch x config grid;
+        # EpochResult cells materialize lazily as schemes index them
+        # (bit-identical to simulate_epoch, see repro.fastpath).
+        grid = EpochGrid(machine, trace.epochs, self.configs)
+        self.results = grid.rows()
+        self.times = grid.times
+        self.energies = grid.energies
         assert self.times.shape == (n_epochs, n_configs)
         # Dirty-data bound for flush costs: the typical bytes written
         # into the hierarchy per epoch (see reconfiguration_cost).

@@ -137,14 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"repro {__version__}"
     )
-    parser.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="use the scalar reference path (no compiled decision "
-        "tables, no batched epoch simulation, no decision memo); "
-        "equivalent to REPRO_FASTPATH=0. Results are bit-identical "
-        "either way; this exists for verification and debugging.",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser("info", help="describe the modeled system")
@@ -1791,15 +1783,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.errors import ReproError
 
     args = build_parser().parse_args(argv)
-    if getattr(args, "no_fastpath", False):
-        import os
-
-        from repro import fastpath
-
-        # The env var makes spawned worker processes inherit the
-        # choice; set_enabled covers this process (and forked workers).
-        os.environ["REPRO_FASTPATH"] = "0"
-        fastpath.set_enabled(False)
     handlers = {
         "info": lambda: _command_info(),
         "suite": lambda: _command_suite(),

@@ -203,18 +203,6 @@ class SparseAdaptController:
         overhead = host_decision_overhead_s()
         recorder = obs.get_recorder()
         traced = recorder.enabled
-        from repro import fastpath
-
-        memo: Optional[Dict[tuple, HardwareConfig]] = None
-        if fastpath.enabled() and not traced:
-            self._check_memo_token()
-            memo = self._decision_memo
-            memo_hits = obs.metrics.counter(
-                "fastpath.memo_hits", "controller decision-memo hits"
-            )
-            memo_misses = obs.metrics.counter(
-                "fastpath.memo_misses", "controller decision-memo misses"
-            )
         if traced:
             start_payload: Dict[str, object] = dict(
                 scheme="sparseadapt",
@@ -272,6 +260,15 @@ class SparseAdaptController:
                     "controller.readback_retries",
                     "reconfiguration command retries after read-back",
                 )
+        else:
+            self._check_memo_token()
+            memo = self._decision_memo
+            memo_hits = obs.metrics.counter(
+                "fastpath.memo_hits", "controller decision-memo hits"
+            )
+            memo_misses = obs.metrics.counter(
+                "fastpath.memo_misses", "controller decision-memo misses"
+            )
         for index, workload in enumerate(trace.epochs):
             with recorder.span(
                 "epoch", epoch=index, phase=workload.phase
@@ -388,7 +385,7 @@ class SparseAdaptController:
                         dirty_bytes_hint=dirty_hint,
                     )
                     t3 = perf_counter()
-                elif memo is not None:
+                else:
                     memo_key = (config, counters)
                     predicted = memo.get(memo_key)
                     if predicted is None:
@@ -400,16 +397,6 @@ class SparseAdaptController:
                     # The policy filter is NOT memoized: its verdicts
                     # depend on last_epoch_time/dirty_hint, which vary
                     # epoch to epoch.
-                    applied = self.policy.filter(
-                        current=config,
-                        predicted=predicted,
-                        last_epoch_time_s=last_epoch_time,
-                        power=self.machine.power,
-                        bandwidth_gbps=self.bandwidth_gbps,
-                        dirty_bytes_hint=dirty_hint,
-                    )
-                else:
-                    predicted = self.model.predict(counters, config)
                     applied = self.policy.filter(
                         current=config,
                         predicted=predicted,

@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.modes import OptimizationMode, metric_value
 from repro.core.telemetry import build_features, feature_names
 from repro.errors import ModelError
+from repro.fastpath.epochs import simulate_configs
 from repro.kernels.base import KernelTrace
 from repro.kernels.spmspm import trace_spmspm
 from repro.kernels.spmspv import trace_spmspv
@@ -104,21 +105,6 @@ def _epoch_metric(
     )
 
 
-def _batch_results(
-    machine: TransmuterModel,
-    workload: EpochWorkload,
-    configs: Sequence[HardwareConfig],
-) -> List:
-    """Simulate one workload under many configs, batched when allowed."""
-    from repro import fastpath
-
-    if len(configs) > 1 and fastpath.batch_active():
-        from repro.fastpath.epochs import simulate_configs
-
-        return simulate_configs(machine, workload, list(configs))
-    return [machine.simulate_epoch(workload, cfg) for cfg in configs]
-
-
 def _argbest(
     machine: TransmuterModel,
     workload: EpochWorkload,
@@ -130,7 +116,7 @@ def _argbest(
     Mirrors ``max(configs, key=...)``: on ties the earliest candidate
     wins, so batched and scalar searches pick the same configuration.
     """
-    results = _batch_results(machine, workload, configs)
+    results = simulate_configs(machine, workload, configs)
     flops = max(workload.flops, 1.0)
     best = configs[0]
     best_score = metric_value(
@@ -177,7 +163,7 @@ def find_best_config(
             continue
         for value in values_by_parameter[parameter]:
             sweep.append((parameter, value, best.with_value(parameter, value)))
-    results = _batch_results(machine, workload, [c for _, _, c in sweep])
+    results = simulate_configs(machine, workload, [c for _, _, c in sweep])
     flops = max(workload.flops, 1.0)
     scores = {
         (parameter, value): metric_value(
@@ -310,7 +296,7 @@ def build_training_set(
             k_samples, l1_type=phase.l1_type, seed=phase_seed
         )
         for config, result in zip(
-            samples, _batch_results(phase.machine, phase.workload, samples)
+            samples, simulate_configs(phase.machine, phase.workload, samples)
         ):
             feature_rows.append(build_features(result.counters, config))
             for name in RUNTIME_PARAMETERS:

@@ -10,7 +10,7 @@ cheap enough to run every epoch on the host.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -76,38 +76,28 @@ class SparseAdaptModel:
             row = build_features(counters, current)
             tables = self.compiled_tables()
             values = {}
-            if tables is None:
-                batch = row.reshape(1, -1)
-                for name in self.predicted_parameters():
-                    prediction = self.trees[name].predict(batch)[0]
-                    values[name] = self._coerce(name, prediction)
-            else:
-                row_list = row.tolist()
-                for name in self.predicted_parameters():
-                    table = tables.get(name)
-                    if table is None:  # estimator without a compiled form
-                        prediction = self.trees[name].predict(
-                            row.reshape(1, -1)
-                        )[0]
-                    else:
-                        prediction = table.predict_row(row_list)
-                    values[name] = self._coerce(name, prediction)
+            row_list = row.tolist()
+            for name in self.predicted_parameters():
+                table = tables.get(name)
+                if table is None:  # estimator without a compiled form
+                    prediction = self.trees[name].predict(
+                        row.reshape(1, -1)
+                    )[0]
+                else:
+                    prediction = table.predict_row(row_list)
+                values[name] = self._coerce(name, prediction)
             if self.l1_type == "spm":
                 values["l1_kb"] = SPM_FIXED_L1_KB
             return HardwareConfig(l1_type=self.l1_type, **values)
 
-    def compiled_tables(self) -> Optional[Dict[str, object]]:
-        """Flat decision tables for this ensemble, or ``None``.
+    def compiled_tables(self) -> Dict[str, object]:
+        """Flat decision tables for this ensemble.
 
-        Compiled lazily on first use when the fast path is enabled and
-        cached on the instance; the cache is invalidated automatically
-        when any per-parameter estimator object is replaced (retraining
-        builds new estimators, so identity tracks model changes).
+        Compiled lazily on first use and cached on the instance; the
+        cache is invalidated automatically when any per-parameter
+        estimator object is replaced (retraining builds new estimators,
+        so identity tracks model changes).
         """
-        from repro import fastpath
-
-        if not fastpath.enabled():
-            return None
         token = tuple(
             (name, id(self.trees[name]))
             for name in self.predicted_parameters()

@@ -1,7 +1,8 @@
 """Compiled hot path: vectorized epoch batches and flat decision tables.
 
 Campaigns evaluate the analytic machine model and the CART ensemble
-millions of times; both are pure-Python loops on the reference path.
+millions of times; both are pure-Python loops in their reference form
+(``TransmuterModel.simulate_epoch``, the estimators' own ``predict``).
 This package compiles them down to numpy:
 
 * :mod:`repro.fastpath.tables` flattens fitted trees and forests into
@@ -29,70 +30,8 @@ from the scalar reference:
   precomputed per distinct configuration with the original scalar
   functions.
 
-``tests/test_fastpath_equivalence.py`` locks the equivalence down with
-differential property tests; ``REPRO_FASTPATH=0`` (or ``--no-fastpath``)
-selects the scalar reference path everywhere.
+There is one code path: traced and untraced runs alike execute these
+engines. ``tests/test_fastpath_equivalence.py`` locks the equivalence
+down with differential property tests against scalar reference copies
+kept under ``tests/`` (``tests/scalar_reference.py``).
 """
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-__all__ = [
-    "enabled",
-    "set_enabled",
-    "overridden",
-    "batch_active",
-    "env_default",
-]
-
-_FALSEY = ("0", "false", "no", "off")
-
-
-def env_default() -> bool:
-    """The gate value requested by the ``REPRO_FASTPATH`` variable."""
-    raw = os.environ.get("REPRO_FASTPATH", "1").strip().lower()
-    return raw not in _FALSEY
-
-
-_STATE = {"enabled": env_default()}
-
-
-def enabled() -> bool:
-    """Whether the compiled fast path is selected for this process."""
-    return _STATE["enabled"]
-
-
-def set_enabled(flag: bool) -> bool:
-    """Set the gate (e.g. from ``--no-fastpath``); returns the old value."""
-    old = _STATE["enabled"]
-    _STATE["enabled"] = bool(flag)
-    return old
-
-
-@contextmanager
-def overridden(flag: bool) -> Iterator[None]:
-    """Temporarily force the gate (differential tests run both legs)."""
-    old = set_enabled(flag)
-    try:
-        yield
-    finally:
-        set_enabled(old)
-
-
-def batch_active() -> bool:
-    """Whether batched epoch simulation may replace the scalar loop.
-
-    Traced runs stay on the scalar path: ``simulate_epoch`` emits
-    ``machine.epoch`` events and per-epoch metrics when a recorder is
-    installed, and the batch engine intentionally does not reproduce
-    that side-channel (the trace contract is "identical events", which
-    the reference path guarantees by construction).
-    """
-    if not _STATE["enabled"]:
-        return False
-    from repro.obs import get_recorder
-
-    return not get_recorder().enabled

@@ -33,11 +33,13 @@ The grid materializes :class:`~repro.transmuter.machine.EpochResult`
 objects lazily: schemes touch only the table cells they stitch into a
 schedule, so a 64-config table materializes ~1/64th of its entries.
 
-This engine intentionally has no :class:`EpochEnvironment` or trace
-support — degraded epochs occur only inside the (inherently
-sequential) controller loop, and traced runs stay on the scalar path
-so ``machine.epoch`` events are emitted by the reference code. Callers
-gate on :func:`repro.fastpath.batch_active`.
+This engine has no :class:`EpochEnvironment`: degraded epochs occur
+only inside the (inherently sequential) controller loop, which runs on
+``simulate_epoch``. Under an enabled trace recorder the grid reports
+every cell through :func:`repro.transmuter.machine.record_epoch` in
+row-major (workload, config) order, so a traced run executes the same
+code as an untraced one and emits the ``machine.epoch`` records a loop
+over ``simulate_epoch`` would.
 """
 
 from __future__ import annotations
@@ -47,13 +49,18 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.obs import TraceRecorder, get_recorder
 from repro.obs import profile as obs_profile
 from repro.transmuter import params
 from repro.transmuter.config import HardwareConfig
 from repro.transmuter.counters import PerformanceCounters
 from repro.transmuter.crossbar import model_crossbar
 from repro.transmuter.dvfs import operating_point
-from repro.transmuter.machine import EpochResult, TransmuterModel
+from repro.transmuter.machine import (
+    EpochResult,
+    TransmuterModel,
+    record_epoch,
+)
 from repro.transmuter.power import EnergyBreakdown, _sram_access_energy
 from repro.transmuter.workload import EpochWorkload
 
@@ -353,6 +360,16 @@ _FIELDS = (
     "dram_read_utilization", "dram_write_utilization",
 )
 
+#: Cache hit rates, held for ``machine.epoch`` trace records only
+#: (``1 - miss_rate`` would not round-trip bit-exactly).
+_HIT_RATES = ("l1_hit_rate", "l2_hit_rate")
+
+#: The fields a ``machine.epoch`` record carries.
+_RECORD_FIELDS = (
+    "time_s", "core_time_s", "memory_time_s",
+    "dram_read_utilization", "dram_write_utilization",
+) + _HIT_RATES
+
 
 def _compute(
     machine: TransmuterModel,
@@ -504,6 +521,8 @@ def _compute(
         "lcp_ipc": lcp_ipc,
         "dram_read_utilization": read_utilization,
         "dram_write_utilization": write_utilization,
+        "l1_hit_rate": l1["hit_rate"],
+        "l2_hit_rate": l2["hit_rate"],
     }
     return {
         name: np.broadcast_to(np.asarray(value), shape)
@@ -557,7 +576,7 @@ class EpochGrid:
                 shape = (self.n_workloads, self.n_configs)
                 fields = {
                     name: np.empty(shape, dtype=np.float64)
-                    for name in _FIELDS
+                    for name in _FIELDS + _HIT_RATES
                 }
                 for indices in by_type.values():
                     sub = _compute(
@@ -565,11 +584,26 @@ class EpochGrid:
                         self.workloads,
                         [self.configs[j] for j in indices],
                     )
-                    for name in _FIELDS:
+                    for name in fields:
                         fields[name][:, indices] = sub[name]
                 self._fields = fields
         self._lists: Optional[Dict[str, list]] = None
         self._cache: Dict[int, EpochResult] = {}
+        recorder = get_recorder()
+        if recorder.enabled:
+            self._record(recorder)
+
+    def _record(self, recorder: TraceRecorder) -> None:
+        """One ``machine.epoch`` record per cell, row-major."""
+        f = {name: self._fields[name].tolist() for name in _RECORD_FIELDS}
+        for i, workload in enumerate(self.workloads):
+            for j, config in enumerate(self.configs):
+                record_epoch(
+                    recorder,
+                    workload,
+                    config,
+                    **{name: values[i][j] for name, values in f.items()},
+                )
 
     # ------------------------------------------------------------------
     @property
@@ -606,7 +640,7 @@ class EpochGrid:
             # One bulk unboxing: scheme stitching touches whole rows, and
             # tolist() converts far faster than per-cell item() calls.
             self._lists = {
-                name: arr.tolist() for name, arr in self._fields.items()
+                name: self._fields[name].tolist() for name in _FIELDS
             }
         f = {name: values[i][j] for name, values in self._lists.items()}
         workload = self.workloads[i]

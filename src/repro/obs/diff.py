@@ -60,10 +60,8 @@ def _run_info(records: Sequence[Dict]) -> Dict:
 def _epoch_counters(records: Sequence[Dict], epoch: int) -> Optional[Dict]:
     """Observed counter values at one epoch.
 
-    Prefers the ``counters_observed`` payload of a ``provenance``
-    record (what the model actually consumed, including telemetry
-    noise); falls back to the numeric attrs of the ``machine.epoch``
-    event when the trace predates provenance records.
+    The ``counters_observed`` payload of a ``provenance`` record: what
+    the model actually consumed, including telemetry noise.
     """
     for record in records:
         if record.get("name") != "provenance":
@@ -73,16 +71,6 @@ def _epoch_counters(records: Sequence[Dict], epoch: int) -> Optional[Dict]:
             observed = attrs.get("counters_observed")
             if isinstance(observed, dict):
                 return observed
-    for record in records:
-        if record.get("name") != "machine.epoch":
-            continue
-        attrs = _attrs(record)
-        if attrs.get("epoch") == epoch:
-            return {
-                key: value
-                for key, value in attrs.items()
-                if key != "epoch" and isinstance(value, (int, float))
-            }
     return None
 
 

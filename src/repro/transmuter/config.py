@@ -217,8 +217,8 @@ def _runtime_space(
     return cached
 
 
-#: Fast-path memo for seeded samples (the sample is a pure function of
-#: its arguments when a seed is given).
+#: Memo for seeded samples (the sample is a pure function of its
+#: arguments when a seed is given).
 _SAMPLE_MEMO: Dict[tuple, tuple] = {}
 
 
@@ -234,10 +234,8 @@ def sample_configs(
     into the sample so comparisons share the same evaluated set, matching
     the paper's S=256 sampled space (Appendix A.7).
     """
-    from repro import fastpath
-
     memo_key = None
-    if seed is not None and fastpath.enabled():
+    if seed is not None:
         memo_key = (count, l1_type, seed, tuple(include))
         cached = _SAMPLE_MEMO.get(memo_key)
         if cached is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import SimulationError
-from repro.obs import get_recorder
+from repro.obs import TraceRecorder, get_recorder
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.transmuter import params
@@ -33,7 +33,12 @@ from repro.transmuter.memory import MemorySystem
 from repro.transmuter.power import EnergyBreakdown, PowerModel
 from repro.transmuter.workload import EpochWorkload
 
-__all__ = ["EpochEnvironment", "EpochResult", "TransmuterModel"]
+__all__ = [
+    "EpochEnvironment",
+    "EpochResult",
+    "TransmuterModel",
+    "record_epoch",
+]
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,58 @@ class EpochResult:
     def gflops_per_watt(self) -> float:
         """Energy-efficiency metric (= flops / energy / 1e9)."""
         return self.flops / max(self.energy.total, 1e-18) / 1e9
+
+
+def record_epoch(
+    recorder: TraceRecorder,
+    workload: EpochWorkload,
+    config: HardwareConfig,
+    *,
+    time_s: float,
+    core_time_s: float,
+    memory_time_s: float,
+    l1_hit_rate: float,
+    l2_hit_rate: float,
+    dram_read_utilization: float,
+    dram_write_utilization: float,
+) -> None:
+    """Emit the ``machine.epoch`` event and metrics of one epoch.
+
+    The one place traced epochs are reported: :meth:`simulate_epoch`
+    calls it per epoch and :class:`repro.fastpath.epochs.EpochGrid` per
+    cell, so both produce the same records for the same epochs.
+    """
+    bandwidth_utilization = dram_read_utilization + dram_write_utilization
+    saturated = bandwidth_utilization >= params.BANDWIDTH_SATURATION_THRESHOLD
+    recorder.event(
+        "machine.epoch",
+        phase=workload.phase,
+        config=config.describe(),
+        time_s=time_s,
+        core_time_s=core_time_s,
+        memory_time_s=memory_time_s,
+        l1_hit_rate=l1_hit_rate,
+        l2_hit_rate=l2_hit_rate,
+        dram_read_utilization=dram_read_utilization,
+        dram_write_utilization=dram_write_utilization,
+        bandwidth_saturated=bool(saturated),
+    )
+    obs_metrics.counter(
+        "machine.epochs_simulated",
+        "traced epochs: simulate_epoch calls and EpochGrid cells",
+    ).inc()
+    obs_metrics.gauge(
+        "machine.l1_hit_rate", "L1 hit rate of the last simulated epoch"
+    ).set(l1_hit_rate)
+    obs_metrics.gauge(
+        "machine.l2_hit_rate", "L2 hit rate of the last simulated epoch"
+    ).set(l2_hit_rate)
+    if saturated:
+        obs_metrics.counter(
+            "machine.bandwidth_saturated_epochs",
+            "epochs whose DRAM read+write utilization crossed the "
+            "saturation threshold",
+        ).inc()
 
 
 def _soft_roofline(core_time: float, memory_time: float) -> float:
@@ -384,13 +441,10 @@ class TransmuterModel:
         )
         recorder = get_recorder()
         if recorder.enabled:
-            bandwidth_utilization = (
-                memory_io.read_utilization + memory_io.write_utilization
-            )
-            recorder.event(
-                "machine.epoch",
-                phase=workload.phase,
-                config=config.describe(),
+            record_epoch(
+                recorder,
+                workload,
+                config,
                 time_s=elapsed,
                 core_time_s=core_time,
                 memory_time_s=memory_time,
@@ -398,25 +452,7 @@ class TransmuterModel:
                 l2_hit_rate=l2.hit_rate,
                 dram_read_utilization=memory_io.read_utilization,
                 dram_write_utilization=memory_io.write_utilization,
-                bandwidth_saturated=bool(
-                    bandwidth_utilization >= params.BANDWIDTH_SATURATION_THRESHOLD
-                ),
             )
-            obs_metrics.counter(
-                "machine.epochs_simulated", "simulate_epoch invocations"
-            ).inc()
-            obs_metrics.gauge(
-                "machine.l1_hit_rate", "L1 hit rate of the last simulated epoch"
-            ).set(l1.hit_rate)
-            obs_metrics.gauge(
-                "machine.l2_hit_rate", "L2 hit rate of the last simulated epoch"
-            ).set(l2.hit_rate)
-            if bandwidth_utilization >= params.BANDWIDTH_SATURATION_THRESHOLD:
-                obs_metrics.counter(
-                    "machine.bandwidth_saturated_epochs",
-                    "epochs whose DRAM read+write utilization crossed the "
-                    "saturation threshold",
-                ).inc()
         return EpochResult(
             time_s=elapsed,
             energy=energy,

@@ -150,7 +150,7 @@ def _flush_requirements(
     return flush_l1, flush_l2
 
 
-#: Process-wide transition-cost memo (fast path only). Bounded: cleared
+#: Process-wide transition-cost memo. Bounded: cleared
 #: wholesale if it ever grows past the cap (a campaign's working set —
 #: config pairs x a handful of dirty-byte hints — stays far below it).
 _COST_MEMO: Dict[tuple, "ReconfigCost"] = {}
@@ -175,39 +175,31 @@ def reconfiguration_cost(
     everything-is-dirty assumption applies to the full provisioned
     capacity.
     """
-    from repro import fastpath
-
-    if fastpath.enabled():
-        # The cost is a pure function of its (hashable) inputs, and
-        # campaigns re-evaluate the same transitions thousands of times
-        # (per-epoch policy checks) — memoize
-        # process-wide. ReconfigCost is frozen, so sharing is safe.
-        key = (
-            old,
-            new,
-            power.n_tiles,
-            power.gpes_per_tile,
-            bandwidth_gbps,
-            dirty_bytes_hint,
-            allow_memory_mode,
-        )
-        cached = _COST_MEMO.get(key)
-        if cached is not None:
-            return cached
-        with obs_profile.span("reconfig"):
-            cost = _reconfiguration_cost(
-                old, new, power, bandwidth_gbps, dirty_bytes_hint,
-                allow_memory_mode,
-            )
-        if len(_COST_MEMO) >= _COST_MEMO_MAX:
-            _COST_MEMO.clear()
-        _COST_MEMO[key] = cost
-        return cost
+    # The cost is a pure function of its (hashable) inputs, and
+    # campaigns re-evaluate the same transitions thousands of times
+    # (per-epoch policy checks) — memoize process-wide. ReconfigCost is
+    # frozen, so sharing is safe.
+    key = (
+        old,
+        new,
+        power.n_tiles,
+        power.gpes_per_tile,
+        bandwidth_gbps,
+        dirty_bytes_hint,
+        allow_memory_mode,
+    )
+    cached = _COST_MEMO.get(key)
+    if cached is not None:
+        return cached
     with obs_profile.span("reconfig"):
-        return _reconfiguration_cost(
+        cost = _reconfiguration_cost(
             old, new, power, bandwidth_gbps, dirty_bytes_hint,
             allow_memory_mode,
         )
+    if len(_COST_MEMO) >= _COST_MEMO_MAX:
+        _COST_MEMO.clear()
+    _COST_MEMO[key] = cost
+    return cost
 
 
 def _reconfiguration_cost(

@@ -5,9 +5,10 @@ Every fast-path component (compiled decision tables, the vectorized
 epoch grid, the controller decision memo, the pure-function memos) is
 run against the scalar code it replaces on the same inputs, and the
 outputs are compared with ``==`` — not ``pytest.approx``. The promise
-under test is the one ``docs/performance.md`` documents: enabling
-``REPRO_FASTPATH`` changes wall-clock and nothing else, down to the
-last float bit in every report byte.
+under test is the one ``docs/performance.md`` documents: the batched
+engines change wall-clock and nothing else, down to the last float bit
+in every report byte. The scalar legs run the reference copies in
+``tests/scalar_reference.py``.
 
 The comparisons are seeded property tests: each case loops over a
 handful of seeds, regenerating models/configs/traces per seed, so the
@@ -23,7 +24,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro import fastpath
 from repro.baselines.table import EpochTable
 from repro.core.controller import SparseAdaptController
 from repro.core.modes import OptimizationMode
@@ -48,6 +48,7 @@ from repro.transmuter.reconfig import (
     _reconfiguration_cost,
     transition_matrices,
 )
+from tests.scalar_reference import code_path, scalar_path
 
 SEEDS = (0, 1, 2)
 
@@ -176,9 +177,8 @@ class TestCompiledTables:
         for config in configs:
             for workload in trace.epochs[:6]:
                 counters = machine.simulate_epoch(workload, config).counters
-                with fastpath.overridden(True):
-                    compiled = model.predict(counters, config)
-                with fastpath.overridden(False):
+                compiled = model.predict(counters, config)
+                with scalar_path():
                     scalar = model.predict(counters, config)
                     traced, provenance = model.predict_with_provenance(
                         counters, config
@@ -634,7 +634,7 @@ class TestSchemes:
         model = train_default_model(mode, kernel="spmspm")
 
         def leg(flag):
-            with fastpath.overridden(flag):
+            with code_path(flag):
                 context = EvaluationContext(
                     trace=build_trace("spmspm", "R04", scale=0.12),
                     machine=TransmuterModel(),
@@ -657,7 +657,7 @@ class TestSchemes:
         trace = build_trace("spmspv", "R12", scale=0.15)
 
         def leg(flag):
-            with fastpath.overridden(flag):
+            with code_path(flag):
                 controller = SparseAdaptController(
                     model=model, machine=TransmuterModel(), mode=mode
                 )
@@ -670,14 +670,13 @@ class TestSchemes:
         model_a = train_default_model(mode, kernel="spmspv")
         model_b = train_default_model(mode, kernel="spmspm")
         trace = build_trace("spmspv", "R13", scale=0.12)
-        with fastpath.overridden(True):
-            controller = SparseAdaptController(
-                model=model_a, machine=TransmuterModel(), mode=mode
-            )
-            controller.run(trace)
-            controller.model = model_b
-            swapped = _schedule_tuple(controller.run(trace))
-        with fastpath.overridden(False):
+        controller = SparseAdaptController(
+            model=model_a, machine=TransmuterModel(), mode=mode
+        )
+        controller.run(trace)
+        controller.model = model_b
+        swapped = _schedule_tuple(controller.run(trace))
+        with scalar_path():
             reference = _schedule_tuple(
                 SparseAdaptController(
                     model=model_b, machine=TransmuterModel(), mode=mode
@@ -705,7 +704,7 @@ class TestFaults:
         )
 
         def leg(flag):
-            with fastpath.overridden(flag):
+            with code_path(flag):
                 controller = SparseAdaptController(
                     model=model,
                     machine=TransmuterModel(),
@@ -759,7 +758,7 @@ class TestCampaignBytes:
     def _run(self, fast: bool, workers: int = 1, **kwargs):
         from repro.runner import SupervisorConfig, run_plan
 
-        with fastpath.overridden(fast):
+        with code_path(fast):
             return run_plan(
                 self._plan(),
                 config=SupervisorConfig(max_retries=0, backoff_base_s=0.0),
@@ -796,26 +795,72 @@ class TestCampaignBytes:
         assert self._bytes(resumed) == self._bytes(straight)
 
 
-class TestEscapeHatch:
-    def test_env_var_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        assert fastpath.env_default() is False
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        assert fastpath.env_default() is True
+#: Host wall-clock timings a ``decision`` event carries.
+_DECISION_TIMINGS = (
+    "latency_s",
+    "counter_read_s",
+    "inference_s",
+    "policy_filter_s",
+    "cost_model_s",
+)
 
-    def test_cli_flag_disables(self, capsys, monkeypatch):
-        from repro.cli import main
 
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        with fastpath.overridden(True):
-            main(["--no-fastpath", "info"])
-            assert fastpath.enabled() is False
-        capsys.readouterr()
+def _record_content(record):
+    """A trace record without its sequence number and wall-clock."""
+    attrs = dict(record["attrs"])
+    if record["name"] == "decision":
+        for key in _DECISION_TIMINGS:
+            del attrs[key]
+    return (record["type"], record["name"], attrs)
 
-    def test_traced_runs_never_batch(self):
+
+class TestTracedRuns:
+    """A recorder changes what a run reports, not which machine-model
+    code runs: a traced run executes the batched grid and emits exactly
+    the records of the per-epoch scalar reference."""
+
+    @pytest.mark.parametrize(
+        "kernel,matrix", [("spmspm", "R04"), ("spmspv", "R12")]
+    )
+    def test_traced_records_match_scalar_reference(
+        self, kernel, matrix, monkeypatch
+    ):
         from repro import obs
+        from repro.fastpath.epochs import EpochGrid
 
-        with fastpath.overridden(True):
-            assert fastpath.batch_active() is True
-            with obs.recording():
-                assert fastpath.batch_active() is False
+        mode = OptimizationMode.ENERGY_EFFICIENT
+        model = train_default_model(mode, kernel=kernel)
+        trace = build_trace(kernel, matrix, scale=0.12)
+        grids = []
+        build_grid = EpochGrid.__init__
+
+        def counting_init(self, *args, **kwargs):
+            grids.append(self)
+            build_grid(self, *args, **kwargs)
+
+        monkeypatch.setattr(EpochGrid, "__init__", counting_init)
+
+        def schedules(results):
+            return {name: _schedule_tuple(r) for name, r in results.items()}
+
+        def run(traced: bool, fast: bool = True):
+            context = EvaluationContext(
+                trace=trace, machine=TransmuterModel(), mode=mode, model=model
+            )
+            with code_path(fast):
+                if not traced:
+                    return schedules(evaluate_schemes(context, ALL_SCHEMES))
+                with obs.recording() as recorder:
+                    results = evaluate_schemes(context, ALL_SCHEMES)
+                records = recorder.sink.records()
+            assert len(records) == recorder.n_emitted
+            return schedules(results), [_record_content(r) for r in records]
+
+        untraced = run(traced=False)
+        del grids[:]
+        traced, records = run(traced=True)
+        assert grids, "the traced run built no EpochGrid"
+        _, scalar_records = run(traced=True, fast=False)
+        assert traced == untraced
+        assert records == scalar_records
+        assert any(name == "machine.epoch" for _, name, _ in records)

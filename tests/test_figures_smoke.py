@@ -9,20 +9,22 @@ suite, not just the (slower) benchmark run.
 ``TestGoldenReports`` pins small canonical CLI reports (``run``,
 ``suite-run``/``suite-report``, ``compare``) that were generated once
 from the scalar reference path and checked in under ``tests/golden/``.
-Both the scalar and the fast path must reproduce them byte-for-byte:
-any drift — a model change, a vectorization that rounds differently, a
+Both the production path and the scalar reference copies
+(``tests/scalar_reference.py``) must reproduce them byte-for-byte: any
+drift — a model change, a vectorization that rounds differently, a
 formatting change — fails here with a diff against the recorded bytes.
-Regenerate intentionally with REPRO_FASTPATH=0 (see docs/performance.md).
+Regenerate intentionally by running the CLI inside ``scalar_path()``
+(see docs/performance.md).
 """
 
 import pathlib
 
 import pytest
 
-from repro import fastpath
 from repro.cli import main
 from repro.experiments import figures
 from repro.sparse import suite
+from tests.scalar_reference import code_path
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -143,7 +145,7 @@ def _normalize_suite_report(text: str) -> str:
 class TestGoldenReports:
     def test_run_report_matches_golden(self, fast, capsys):
         golden = (GOLDEN_DIR / "run_spmspm_R03_ee.txt").read_text()
-        with fastpath.overridden(fast):
+        with code_path(fast):
             assert (
                 main(
                     [
@@ -166,7 +168,7 @@ class TestGoldenReports:
     def test_suite_and_compare_match_golden(self, fast, tmp_path, capsys):
         spec = GOLDEN_DIR / "statics_spec.json"
         ledger = tmp_path / "golden.jsonl"
-        with fastpath.overridden(fast):
+        with code_path(fast):
             assert (
                 main(
                     [

@@ -4,6 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.fastpath.epochs import EpochGrid
 from repro.transmuter import (
     CAPACITIES_KB,
     CLOCKS_MHZ,
@@ -12,6 +14,7 @@ from repro.transmuter import (
     HardwareConfig,
     TransmuterModel,
 )
+from tests.test_fastpath_equivalence import _result_tuple
 
 _MACHINE = TransmuterModel()
 
@@ -56,11 +59,41 @@ def configs(draw):
     )
 
 
-@given(workloads(), configs())
+def _epoch_records(recorder):
+    return [
+        (r["name"], r["attrs"])
+        for r in recorder.sink.records()
+        if r["name"] == "machine.epoch"
+    ]
+
+
+@given(
+    st.lists(workloads(), min_size=1, max_size=3),
+    st.lists(configs(), min_size=1, max_size=4),
+)
 @settings(max_examples=80, deadline=None)
-def test_results_are_physical(workload, config):
-    """Time, energy, and every counter stay in their physical ranges."""
-    result = _MACHINE.simulate_epoch(workload, config)
+def test_results_are_physical(workload_list, config_list):
+    """Time, energy, and every counter stay in their physical ranges,
+    whether an epoch runs through ``simulate_epoch`` or is a cell of a
+    batched ``EpochGrid`` (which must equal it exactly, ``machine.epoch``
+    trace records included, mixed ``l1_type`` config lists too)."""
+    with obs.recording() as scalar_recorder:
+        scalar = [
+            [_MACHINE.simulate_epoch(workload, cfg) for cfg in config_list]
+            for workload in workload_list
+        ]
+    with obs.recording() as grid_recorder:
+        grid = EpochGrid(_MACHINE, workload_list, config_list)
+    assert _epoch_records(grid_recorder) == _epoch_records(scalar_recorder)
+    for i, workload in enumerate(workload_list):
+        for j in range(len(config_list)):
+            cell = grid.result(i, j)
+            assert _result_tuple(cell) == _result_tuple(scalar[i][j])
+            for result in (scalar[i][j], cell):
+                _assert_physical(workload, result)
+
+
+def _assert_physical(workload, result):
     assert result.time_s > 0
     assert result.energy_j > 0
     assert result.dram_read_bytes >= workload.read_bytes_compulsory

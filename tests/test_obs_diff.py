@@ -143,6 +143,30 @@ class TestDiffTraces:
         assert deltas["l1_miss_rate"]["delta"] == pytest.approx(0.20)
         assert deltas["gpe_ipc"]["delta"] == 0.0
 
+    def test_no_provenance_means_no_counter_deltas(self):
+        """Counters at divergence come from provenance records only;
+        ``machine.epoch`` events carry no epoch index to join on."""
+        machine_epoch = {
+            "seq": 50,
+            "ts": 0.0,
+            "type": "event",
+            "name": "machine.epoch",
+            "attrs": {"phase": "stream", "time_s": 1e-5, "l1_hit_rate": 0.9},
+        }
+
+        def trace(configs):
+            records = [_header(), _start()]
+            for index, config in enumerate(configs):
+                records += [machine_epoch, _epoch(index, config)]
+            return records
+
+        diff = diff_traces(
+            trace([CONFIG_A, CONFIG_A]), trace([CONFIG_A, CONFIG_B])
+        )
+        assert diff["first_divergence_epoch"] == 1
+        assert diff["counters_at_divergence"] is None
+        assert "first divergence: epoch 1" in render_diff(diff)
+
     def test_metric_regression_summary(self):
         a = [_header(), _start(), _epoch(0, CONFIG_A, time_s=1e-5,
                                          energy_j=1e-6, gflops=2.0)]

@@ -406,19 +406,20 @@ class TestProvenanceRecords:
 class TestFastpathTraceParity:
     """The fast path must not change what a traced run *says* either:
     the provenance stream and the policy-verdict counters are part of
-    the reproduction record, so both legs must emit identical ones.
+    the reproduction record, so the production path and the scalar
+    reference copies must emit identical ones.
 
-    (Traced runs deliberately route through the scalar
-    ``predict_with_provenance``/``filter_with_verdicts`` path even with
-    the fast path enabled — this diff is the assertion that keeps that
-    contract honest.)
+    (Traced decisions deliberately route through
+    ``predict_with_provenance``/``filter_with_verdicts`` rather than
+    the compiled tables and the decision memo — this diff is the
+    assertion that keeps that contract honest.)
     """
 
     def _traced_run(self, runtime, matrix, vector, fast):
-        from repro import fastpath
         from repro.obs import metrics
+        from tests.scalar_reference import code_path
 
-        with fastpath.overridden(fast):
+        with code_path(fast):
             metrics.reset()
             try:
                 with obs.recording(None) as recorder:
