@@ -1,8 +1,12 @@
-"""Experiment drivers: one function per paper table/figure.
+"""Experiment drivers for the figures a spec cannot express.
 
-Each driver returns plain dictionaries (inputs x schemes x metrics) so
-benchmarks can both assert on the shape and print the same rows/series
-the paper reports. ``scale`` arguments shrink the input matrices (the
+The scheme comparisons (Figures 5-8, Table 6) are experiment specs
+under ``experiments/specs/paper/``; the drivers here sweep something
+other than schemes over matrices (a timeline, model depth, policy
+tolerance, bandwidth, system size, ProfileAdapt's epoch size, regular
+kernels). Each driver returns plain dictionaries so benchmarks can
+both assert on the shape and print the same rows/series the paper
+reports. ``scale`` arguments shrink the input matrices (the
 per-row density is preserved, see :mod:`repro.sparse.suite`) so the
 full grid stays tractable in pure Python; drivers default to moderate
 scales and accept 1.0 for full-size runs.
@@ -15,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines import BASELINE, BEST_AVG_CACHE, EpochTable, ideal_static, oracle
-from repro.core.controller import SparseAdaptController
 from repro.core.modes import OptimizationMode
 from repro.core.policies import (
     AggressivePolicy,
@@ -25,26 +28,17 @@ from repro.core.policies import (
 from repro.core.schedule import ScheduleResult
 from repro.core.training import train_default_model
 from repro.experiments.harness import (
-    STANDARD_SCHEMES,
-    UPPER_BOUND_SCHEMES,
     EvaluationContext,
     build_trace,
-    default_policy_for,
     evaluate_schemes,
     gains_over,
 )
 from repro.kernels import trace_conv, trace_gemm
-from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.sparse import suite
 from repro.transmuter.machine import TransmuterModel
 
 __all__ = [
     "figure1_motivation",
-    "figure5_spmspv_synthetic",
-    "figure6_spmspm_real",
-    "figure7_spmspv_real",
-    "table6_graph_algorithms",
-    "figure8_upper_bounds",
     "figure9_model_complexity",
     "figure9_per_parameter_depth",
     "figure10_feature_importance",
@@ -57,36 +51,6 @@ __all__ = [
 
 EE = OptimizationMode.ENERGY_EFFICIENT
 PP = OptimizationMode.POWER_PERFORMANCE
-
-
-def _evaluate_many(
-    kernel: str,
-    matrix_ids: Sequence[str],
-    mode: OptimizationMode,
-    scale: float,
-    l1_type: str = "cache",
-    schemes: Sequence[str] = STANDARD_SCHEMES,
-    machine: Optional[TransmuterModel] = None,
-    n_samples: int = 64,
-    model=None,
-    policy=None,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Gains over Baseline per matrix for one kernel/mode."""
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for matrix_id in matrix_ids:
-        trace = build_trace(kernel, matrix_id, scale=scale)
-        context = EvaluationContext(
-            trace=trace,
-            machine=machine or TransmuterModel(),
-            mode=mode,
-            l1_type=l1_type,
-            model=model
-            or train_default_model(mode, kernel=kernel, l1_type=l1_type),
-            policy=policy or default_policy_for(kernel),
-            n_samples=n_samples,
-        )
-        out[matrix_id] = gains_over(evaluate_schemes(context, schemes))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -155,133 +119,6 @@ def figure1_motivation(
         "dynamic_timeline": timeline(dynamic),
         "n_epochs": trace.n_epochs,
     }
-
-
-# ---------------------------------------------------------------------------
-# Figures 5-7 — standard comparisons
-# ---------------------------------------------------------------------------
-def figure5_spmspv_synthetic(
-    scale: float = 0.25, n_samples: int = 64
-) -> Dict[str, object]:
-    """SpMSpV on U1-U3/P1-P3, L1 cache: PP GFLOPS + GFLOPS/W, EE GFLOPS/W."""
-    ids = suite.SYNTHETIC_IDS
-    pp = _evaluate_many("spmspv", ids, PP, scale, n_samples=n_samples)
-    ee = _evaluate_many("spmspv", ids, EE, scale, n_samples=n_samples)
-    return {
-        "pp_perf": {m: {s: pp[m][s]["perf_gain"] for s in pp[m]} for m in pp},
-        "pp_eff": {
-            m: {s: pp[m][s]["efficiency_gain"] for s in pp[m]} for m in pp
-        },
-        "ee_eff": {
-            m: {s: ee[m][s]["efficiency_gain"] for s in ee[m]} for m in ee
-        },
-    }
-
-
-def figure6_spmspm_real(
-    scale: float = 0.5, n_samples: int = 64
-) -> Dict[str, object]:
-    """SpMSpM (C = A A^T) on R01-R08, L1 cache."""
-    ids = suite.SPMSPM_IDS
-    pp = _evaluate_many("spmspm", ids, PP, scale, n_samples=n_samples)
-    ee = _evaluate_many("spmspm", ids, EE, scale, n_samples=n_samples)
-    return {
-        "pp_perf": {m: {s: pp[m][s]["perf_gain"] for s in pp[m]} for m in pp},
-        "pp_eff": {
-            m: {s: pp[m][s]["efficiency_gain"] for s in pp[m]} for m in pp
-        },
-        "ee_eff": {
-            m: {s: ee[m][s]["efficiency_gain"] for s in ee[m]} for m in ee
-        },
-    }
-
-
-def figure7_spmspv_real(
-    scale: float = 0.35, n_samples: int = 64
-) -> Dict[str, object]:
-    """SpMSpV on R09-R16 in PP mode, L1 as cache and as scratchpad."""
-    ids = suite.SPMSPV_IDS
-    out: Dict[str, object] = {}
-    for l1_type in ("cache", "spm"):
-        gains = _evaluate_many(
-            "spmspv", ids, PP, scale, l1_type=l1_type, n_samples=n_samples
-        )
-        out[l1_type] = {
-            "perf": {
-                m: {s: gains[m][s]["perf_gain"] for s in gains[m]}
-                for m in gains
-            },
-            "eff": {
-                m: {s: gains[m][s]["efficiency_gain"] for s in gains[m]}
-                for m in gains
-            },
-        }
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Table 6 — graph algorithms
-# ---------------------------------------------------------------------------
-def table6_graph_algorithms(
-    scale: float = 0.25, n_samples: int = 48
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """BFS/SSSP TEPS-per-watt gains over Baseline, EE mode, L1 cache.
-
-    TEPS/W = edges / energy with edges fixed per input, so the gain over
-    Baseline equals the energy ratio.
-    """
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for algorithm in ("bfs", "sssp"):
-        rows: Dict[str, Dict[str, float]] = {}
-        for matrix_id in suite.SPMSPV_IDS:
-            trace = build_trace(algorithm, matrix_id, scale=scale)
-            context = EvaluationContext(
-                trace=trace,
-                machine=TransmuterModel(),
-                mode=EE,
-                model=train_default_model(EE, kernel="spmspv"),
-                policy=HybridPolicy(0.40),
-                n_samples=n_samples,
-            )
-            results = evaluate_schemes(
-                context, ("Baseline", "Best Avg", "SparseAdapt")
-            )
-            base_energy = results["Baseline"].total_energy_j
-            rows[matrix_id] = {
-                "Best Avg": base_energy / results["Best Avg"].total_energy_j,
-                "SparseAdapt": base_energy
-                / results["SparseAdapt"].total_energy_j,
-            }
-        out[algorithm] = rows
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Figure 8 — upper bounds
-# ---------------------------------------------------------------------------
-def figure8_upper_bounds(
-    scale: float = 0.5, n_samples: int = 64
-) -> Dict[str, object]:
-    """SpMSpM R01-R08 vs Ideal Static / Ideal Greedy / Oracle."""
-    ids = suite.SPMSPM_IDS
-    out: Dict[str, object] = {}
-    for mode, key in ((PP, "pp"), (EE, "ee")):
-        gains = _evaluate_many(
-            "spmspm",
-            ids,
-            mode,
-            scale,
-            schemes=UPPER_BOUND_SCHEMES,
-            n_samples=n_samples,
-        )
-        out[f"{key}_perf"] = {
-            m: {s: gains[m][s]["perf_gain"] for s in gains[m]} for m in gains
-        }
-        out[f"{key}_eff"] = {
-            m: {s: gains[m][s]["efficiency_gain"] for s in gains[m]}
-            for m in gains
-        }
-    return out
 
 
 # ---------------------------------------------------------------------------

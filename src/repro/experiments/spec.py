@@ -44,6 +44,7 @@ gate targets) are checked at load time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -178,7 +179,9 @@ class RegressionGate:
     of them). A gate *passes* when the candidate's value is no more
     than ``within_pct`` percent worse than the reference on that
     metric, worse meaning lower for higher-is-better metrics and
-    higher for lower-is-better ones.
+    higher for lower-is-better ones. A negative ``within_pct`` turns
+    the tolerance into a required lead: the candidate must beat the
+    reference by at least ``|within_pct|`` percent.
     """
 
     candidate: str
@@ -198,9 +201,9 @@ class RegressionGate:
             raise ConfigError(
                 f"gate within_pct must be a number, got {within!r}"
             )
-        if within < 0:
+        if not math.isfinite(within):
             raise ConfigError(
-                f"gate within_pct must be >= 0, got {within!r}"
+                f"gate within_pct must be finite, got {within!r}"
             )
         return RegressionGate(
             candidate=raw["candidate"],

@@ -525,9 +525,14 @@ def render_comparison(
                 if result["margin_pct"] is not None
                 else str(result["reason"])
             )
+            within = result["within_pct"]
+            relation = (
+                f"beats {result['of']} by ≥ {_fmt(-within, 'g')}%"
+                if within < 0
+                else f"within {_fmt(within, 'g')}% of {result['of']}"
+            )
             lines.append(
-                f"[{verdict}] {result['candidate']} within "
-                f"{_fmt(result['within_pct'], 'g')}% of {result['of']} "
+                f"[{verdict}] {result['candidate']} {relation} "
                 f"on {result['metric']}{scope}: {detail}"
             )
     return "\n".join(lines)

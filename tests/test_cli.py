@@ -138,6 +138,36 @@ class TestCommands:
         assert "gemm" in payload
         assert "conv" in payload
 
+    def test_experiment_table_resolves_drivers(self):
+        from repro.cli import _EXPERIMENTS
+        from repro.experiments import figures
+
+        for function in _EXPERIMENTS.values():
+            assert callable(getattr(figures, function))
+        # Spec files under experiments/specs/paper/ replace these.
+        assert not {"fig5", "fig6", "fig7", "fig8", "tab6"} & set(_EXPERIMENTS)
+
+    def test_experiment_scale_reaches_driver(self, monkeypatch, capsys):
+        from repro.experiments import figures
+
+        seen = {}
+
+        def sweep(matrix_id="P3", scale=0.25):
+            seen["scale"] = scale
+            return {"scale": scale}
+
+        monkeypatch.setattr(figures, "figure11_bandwidth_sweep", sweep)
+        argv = ["experiment", "fig11-bandwidth", "--scale", "0.1", "--json"]
+        assert main(argv) == 0
+        assert seen == {"scale": 0.1}
+        assert json.loads(capsys.readouterr().out) == {"scale": 0.1}
+
+    @pytest.mark.parametrize("name", ["fig1", "fig10", "sec7"])
+    def test_experiment_scale_rejected_without_parameter(self, name, capsys):
+        assert main(["experiment", name, "--scale", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: experiment {name} takes no --scale\n"
+
 
 class TestTraceCommands:
     def test_trace_requires_out_path(self):
@@ -443,9 +473,12 @@ class TestFaultsCommand:
         assert main(argv + ["--out", str(artifact)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == json.loads(artifact.read_text())
-        (gate,) = payload["gates"]
-        assert gate["candidate"] == "hardened-1"
-        assert gate["passed"] is True
+        retention, hardening = payload["gates"]
+        assert retention["candidate"] == hardening["candidate"] == "hardened-1"
+        assert retention["of"] == "clean"
+        assert hardening["of"] == "unhardened-1"
+        assert retention["passed"] is True
+        assert hardening["passed"] is True
 
     def test_campaign_artifact_is_deterministic(
         self, campaign, tmp_path, capsys

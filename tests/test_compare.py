@@ -198,6 +198,10 @@ def test_evaluate_gates_pass_fail_and_no_data():
             RegressionGate("slow", "efficiency_gain", 10.0),
             RegressionGate("fast", "efficiency_gain", 5.0, workload="U1"),
             RegressionGate("ghost", "efficiency_gain", 5.0),
+            # Negative tolerance: fast must beat base on P1 (2.0 vs
+            # 1.0, a +100% margin) by at least |within_pct|.
+            RegressionGate("fast", "efficiency_gain", -100.0, workload="P1"),
+            RegressionGate("fast", "efficiency_gain", -100.5, workload="P1"),
         ],
     )
     # fast geomean ratio 1.0 -> margin 0 -> pass.
@@ -212,6 +216,10 @@ def test_evaluate_gates_pass_fail_and_no_data():
     # Unknown candidate: silence must not pass.
     assert not results[3]["passed"]
     assert results[3]["reason"] == "no data"
+    # A lead of exactly |within_pct| passes; one short of it fails.
+    assert results[4]["passed"] and results[4]["margin_pct"] == 100.0
+    assert not results[5]["passed"]
+    assert results[5]["reason"] == "regression"
 
 
 def test_gate_direction_for_lower_is_better():
@@ -244,13 +252,18 @@ def test_render_comparison_deterministic_and_complete():
         _samples(), ["efficiency_gain"], baseline="base", name="demo"
     )
     gates = evaluate_gates(
-        comparison, [RegressionGate("slow", "efficiency_gain", 10.0)]
+        comparison,
+        [
+            RegressionGate("slow", "efficiency_gain", 10.0),
+            RegressionGate("fast", "efficiency_gain", -50.0, of="slow"),
+        ],
     )
     text = render_comparison(comparison, gates)
     assert text == render_comparison(comparison, gates)
     assert "=== comparison: demo ===" in text
     assert "win/loss matrix" in text
     assert "[FAIL] slow within 10% of base" in text
+    assert "[PASS] fast beats slow by ≥ 50% on efficiency_gain" in text
     assert "slow: 1 failed (crash=1) / 1 ok" in text
 
 

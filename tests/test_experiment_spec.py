@@ -147,9 +147,11 @@ def test_gate_happy_path():
         (_gate(of="static"), "against itself"),
         (_gate(metric="edp_js"), "not in the spec's"),
         (_gate(workload="ghost"), "unknown workload"),
-        (_gate(within_pct=-1), ">= 0"),
+        (_gate(within_pct=float("nan")), "finite"),
         (_gate(within_pct=True), "number"),
         ({"candidate": "static", "metric": "perf_gain"}, "within_pct"),
+        (_gate(within_pct=float("inf")), "finite"),
+        (_gate(within_pct=float("-inf")), "finite"),
     ],
 )
 def test_bad_gates_rejected(gate, match):

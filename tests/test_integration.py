@@ -60,8 +60,8 @@ class TestHeadlineShapes:
 
     def test_sparseadapt_performance_near_max_cfg(self, spmspm_results_pp):
         # The fixture reuses the SpMSpV-trained model on SpMSpM (the
-        # kernel-matched model gets closer; see bench_fig06), so allow
-        # a wider performance margin than the paper's 8%.
+        # kernel-matched model gets closer; see the fig06_pp paper
+        # spec), so allow a wider performance margin than the paper's 8%.
         gains = gains_over(spmspm_results_pp)
         assert gains["SparseAdapt"]["perf_gain"] > 0.5 * gains["Max Cfg"][
             "perf_gain"

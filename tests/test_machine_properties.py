@@ -14,6 +14,7 @@ from repro.transmuter import (
     HardwareConfig,
     TransmuterModel,
 )
+from repro.transmuter.cache import SetAssociativeCache
 from tests.test_fastpath_equivalence import _result_tuple
 
 _MACHINE = TransmuterModel()
@@ -212,3 +213,32 @@ def test_energy_additive_decomposition(workload):
     )
     assert breakdown.total == total
     assert result.energy_j == total
+
+
+@given(
+    # Few distinct lines, so sets conflict and lines get reused.
+    st.lists(st.integers(0, 63), min_size=50, max_size=300),
+    st.sampled_from((1, 2, 4)),
+    st.sampled_from((1, 2, 4, 8, 16, 32)),
+)
+@settings(max_examples=80, deadline=None)
+def test_lru_set_refinement_never_adds_misses(lines, ways, n_sets):
+    """Doubling the sets of an LRU cache (same line size and ways)
+    never turns a hit into a miss.
+
+    The cache indexes by ``line % n_sets``, so every set of the doubled
+    cache sees a subsequence of one set of the original. An access hits
+    under LRU iff fewer than ``ways`` distinct lines of its set were
+    touched since its last use, and a subsequence never has more
+    (Hill & Smith's set-refinement inclusion).
+    """
+    line_bytes = 64
+    coarse = SetAssociativeCache(n_sets * ways * line_bytes, line_bytes, ways)
+    fine = SetAssociativeCache(2 * n_sets * ways * line_bytes, line_bytes, ways)
+    assert fine.n_sets == 2 * coarse.n_sets
+    for line in lines:
+        address = line * line_bytes + line % line_bytes
+        coarse_hit = coarse.access(address)
+        fine_hit = fine.access(address)
+        assert fine_hit or not coarse_hit
+    assert fine.stats.misses <= coarse.stats.misses
