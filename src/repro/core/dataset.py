@@ -21,23 +21,29 @@ removing the profiling configuration (Section 4.2).
 Phases are produced by the Table-3 parameter sweep: uniform random
 matrices across dimension, density, and external memory bandwidth,
 traced by the real kernels.
+
+The search runs all phases that share a machine and L1 type together:
+each of the three steps is one paired :class:`EpochGrid` over every
+phase's candidates, and the step-1 grid's counter arrays are the
+training rows, so the sampled configurations are simulated once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.modes import OptimizationMode, metric_value
-from repro.core.telemetry import build_features, feature_names
+from repro.core.telemetry import feature_matrix, feature_names
 from repro.errors import ModelError
-from repro.fastpath.epochs import simulate_configs
+from repro.fastpath.epochs import EpochGrid
 from repro.kernels.base import KernelTrace
 from repro.kernels.spmspm import trace_spmspm
 from repro.kernels.spmspv import trace_spmspv
 from repro.sparse import generators
+from repro.transmuter import config as config_space
 from repro.transmuter.config import (
     RUNTIME_PARAMETERS,
     HardwareConfig,
@@ -105,29 +111,151 @@ def _epoch_metric(
     )
 
 
-def _argbest(
-    machine: TransmuterModel,
-    workload: EpochWorkload,
-    configs: Sequence[HardwareConfig],
-    mode: OptimizationMode,
-) -> HardwareConfig:
-    """First configuration with the strictly greatest metric.
+def _first_best(scores: Sequence[float]) -> int:
+    """Index of the first strictly greatest score.
 
-    Mirrors ``max(configs, key=...)``: on ties the earliest candidate
-    wins, so batched and scalar searches pick the same configuration.
+    Mirrors ``max(range(n), key=scores.__getitem__)``: on ties the
+    earliest candidate wins.
     """
-    results = simulate_configs(machine, workload, configs)
-    flops = max(workload.flops, 1.0)
-    best = configs[0]
-    best_score = metric_value(
-        mode, flops, results[0].time_s, results[0].energy_j
-    )
-    for config, result in zip(configs[1:], results[1:]):
-        score = metric_value(mode, flops, result.time_s, result.energy_j)
-        if score > best_score:
-            best_score = score
-            best = config
+    best = 0
+    best_score = scores[0]
+    for index in range(1, len(scores)):
+        if scores[index] > best_score:
+            best_score = scores[index]
+            best = index
     return best
+
+
+#: The value ladder each runtime parameter is swept over in step 3.
+_SWEEP_VALUES = {
+    "l1_sharing": config_space.SHARING_MODES,
+    "l2_sharing": config_space.SHARING_MODES,
+    "l1_kb": config_space.CAPACITIES_KB,
+    "l2_kb": config_space.CAPACITIES_KB,
+    "clock_mhz": config_space.CLOCKS_MHZ,
+    "prefetch": config_space.PREFETCH_LEVELS,
+}
+
+
+def _search_group(
+    machine: TransmuterModel,
+    workloads: Sequence[EpochWorkload],
+    seeds: Sequence[int],
+    l1_type: str,
+    mode: OptimizationMode,
+    k_samples: int,
+) -> Tuple[List[HardwareConfig], List[np.ndarray]]:
+    """The three-step search for phases sharing a machine and L1 type.
+
+    Each step is one paired grid over every phase's candidates. Returns
+    each phase's best configuration and the feature rows of its step-1
+    samples (one row per sample, in sample order).
+    """
+    flops = [max(workload.flops, 1.0) for workload in workloads]
+
+    def evaluate(candidates: List[List[HardwareConfig]]):
+        """One grid over every phase's candidates; per-phase scores."""
+        grid = EpochGrid.paired(
+            machine,
+            [
+                (workload, config)
+                for workload, configs in zip(workloads, candidates)
+                for config in configs
+            ],
+        )
+        times = grid.times[0].tolist()
+        energies = grid.energies[0].tolist()
+        scores: List[List[float]] = []
+        k = 0
+        for phase_flops, configs in zip(flops, candidates):
+            scores.append(
+                [
+                    metric_value(mode, phase_flops, times[n], energies[n])
+                    for n in range(k, k + len(configs))
+                ]
+            )
+            k += len(configs)
+        return grid, scores
+
+    # Step 1: random sampling. Its grid also yields the training rows.
+    samples = [
+        sample_configs(k_samples, l1_type=l1_type, seed=seed) for seed in seeds
+    ]
+    grid, scores = evaluate(samples)
+    features = feature_matrix(
+        {name: row[0] for name, row in grid.counter_columns().items()},
+        grid.configs,
+    )
+    rows = []
+    k = 0
+    for configs in samples:
+        rows.append(features[k : k + len(configs)])
+        k += len(configs)
+    best = [configs[_first_best(s)] for configs, s in zip(samples, scores)]
+    # Step 2: one-step neighbourhood.
+    candidates = [[config] + neighbors(config) for config in best]
+    _, scores = evaluate(candidates)
+    best = [configs[_first_best(s)] for configs, s in zip(candidates, scores)]
+    # Step 3: independent dimension sweeps from the neighbourhood optimum,
+    # combined per dimension; independent by construction, so one grid.
+    swept = [
+        parameter
+        for parameter in RUNTIME_PARAMETERS
+        if not (l1_type == "spm" and parameter == "l1_kb")
+    ]
+    sweeps = [
+        [
+            config.with_value(parameter, value)
+            for parameter in swept
+            for value in _SWEEP_VALUES[parameter]
+        ]
+        for config in best
+    ]
+    _, scores = evaluate(sweeps)
+    chosen_configs: List[HardwareConfig] = []
+    for config, phase_scores in zip(best, scores):
+        chosen = {}
+        k = 0
+        for parameter in swept:
+            values = _SWEEP_VALUES[parameter]
+            chosen[parameter] = values[
+                _first_best(phase_scores[k : k + len(values)])
+            ]
+            k += len(values)
+        chosen_configs.append(replace(config, **chosen))
+    return chosen_configs, rows
+
+
+def _search(
+    phases: Sequence[PhaseSample],
+    seeds: Sequence[int],
+    mode: OptimizationMode,
+    k_samples: int,
+) -> Tuple[List[HardwareConfig], List[np.ndarray]]:
+    """Figure-4a search for every phase, batched per machine and L1 type.
+
+    Returns, per phase in input order, the best configuration and the
+    feature rows of the phase's step-1 samples.
+    """
+    groups: Dict[tuple, List[int]] = {}
+    for index, phase in enumerate(phases):
+        groups.setdefault((id(phase.machine), phase.l1_type), []).append(index)
+    best: List[Optional[HardwareConfig]] = [None] * len(phases)
+    rows: List[Optional[np.ndarray]] = [None] * len(phases)
+    for indices in groups.values():
+        first = phases[indices[0]]
+        group_best, group_rows = _search_group(
+            first.machine,
+            [phases[i].workload for i in indices],
+            [seeds[i] for i in indices],
+            first.l1_type,
+            mode,
+            k_samples,
+        )
+        for i, config, phase_rows in zip(indices, group_best, group_rows):
+            best[i] = config
+            rows[i] = phase_rows
+    return best, rows
 
 
 def find_best_config(
@@ -139,52 +267,10 @@ def find_best_config(
     seed: Optional[int] = None,
 ) -> HardwareConfig:
     """Three-step best-configuration search of Figure 4a."""
-    samples = sample_configs(k_samples, l1_type=l1_type, seed=seed)
-    best = _argbest(machine, workload, samples, mode)
-    # Step 2: one-step neighbourhood.
-    candidates = [best] + neighbors(best)
-    best = _argbest(machine, workload, candidates, mode)
-    # Step 3: independent dimension sweeps from the neighbourhood optimum.
-    from repro.transmuter import config as config_space
-
-    values_by_parameter = {
-        "l1_sharing": config_space.SHARING_MODES,
-        "l2_sharing": config_space.SHARING_MODES,
-        "l1_kb": config_space.CAPACITIES_KB,
-        "l2_kb": config_space.CAPACITIES_KB,
-        "clock_mhz": config_space.CLOCKS_MHZ,
-        "prefetch": config_space.PREFETCH_LEVELS,
-    }
-    # The sweeps are independent by construction, so all candidates
-    # across all parameters can be simulated as one batch.
-    sweep: List[tuple] = []
-    for parameter in RUNTIME_PARAMETERS:
-        if l1_type == "spm" and parameter == "l1_kb":
-            continue
-        for value in values_by_parameter[parameter]:
-            sweep.append((parameter, value, best.with_value(parameter, value)))
-    results = simulate_configs(machine, workload, [c for _, _, c in sweep])
-    flops = max(workload.flops, 1.0)
-    scores = {
-        (parameter, value): metric_value(
-            mode, flops, result.time_s, result.energy_j
-        )
-        for (parameter, value, _), result in zip(sweep, results)
-    }
-    chosen = {}
-    for parameter in RUNTIME_PARAMETERS:
-        if l1_type == "spm" and parameter == "l1_kb":
-            chosen[parameter] = best.l1_kb
-            continue
-        best_value = None
-        best_score = -np.inf
-        for value in values_by_parameter[parameter]:
-            score = scores[(parameter, value)]
-            if score > best_score:
-                best_score = score
-                best_value = value
-        chosen[parameter] = best_value
-    return HardwareConfig(l1_type=l1_type, **chosen)
+    best, _ = _search(
+        [PhaseSample(workload, machine, l1_type)], [seed], mode, k_samples
+    )
+    return best[0]
 
 
 def representative_epochs(
@@ -241,6 +327,15 @@ def table3_phases(
     """Generate training phases per the Table-3 parameter sweeps."""
     grid = grid or default_grid(kernel)
     rng = np.random.default_rng(seed)
+    # One machine per bandwidth: the search batches phases per machine.
+    machines = {
+        bandwidth: TransmuterModel(
+            n_tiles=n_tiles,
+            gpes_per_tile=gpes_per_tile,
+            bandwidth_gbps=float(bandwidth),
+        )
+        for bandwidth in grid["bandwidths"]
+    }
     phases: List[PhaseSample] = []
     for dim in grid["dims"]:
         for density in grid["densities"]:
@@ -255,13 +350,10 @@ def table3_phases(
                 trace = trace_spmspv(matrix.to_csc(), vector)
             workloads = representative_epochs(trace)
             for bandwidth in grid["bandwidths"]:
-                machine = TransmuterModel(
-                    n_tiles=n_tiles,
-                    gpes_per_tile=gpes_per_tile,
-                    bandwidth_gbps=float(bandwidth),
-                )
                 for workload in workloads:
-                    phases.append(PhaseSample(workload, machine, l1_type))
+                    phases.append(
+                        PhaseSample(workload, machines[bandwidth], l1_type)
+                    )
     return phases
 
 
@@ -280,29 +372,14 @@ def build_training_set(
     if not phases:
         raise ModelError("no phases given")
     rng = np.random.default_rng(seed)
-    feature_rows: List[np.ndarray] = []
+    seeds = [int(rng.integers(0, 2**31 - 1)) for _ in phases]
+    best, rows = _search(phases, seeds, mode, k_samples)
     label_rows: Dict[str, List] = {name: [] for name in RUNTIME_PARAMETERS}
-    for phase in phases:
-        phase_seed = int(rng.integers(0, 2**31 - 1))
-        best = find_best_config(
-            phase.machine,
-            phase.workload,
-            mode,
-            l1_type=phase.l1_type,
-            k_samples=k_samples,
-            seed=phase_seed,
-        )
-        samples = sample_configs(
-            k_samples, l1_type=phase.l1_type, seed=phase_seed
-        )
-        for config, result in zip(
-            samples, simulate_configs(phase.machine, phase.workload, samples)
-        ):
-            feature_rows.append(build_features(result.counters, config))
-            for name in RUNTIME_PARAMETERS:
-                label_rows[name].append(best.get(name))
+    for config, phase_rows in zip(best, rows):
+        for name in RUNTIME_PARAMETERS:
+            label_rows[name].extend([config.get(name)] * len(phase_rows))
     return TrainingSet(
-        features=np.vstack(feature_rows),
+        features=np.vstack(rows),
         labels={
             name: np.asarray(values) for name, values in label_rows.items()
         },

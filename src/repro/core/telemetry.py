@@ -11,7 +11,7 @@ the augmentation here adds a few architecture-derived combinations
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Mapping, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from repro.transmuter.counters import COUNTER_GROUPS, PerformanceCounters
 
 __all__ = [
     "build_features",
+    "feature_matrix",
     "feature_names",
     "feature_groups",
 ]
@@ -31,15 +32,17 @@ _AUGMENTED = [
 ]
 
 
-def _augment(counters: PerformanceCounters) -> np.ndarray:
-    """Derived features (Section 3.3's feature-set augmentation)."""
-    return np.array(
-        [
-            counters.dram_read_utilization + counters.dram_write_utilization,
-            counters.l1_access_rate * counters.l1_miss_rate,
-            counters.l2_occupancy * counters.l2_miss_rate,
-        ]
-    )
+def _augment(c: Mapping) -> list:
+    """Derived features (Section 3.3's feature-set augmentation).
+
+    ``c`` maps counter names to values: floats for one epoch, or arrays
+    for many (elementwise, so each element gets the same bits).
+    """
+    return [
+        c["dram_read_utilization"] + c["dram_write_utilization"],
+        c["l1_access_rate"] * c["l1_miss_rate"],
+        c["l2_occupancy"] * c["l2_miss_rate"],
+    ]
 
 
 def build_features(
@@ -47,7 +50,31 @@ def build_features(
 ) -> np.ndarray:
     """Feature vector for the predictive model."""
     return np.concatenate(
-        [counters.as_features(), _augment(counters), config.as_features()]
+        [
+            counters.as_features(),
+            np.array(_augment(vars(counters))),
+            config.as_features(),
+        ]
+    )
+
+
+def feature_matrix(
+    counters: Mapping[str, np.ndarray], configs: Sequence[HardwareConfig]
+) -> np.ndarray:
+    """:func:`build_features` for many epochs, one row per epoch.
+
+    ``counters`` maps every counter name to a 1-D array over the epochs
+    (``EpochGrid.counter_columns`` layout); ``configs`` are the epochs'
+    configurations. Row ``k`` equals ``build_features`` of epoch ``k``
+    bit for bit.
+    """
+    config_rows = np.array(
+        [config.as_features() for config in configs]
+    ).reshape(len(configs), -1)
+    return np.column_stack(
+        [counters[name] for name in PerformanceCounters.feature_names()]
+        + _augment(counters)
+        + [config_rows]
     )
 
 

@@ -228,6 +228,12 @@ def evaluate_schemes(
     state-of-the-art comparison (``ProfileAdapt Naive``,
     ``ProfileAdapt Ideal`` — these use ``profiling_epoch_trace`` when
     given, since ProfileAdapt operates at its own best epoch size).
+
+    All table-driven schemes share one :class:`EpochTable` per trace:
+    without a ``profiling_epoch_trace``, ProfileAdapt stitches from the
+    same table as the upper bounds. The Ideal Greedy schedule is
+    computed once per table and reused as ProfileAdapt's base sequence;
+    every scheme still returns its own :class:`ScheduleResult`.
     """
     if context.trace.n_epochs == 0:
         raise ConfigError(
@@ -235,34 +241,34 @@ def evaluate_schemes(
             f"{context.trace.name!r} (0 epochs)"
         )
     statics = context.static_points()
-    needs_table = any(
-        name
-        in ("Ideal Static", "Ideal Greedy", "Oracle")
-        for name in schemes
-    )
+
+    def make_table(trace: KernelTrace) -> EpochTable:
+        with obs_profile.span("epoch_table"):
+            return EpochTable(
+                context.machine,
+                trace,
+                n_samples=context.n_samples,
+                l1_type=context.l1_type,
+                seed=context.seed,
+                include=list(statics.values()),
+            )
+
+    profile_schemes = any(name.startswith("ProfileAdapt") for name in schemes)
     table: Optional[EpochTable] = None
-    if needs_table:
-        with obs_profile.span("epoch_table"):
-            table = EpochTable(
-                context.machine,
-                context.trace,
-                n_samples=context.n_samples,
-                l1_type=context.l1_type,
-                seed=context.seed,
-                include=list(statics.values()),
-            )
-    pa_table: Optional[EpochTable] = None
-    if any(name.startswith("ProfileAdapt") for name in schemes):
-        pa_trace = context.profiling_epoch_trace or context.trace
-        with obs_profile.span("epoch_table"):
-            pa_table = EpochTable(
-                context.machine,
-                pa_trace,
-                n_samples=context.n_samples,
-                l1_type=context.l1_type,
-                seed=context.seed,
-                include=list(statics.values()),
-            )
+    if any(
+        name in ("Ideal Static", "Ideal Greedy", "Oracle") for name in schemes
+    ) or (profile_schemes and context.profiling_epoch_trace is None):
+        table = make_table(context.trace)
+    pa_table = table
+    if profile_schemes and context.profiling_epoch_trace is not None:
+        pa_table = make_table(context.profiling_epoch_trace)
+    greedy: Dict[int, ScheduleResult] = {}
+
+    def greedy_on(source: EpochTable) -> ScheduleResult:
+        """The Ideal Greedy schedule, computed once per table."""
+        if id(source) not in greedy:
+            greedy[id(source)] = ideal_greedy(source, context.mode)
+        return greedy[id(source)]
 
     def run_scheme(name: str) -> ScheduleResult:
         if name in statics:
@@ -292,13 +298,17 @@ def evaluate_schemes(
         if name == "Ideal Static":
             return ideal_static(table, context.mode)
         if name == "Ideal Greedy":
-            return ideal_greedy(table, context.mode)
+            return greedy_on(table)
         if name == "Oracle":
             return oracle(table, context.mode)
         if name == "ProfileAdapt Naive":
-            return profile_adapt(pa_table, context.mode, "naive")
+            return profile_adapt(
+                pa_table, context.mode, "naive", greedy=greedy_on(pa_table)
+            )
         if name == "ProfileAdapt Ideal":
-            return profile_adapt(pa_table, context.mode, "ideal")
+            return profile_adapt(
+                pa_table, context.mode, "ideal", greedy=greedy_on(pa_table)
+            )
         raise ConfigError(f"unknown scheme {name!r}")
 
     recorder = obs.get_recorder()

@@ -29,6 +29,14 @@ Branches on the configuration (sharing modes, prefetch level, L1 type)
 become ``np.where`` selections between per-branch values; mixed-type
 batches are partitioned by ``l1_type`` and stitched back column-wise.
 
+The same expressions also evaluate an arbitrary list of (workload,
+config) pairs (:meth:`EpochGrid.paired`): the per-axis scalars are
+computed once per distinct workload and config, gathered into one
+``(1, n_pairs)`` row each, and broadcast against each other instead of
+across a cross product. A search that scores different configurations
+for different workloads, or a scheme that simulates fractional epoch
+slices, becomes one grid instead of a loop of small ones.
+
 The grid materializes :class:`~repro.transmuter.machine.EpochResult`
 objects lazily: schemes touch only the table cells they stitch into a
 schedule, so a 64-config table materializes ~1/64th of its entries.
@@ -37,14 +45,14 @@ This engine has no :class:`EpochEnvironment`: degraded epochs occur
 only inside the (inherently sequential) controller loop, which runs on
 ``simulate_epoch``. Under an enabled trace recorder the grid reports
 every cell through :func:`repro.transmuter.machine.record_epoch` in
-row-major (workload, config) order, so a traced run executes the same
-code as an untraced one and emits the ``machine.epoch`` records a loop
-over ``simulate_epoch`` would.
+row-major (workload, config) order, pair order for a paired grid, so a
+traced run executes the same code as an untraced one and emits the
+``machine.epoch`` records a loop over ``simulate_epoch`` would.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +63,7 @@ from repro.transmuter import params
 from repro.transmuter.config import HardwareConfig
 from repro.transmuter.counters import PerformanceCounters
 from repro.transmuter.crossbar import model_crossbar
-from repro.transmuter.dvfs import operating_point
+from repro.transmuter.dvfs import OperatingPoint, operating_point
 from repro.transmuter.machine import (
     EpochResult,
     TransmuterModel,
@@ -64,7 +72,7 @@ from repro.transmuter.machine import (
 from repro.transmuter.power import EnergyBreakdown, _sram_access_energy
 from repro.transmuter.workload import EpochWorkload
 
-__all__ = ["pow_exact", "EpochGrid", "simulate_configs", "simulate_trace"]
+__all__ = ["pow_exact", "EpochGrid", "simulate_trace"]
 
 # CPython's float.__pow__ applied elementwise (object ufunc). numpy's
 # own pow uses a SIMD implementation whose results differ in the last
@@ -203,8 +211,11 @@ def _config_scalars(
         "conflict_add_l2", "coverage", "pollution_coef",
         "overfetch_coef", "l1_shared", "l2_shared",
     )}
+    points: Dict[float, OperatingPoint] = {}
     for cfg in configs:
-        point = operating_point(cfg.clock_mhz)
+        point = points.get(cfg.clock_mhz)
+        if point is None:
+            point = points[cfg.clock_mhz] = operating_point(cfg.clock_mhz)
         l1_energy = _sram_access_energy(params.E_L1_BASE, cfg.l1_kb)
         if spm:
             l1_energy *= params.SPM_ENERGY_FACTOR
@@ -364,6 +375,14 @@ _FIELDS = (
 #: (``1 - miss_rate`` would not round-trip bit-exactly).
 _HIT_RATES = ("l1_hit_rate", "l2_hit_rate")
 
+#: Counters held as grid fields (the rest echo the config or scale one).
+_COUNTER_FIELDS = (
+    "l1_access_rate", "l1_occupancy", "l1_miss_rate", "l1_prefetch_ratio",
+    "l2_access_rate", "l2_occupancy", "l2_miss_rate", "l2_prefetch_ratio",
+    "xbar_contention_ratio", "gpe_ipc", "gpe_fp_ipc", "lcp_ipc",
+    "dram_read_utilization", "dram_write_utilization",
+)
+
 #: The fields a ``machine.epoch`` record carries.
 _RECORD_FIELDS = (
     "time_s", "core_time_s", "memory_time_s",
@@ -373,13 +392,17 @@ _RECORD_FIELDS = (
 
 def _compute(
     machine: TransmuterModel,
-    workloads: Sequence[EpochWorkload],
-    configs: Sequence[HardwareConfig],
+    w: Dict[str, np.ndarray],
+    c: Dict[str, np.ndarray],
+    spm: bool,
+    shape: Tuple[int, int],
 ) -> Dict[str, np.ndarray]:
-    """Evaluate one homogeneous-``l1_type`` grid; see module docstring."""
-    spm = configs[0].l1_type == "spm"
-    w = _workload_scalars(machine, workloads, spm)
-    c = _config_scalars(machine, configs, spm)
+    """Evaluate one homogeneous-``l1_type`` grid; see module docstring.
+
+    ``w`` and ``c`` are the per-workload and per-config scalars, shaped
+    ``(n, 1)`` and ``(1, m)`` for a cross grid or both ``(1, n)`` for
+    pairs; every expression broadcasts them to ``shape``.
+    """
     tiles = machine.n_tiles
     n_gpes = machine.n_gpes
     bandwidth = machine.memory.bandwidth_bytes_per_s
@@ -492,7 +515,6 @@ def _compute(
     gpe_fp_ipc = np.minimum(gpe_ipc, w["fp_per_gpe"] / cycles)
     lcp_ipc = np.minimum(1.0, w["lcp_instr"] / cycles)
 
-    shape = (len(workloads), len(configs))
     grid = {
         "time_s": elapsed,
         "core_time_s": core_time,
@@ -530,6 +552,73 @@ def _compute(
     }
 
 
+def _distinct(
+    items: Sequence, key: Callable = lambda item: item
+) -> Tuple[np.ndarray, list]:
+    """Index of each item into the list of its distinct values."""
+    position: Dict[object, int] = {}
+    unique: list = []
+    index: List[int] = []
+    for item in items:
+        k = key(item)
+        if k not in position:
+            position[k] = len(unique)
+            unique.append(item)
+        index.append(position[k])
+    return np.asarray(index, dtype=np.intp), unique
+
+
+def _gather(
+    scalars: Dict[str, np.ndarray], index: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """Per-distinct-item scalars spread to one ``(1, n)`` row."""
+    return {
+        name: values.reshape(-1)[index].reshape(1, -1)
+        for name, values in scalars.items()
+    }
+
+
+def _cross_fields(
+    machine: TransmuterModel,
+    workloads: Sequence[EpochWorkload],
+    configs: Sequence[HardwareConfig],
+    indices: Sequence[int],
+) -> Dict[str, np.ndarray]:
+    """Config columns ``indices`` of the ``workloads x configs`` grid."""
+    columns = [configs[j] for j in indices]
+    spm = columns[0].l1_type == "spm"
+    return _compute(
+        machine,
+        _workload_scalars(machine, workloads, spm),
+        _config_scalars(machine, columns, spm),
+        spm,
+        (len(workloads), len(columns)),
+    )
+
+
+def _paired_fields(
+    machine: TransmuterModel,
+    workloads: Sequence[EpochWorkload],
+    configs: Sequence[HardwareConfig],
+    indices: Sequence[int],
+) -> Dict[str, np.ndarray]:
+    """Pairs ``indices``, each distinct workload and config done once.
+
+    Workloads are told apart by identity (a search pairs one workload
+    object with many configs), configs by value.
+    """
+    spm = configs[indices[0]].l1_type == "spm"
+    w_index, w_unique = _distinct([workloads[k] for k in indices], key=id)
+    c_index, c_unique = _distinct([configs[k] for k in indices])
+    return _compute(
+        machine,
+        _gather(_workload_scalars(machine, w_unique, spm), w_index),
+        _gather(_config_scalars(machine, c_unique, spm), c_index),
+        spm,
+        (1, len(indices)),
+    )
+
+
 class _ResultRow:
     """Lazy list-like view of one workload's results across configs."""
 
@@ -551,27 +640,44 @@ class _ResultRow:
 
 
 class EpochGrid:
-    """Batched, lazily materialized ``workloads x configs`` results."""
+    """Batched, lazily materialized epoch-model results.
+
+    The cross form, ``EpochGrid(machine, workloads, configs)``, holds
+    ``workloads x configs``: cell ``(i, j)`` runs ``workloads[i]`` under
+    ``configs[j]``. The paired form, :meth:`paired`, holds one row whose
+    cell ``(0, k)`` runs the ``k``-th (workload, config) pair; its
+    ``workloads`` and ``configs`` are the per-pair lists. Both forms
+    evaluate through the same expressions and report one
+    ``machine.epoch`` record per cell, row-major (pair order).
+    """
 
     def __init__(
         self,
         machine: TransmuterModel,
         workloads: Sequence[EpochWorkload],
         configs: Sequence[HardwareConfig],
+        paired: bool = False,
     ) -> None:
         if not workloads or not configs:
             raise SimulationError("epoch grid needs workloads and configs")
+        if paired and len(workloads) != len(configs):
+            raise SimulationError("paired grid needs one config per workload")
         self.machine = machine
         self.workloads = list(workloads)
         self.configs = list(configs)
-        self.n_workloads = len(self.workloads)
+        self.paired = paired
+        self.n_workloads = 1 if paired else len(self.workloads)
         self.n_configs = len(self.configs)
+        compute = _paired_fields if paired else _cross_fields
         with obs_profile.span("epoch_batch"):
             by_type: Dict[str, List[int]] = {}
             for j, cfg in enumerate(self.configs):
                 by_type.setdefault(cfg.l1_type, []).append(j)
             if len(by_type) == 1:
-                self._fields = _compute(machine, self.workloads, self.configs)
+                self._fields = compute(
+                    machine, self.workloads, self.configs,
+                    range(self.n_configs),
+                )
             else:
                 shape = (self.n_workloads, self.n_configs)
                 fields = {
@@ -579,10 +685,8 @@ class EpochGrid:
                     for name in _FIELDS + _HIT_RATES
                 }
                 for indices in by_type.values():
-                    sub = _compute(
-                        machine,
-                        self.workloads,
-                        [self.configs[j] for j in indices],
+                    sub = compute(
+                        machine, self.workloads, self.configs, indices
                     )
                     for name in fields:
                         fields[name][:, indices] = sub[name]
@@ -593,15 +697,32 @@ class EpochGrid:
         if recorder.enabled:
             self._record(recorder)
 
+    @classmethod
+    def paired(
+        cls,
+        machine: TransmuterModel,
+        pairs: Sequence[Tuple[EpochWorkload, HardwareConfig]],
+    ) -> "EpochGrid":
+        """The paired form: one ``(1, len(pairs))`` row, cell k = pair k."""
+        return cls(
+            machine,
+            [workload for workload, _ in pairs],
+            [config for _, config in pairs],
+            paired=True,
+        )
+
+    def _cell(self, i: int, j: int) -> Tuple[EpochWorkload, HardwareConfig]:
+        """The (workload, config) a cell evaluates."""
+        return self.workloads[j if self.paired else i], self.configs[j]
+
     def _record(self, recorder: TraceRecorder) -> None:
         """One ``machine.epoch`` record per cell, row-major."""
         f = {name: self._fields[name].tolist() for name in _RECORD_FIELDS}
-        for i, workload in enumerate(self.workloads):
-            for j, config in enumerate(self.configs):
+        for i in range(self.n_workloads):
+            for j in range(self.n_configs):
                 record_epoch(
                     recorder,
-                    workload,
-                    config,
+                    *self._cell(i, j),
                     **{name: values[i][j] for name, values in f.items()},
                 )
 
@@ -625,6 +746,35 @@ class EpochGrid:
             + f["leakage"]
         )
 
+    def counter_columns(self) -> Dict[str, np.ndarray]:
+        """Every :class:`PerformanceCounters` field as a grid-shaped array.
+
+        Keyed in field order; each cell equals the counter of
+        :meth:`result` bit for bit, without materializing any result.
+        """
+        f = self._fields
+        shape = (self.n_workloads, self.n_configs)
+
+        def per_config(values):
+            row = np.asarray(values, dtype=np.float64).reshape(1, -1)
+            return np.broadcast_to(row, shape)
+
+        columns = {name: f[name] for name in _COUNTER_FIELDS}
+        columns["l1_capacity_kb"] = per_config(
+            [float(config.l1_kb) for config in self.configs]
+        )
+        columns["l2_capacity_kb"] = per_config(
+            [float(config.l2_kb) for config in self.configs]
+        )
+        columns["lcp_fp_ipc"] = f["lcp_ipc"] * 0.4
+        columns["clock_mhz"] = per_config(
+            [config.clock_mhz for config in self.configs]
+        )
+        return {
+            name: columns[name]
+            for name in PerformanceCounters.feature_names()
+        }
+
     def rows(self) -> List[_ResultRow]:
         """Lazy ``results[i][j]``-style view (EpochTable contract)."""
         return [_ResultRow(self, i) for i in range(self.n_workloads)]
@@ -643,8 +793,7 @@ class EpochGrid:
                 name: self._fields[name].tolist() for name in _FIELDS
             }
         f = {name: values[i][j] for name, values in self._lists.items()}
-        workload = self.workloads[i]
-        config = self.configs[j]
+        workload, config = self._cell(i, j)
         energy = EnergyBreakdown(
             core_dynamic=f["core_dynamic"],
             l1_dynamic=f["l1_dynamic"],
@@ -689,16 +838,6 @@ class EpochGrid:
 
 
 # ---------------------------------------------------------------------------
-def simulate_configs(
-    machine: TransmuterModel,
-    workload: EpochWorkload,
-    configs: Sequence[HardwareConfig],
-) -> List[EpochResult]:
-    """One workload under many configurations (training-set search)."""
-    grid = EpochGrid(machine, [workload], configs)
-    return [grid.result(0, j) for j in range(grid.n_configs)]
-
-
 def simulate_trace(
     machine: TransmuterModel,
     workloads: Sequence[EpochWorkload],

@@ -7,9 +7,9 @@ in for the duration of a ``with`` block, so a test can run the same
 campaign both ways and compare the results byte for byte:
 
 * ``run_static`` simulates epoch by epoch (``simulate_trace``);
-* ``EpochTable`` fills its table cell by cell (``EpochGrid``);
-* the training-set search simulates config by config
-  (``simulate_configs``);
+* ``EpochTable`` fills its table cell by cell, and the training-set
+  search and ProfileAdapt simulate their (workload, config) pairs one
+  at a time, in pair order (``EpochGrid`` and its paired form);
 * ``ideal_static`` scores a full schedule per configuration;
 * ``SparseAdaptModel.predict`` walks each estimator itself instead of
   its compiled table;
@@ -30,7 +30,7 @@ from typing import ContextManager, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.baselines import static
+from repro.baselines import profileadapt, static
 from repro.baselines import table as baselines_table
 from repro.core import dataset
 from repro.core.controller import SparseAdaptController
@@ -42,6 +42,7 @@ from repro.obs import profile as obs_profile
 from repro.transmuter import config as transmuter_config
 from repro.transmuter import reconfig
 from repro.transmuter.config import HardwareConfig
+from repro.transmuter.counters import PerformanceCounters
 
 __all__ = ["scalar_path", "code_path"]
 
@@ -51,19 +52,23 @@ def simulate_trace(machine, workloads, config):
     return [machine.simulate_epoch(workload, config) for workload in workloads]
 
 
-def simulate_configs(machine, workload, configs):
-    """One epoch under many configurations, one at a time."""
-    return [machine.simulate_epoch(workload, cfg) for cfg in configs]
-
-
 class ScalarGrid:
-    """``EpochTable``'s cell-by-cell fill behind the ``EpochGrid`` API."""
+    """``EpochGrid``'s cell-by-cell fill behind the same API."""
 
-    def __init__(self, machine, workloads, configs) -> None:
-        self.results = [
-            [machine.simulate_epoch(workload, config) for config in configs]
-            for workload in workloads
-        ]
+    def __init__(self, machine, workloads, configs, paired=False) -> None:
+        self.configs = list(configs)
+        if paired:
+            self.results = [
+                [
+                    machine.simulate_epoch(workload, config)
+                    for workload, config in zip(workloads, configs)
+                ]
+            ]
+        else:
+            self.results = [
+                [machine.simulate_epoch(workload, config) for config in configs]
+                for workload in workloads
+            ]
         self.times = np.array(
             [[r.time_s for r in row] for row in self.results]
         )
@@ -71,8 +76,29 @@ class ScalarGrid:
             [[r.energy_j for r in row] for row in self.results]
         )
 
+    @classmethod
+    def paired(cls, machine, pairs):
+        return cls(
+            machine,
+            [workload for workload, _ in pairs],
+            [config for _, config in pairs],
+            paired=True,
+        )
+
     def rows(self):
         return self.results
+
+    def result(self, i, j):
+        return self.results[i][j]
+
+    def counter_columns(self):
+        return {
+            name: np.array(
+                [[getattr(r.counters, name) for r in row] for row in self.results],
+                dtype=np.float64,
+            )
+            for name in PerformanceCounters.feature_names()
+        }
 
 
 def ideal_static(table, mode):
@@ -150,7 +176,8 @@ def scalar_path() -> Iterator[None]:
     patches = [
         (static, "simulate_trace", simulate_trace),
         (baselines_table, "EpochGrid", ScalarGrid),
-        (dataset, "simulate_configs", simulate_configs),
+        (dataset, "EpochGrid", ScalarGrid),
+        (profileadapt, "EpochGrid", ScalarGrid),
         (SparseAdaptModel, "predict", predict),
         (SparseAdaptController, "_decision_memo", _NO_DECISION_MEMO),
         (transmuter_config, "_SAMPLE_MEMO", _FORGETFUL),

@@ -27,6 +27,7 @@ import pytest
 from repro.baselines.table import EpochTable
 from repro.core.controller import SparseAdaptController
 from repro.core.modes import OptimizationMode
+from repro.core.schedule import EpochRecord, ScheduleResult
 from repro.core.training import train_default_model
 from repro.errors import ConfigError
 from repro.experiments.harness import (
@@ -222,22 +223,31 @@ class TestEpochGrid:
                     ), (i, j, config)
 
     def test_mixed_l1_type_batch(self):
-        """One grid over interleaved cache and SPM configurations."""
-        from repro.fastpath.epochs import simulate_configs
+        """One paired grid over interleaved cache and SPM pairs."""
+        from repro.fastpath.epochs import EpochGrid
 
         machine = TransmuterModel()
         trace = build_trace("spmspv", "R10", scale=0.12)
-        workload = trace.epochs[0]
-        configs = []
-        for cache_cfg, spm_cfg in zip(
-            sample_configs(6, l1_type="cache", seed=5),
-            sample_configs(6, l1_type="spm", seed=6),
+        pairs = []
+        for n, (cache_cfg, spm_cfg) in enumerate(
+            zip(
+                sample_configs(6, l1_type="cache", seed=5),
+                sample_configs(6, l1_type="spm", seed=6),
+            )
         ):
-            configs += [cache_cfg, spm_cfg]
-        batched = simulate_configs(machine, workload, configs)
-        for config, result in zip(configs, batched):
+            workload = trace.epochs[n % 3]
+            pairs += [(workload, cache_cfg), (workload.scaled(0.2), spm_cfg)]
+        grid = EpochGrid.paired(machine, pairs)
+        assert (grid.n_workloads, grid.n_configs) == (1, len(pairs))
+        columns = grid.counter_columns()
+        for k, (workload, config) in enumerate(pairs):
             scalar = machine.simulate_epoch(workload, config)
-            assert _result_tuple(result) == _result_tuple(scalar), config
+            assert _result_tuple(grid.result(0, k)) == _result_tuple(
+                scalar
+            ), config
+            assert {
+                name: values[0, k] for name, values in columns.items()
+            } == scalar.counters.as_dict()
 
     def test_times_energies_arrays_match_cells(self):
         from repro.fastpath.epochs import EpochGrid
@@ -251,6 +261,283 @@ class TestEpochGrid:
                 cell = grid.result(i, j)
                 assert grid.times[i, j] == cell.time_s
                 assert grid.energies[i, j] == cell.energy_j
+
+
+def _reference_find_best_config(
+    machine, workload, mode, l1_type="cache", k_samples=24, seed=None
+):
+    """The per-phase three-step search the paired search replaced,
+    kept verbatim (one cross grid per step) as the reference."""
+    from repro.core.modes import metric_value
+    from repro.fastpath.epochs import EpochGrid
+    from repro.transmuter import config as config_space
+    from repro.transmuter.config import RUNTIME_PARAMETERS, neighbors
+
+    def simulate_configs(configs):
+        grid = EpochGrid(machine, [workload], configs)
+        return [grid.result(0, j) for j in range(grid.n_configs)]
+
+    def argbest(configs):
+        results = simulate_configs(configs)
+        flops = max(workload.flops, 1.0)
+        best = configs[0]
+        best_score = metric_value(
+            mode, flops, results[0].time_s, results[0].energy_j
+        )
+        for config, result in zip(configs[1:], results[1:]):
+            score = metric_value(mode, flops, result.time_s, result.energy_j)
+            if score > best_score:
+                best_score = score
+                best = config
+        return best
+
+    samples = sample_configs(k_samples, l1_type=l1_type, seed=seed)
+    best = argbest(samples)
+    best = argbest([best] + neighbors(best))
+    values_by_parameter = {
+        "l1_sharing": config_space.SHARING_MODES,
+        "l2_sharing": config_space.SHARING_MODES,
+        "l1_kb": config_space.CAPACITIES_KB,
+        "l2_kb": config_space.CAPACITIES_KB,
+        "clock_mhz": config_space.CLOCKS_MHZ,
+        "prefetch": config_space.PREFETCH_LEVELS,
+    }
+    sweep = []
+    for parameter in RUNTIME_PARAMETERS:
+        if l1_type == "spm" and parameter == "l1_kb":
+            continue
+        for value in values_by_parameter[parameter]:
+            sweep.append((parameter, value, best.with_value(parameter, value)))
+    results = simulate_configs([c for _, _, c in sweep])
+    flops = max(workload.flops, 1.0)
+    scores = {
+        (parameter, value): metric_value(
+            mode, flops, result.time_s, result.energy_j
+        )
+        for (parameter, value, _), result in zip(sweep, results)
+    }
+    chosen = {}
+    for parameter in RUNTIME_PARAMETERS:
+        if l1_type == "spm" and parameter == "l1_kb":
+            chosen[parameter] = best.l1_kb
+            continue
+        best_value = None
+        best_score = -np.inf
+        for value in values_by_parameter[parameter]:
+            score = scores[(parameter, value)]
+            if score > best_score:
+                best_score = score
+                best_value = value
+        chosen[parameter] = best_value
+    return HardwareConfig(l1_type=l1_type, **chosen)
+
+
+def _reference_build_training_set(phases, mode, k_samples=24, seed=0):
+    """The per-phase training-set loop the paired search replaced:
+    search, then simulate the step-1 sample again for its counters."""
+    from repro.core.telemetry import build_features
+    from repro.fastpath.epochs import EpochGrid
+    from repro.transmuter.config import RUNTIME_PARAMETERS
+
+    rng = np.random.default_rng(seed)
+    feature_rows = []
+    label_rows = {name: [] for name in RUNTIME_PARAMETERS}
+    for phase in phases:
+        phase_seed = int(rng.integers(0, 2**31 - 1))
+        best = _reference_find_best_config(
+            phase.machine,
+            phase.workload,
+            mode,
+            l1_type=phase.l1_type,
+            k_samples=k_samples,
+            seed=phase_seed,
+        )
+        samples = sample_configs(
+            k_samples, l1_type=phase.l1_type, seed=phase_seed
+        )
+        grid = EpochGrid(phase.machine, [phase.workload], samples)
+        for j, config in enumerate(samples):
+            feature_rows.append(
+                build_features(grid.result(0, j).counters, config)
+            )
+            for name in RUNTIME_PARAMETERS:
+                label_rows[name].append(best.get(name))
+    return np.vstack(feature_rows), {
+        name: np.asarray(values) for name, values in label_rows.items()
+    }
+
+
+def _reference_profile_adapt(table, mode, variant, profiling_fraction=0.2):
+    """The per-slice ProfileAdapt loop the paired grid replaced."""
+    from repro.baselines import ideal_greedy
+    from repro.baselines.profileadapt import _profiling_config
+
+    sequence = ideal_greedy(table, mode).config_sequence()
+    profiling = _profiling_config(table.configs[0].l1_type)
+    schedule = ScheduleResult(scheme=f"profileadapt-{variant}")
+    previous = None
+    for epoch, config in enumerate(sequence):
+        profile_here = variant == "naive" or previous is None or config != previous
+        workload = table.trace.epochs[epoch]
+        if not profile_here:
+            schedule.append(
+                EpochRecord(
+                    index=epoch,
+                    config=config,
+                    result=table.results[epoch][table.config_index(config)],
+                )
+            )
+            previous = config
+            continue
+        cost_in = (
+            table.reconfig_cost(previous, profiling)
+            if previous is not None and previous != profiling
+            else None
+        )
+        head = table.machine.simulate_epoch(
+            workload.scaled(profiling_fraction), profiling
+        )
+        schedule.append(
+            EpochRecord(
+                index=epoch, config=profiling, result=head, reconfig=cost_in
+            )
+        )
+        cost_out = table.reconfig_cost(profiling, config)
+        tail = table.machine.simulate_epoch(
+            workload.scaled(1.0 - profiling_fraction), config
+        )
+        schedule.append(
+            EpochRecord(
+                index=epoch,
+                config=config,
+                result=tail,
+                reconfig=cost_out if cost_out.changed else None,
+            )
+        )
+        previous = config
+    return schedule
+
+
+#: A reduced Table-3 sweep per kernel: two matrices, two bandwidths.
+_REDUCED_GRIDS = {
+    "spmspm": {
+        "dims": (64, 128),
+        "densities": (0.02,),
+        "bandwidths": (0.1, 10.0),
+    },
+    "spmspv": {
+        "dims": (256, 1024),
+        "densities": (0.01,),
+        "bandwidths": (0.1, 10.0),
+    },
+}
+
+
+class TestPairedSearch:
+    """The batched Figure-4 search vs. the per-phase loop it replaced:
+    equal arrays, not close ones, for every kernel, L1 type and mode."""
+
+    @pytest.mark.parametrize("mode", list(OptimizationMode))
+    @pytest.mark.parametrize("l1_type", ["cache", "spm"])
+    @pytest.mark.parametrize("kernel", ["spmspm", "spmspv"])
+    def test_training_set_identical(self, kernel, l1_type, mode):
+        from repro.core.dataset import build_training_set, table3_phases
+
+        phases = table3_phases(
+            kernel, l1_type=l1_type, grid=_REDUCED_GRIDS[kernel], seed=3
+        )
+        got = build_training_set(phases, mode, k_samples=12, seed=1)
+        features, labels = _reference_build_training_set(
+            phases, mode, k_samples=12, seed=1
+        )
+        assert np.array_equal(got.features, features)
+        assert got.features.dtype == features.dtype
+        assert got.labels.keys() == labels.keys()
+        for name, values in labels.items():
+            assert np.array_equal(got.labels[name], values), name
+            assert got.labels[name].dtype == values.dtype, name
+
+    @pytest.mark.parametrize("mode", list(OptimizationMode))
+    def test_find_best_config_is_one_phase_search(self, mode):
+        from repro.core.dataset import find_best_config
+
+        machine = TransmuterModel(bandwidth_gbps=1.0)
+        trace = build_trace("spmspv", "R11", scale=0.12)
+        for l1_type in ("cache", "spm"):
+            for seed in SEEDS:
+                workload = trace.epochs[seed]
+                assert find_best_config(
+                    machine, workload, mode, l1_type, k_samples=10, seed=seed
+                ) == _reference_find_best_config(
+                    machine, workload, mode, l1_type, k_samples=10, seed=seed
+                )
+
+    def test_phases_on_separate_machines(self):
+        """Phases are grouped by machine identity; one machine object
+        per phase degenerates to the per-phase search."""
+        from repro.core.dataset import PhaseSample, build_training_set
+
+        trace = build_trace("spmspm", "R04", scale=0.12)
+        phases = [
+            PhaseSample(workload, TransmuterModel(bandwidth_gbps=bandwidth))
+            for workload in trace.epochs[:2]
+            for bandwidth in (1.0, 1.0, 10.0)
+        ]
+        mode = OptimizationMode.POWER_PERFORMANCE
+        got = build_training_set(phases, mode, k_samples=8, seed=4)
+        features, labels = _reference_build_training_set(
+            phases, mode, k_samples=8, seed=4
+        )
+        assert np.array_equal(got.features, features)
+        for name, values in labels.items():
+            assert np.array_equal(got.labels[name], values), name
+
+
+class TestPairedProfileAdapt:
+    """ProfileAdapt's one grid of head/tail slices vs. the per-slice
+    ``simulate_epoch`` loop it replaced, record by record."""
+
+    @pytest.mark.parametrize("l1_type", ["cache", "spm"])
+    @pytest.mark.parametrize("mode", list(OptimizationMode))
+    @pytest.mark.parametrize("variant", ["naive", "ideal"])
+    def test_records_identical(self, variant, mode, l1_type):
+        from repro.baselines import EpochTable, profile_adapt
+
+        trace = build_trace("spmspv", "R11", scale=0.12)
+        table = EpochTable(
+            TransmuterModel(), trace, n_samples=16, l1_type=l1_type, seed=2
+        )
+        got = profile_adapt(table, mode, variant)
+        want = _reference_profile_adapt(table, mode, variant)
+        assert _schedule_tuple(got) == _schedule_tuple(want)
+
+    def test_shared_table_matches_separate_table(self):
+        """evaluate_schemes stitches ProfileAdapt from the upper bounds'
+        table; a dedicated table gives the same schedules."""
+        from repro.baselines import EpochTable, profile_adapt
+        from repro.baselines.static import BASELINE, BEST_AVG_CACHE, MAX_CFG
+
+        mode = OptimizationMode.ENERGY_EFFICIENT
+        trace = build_trace("spmspm", "R04", scale=0.12)
+        context = EvaluationContext(
+            trace=trace, machine=TransmuterModel(), mode=mode
+        )
+        results = evaluate_schemes(
+            context, ("ProfileAdapt Naive", "Ideal Greedy", "ProfileAdapt Ideal")
+        )
+        table = EpochTable(
+            TransmuterModel(),
+            trace,
+            include=[BASELINE, BEST_AVG_CACHE, MAX_CFG],
+        )
+        for name, variant in (
+            ("ProfileAdapt Naive", "naive"),
+            ("ProfileAdapt Ideal", "ideal"),
+        ):
+            assert _schedule_tuple(results[name]) == _schedule_tuple(
+                profile_adapt(table, mode, variant)
+            )
+        assert results["ProfileAdapt Naive"] is not results["Ideal Greedy"]
 
 
 class TestTransitionMatrices:
@@ -860,7 +1147,9 @@ class TestTracedRuns:
         del grids[:]
         traced, records = run(traced=True)
         assert grids, "the traced run built no EpochGrid"
+        del grids[:]
         _, scalar_records = run(traced=True, fast=False)
+        assert not grids, "the scalar reference built an EpochGrid"
         assert traced == untraced
         assert records == scalar_records
         assert any(name == "machine.epoch" for _, name, _ in records)

@@ -94,6 +94,41 @@ def test_results_are_physical(workload_list, config_list):
                 _assert_physical(workload, result)
 
 
+@given(
+    st.lists(workloads(), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(st.integers(0, 2), configs(), st.sampled_from((1.0, 0.2, 0.8))),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_paired_cells_equal_simulate_epoch(workload_list, picks):
+    """Every cell of a paired grid, and its ``machine.epoch`` record,
+    equals ``simulate_epoch`` of its pair bit for bit, counter arrays
+    included: pairs repeat
+    workload objects, mix ``l1_type`` and include scaled slices."""
+    pairs = []
+    for index, config, fraction in picks:
+        workload = workload_list[index % len(workload_list)]
+        if fraction != 1.0:
+            workload = workload.scaled(fraction)
+        pairs.append((workload, config))
+    with obs.recording() as scalar_recorder:
+        scalar = [_MACHINE.simulate_epoch(w, cfg) for w, cfg in pairs]
+    with obs.recording() as grid_recorder:
+        grid = EpochGrid.paired(_MACHINE, pairs)
+    assert _epoch_records(grid_recorder) == _epoch_records(scalar_recorder)
+    columns = grid.counter_columns()
+    for k, result in enumerate(scalar):
+        assert _result_tuple(grid.result(0, k)) == _result_tuple(result)
+        assert grid.times[0, k] == result.time_s
+        assert grid.energies[0, k] == result.energy_j
+        assert {
+            name: values[0, k] for name, values in columns.items()
+        } == result.counters.as_dict()
+
+
 def _assert_physical(workload, result):
     assert result.time_s > 0
     assert result.energy_j > 0
