@@ -123,9 +123,12 @@ def build_trace(
 
     ``kernel`` is one of ``spmspm`` (C = A A^T, the paper's setting),
     ``spmspv`` (y = A x against a ``vector_density``-dense vector),
-    ``bfs`` or ``sssp``.
+    ``bfs`` or ``sssp``. Only ``spmspv`` reads ``vector_density`` and
+    ``seed``, so the other kernels share one cached trace across them.
     """
-    key = (kernel, matrix_id, scale, epoch_fp_ops, vector_density, seed)
+    key = (kernel, matrix_id, scale, epoch_fp_ops)
+    if kernel == "spmspv":
+        key += (vector_density, seed)
     if use_cache:
         with _TRACE_CACHE_LOCK:
             if key in _TRACE_CACHE:

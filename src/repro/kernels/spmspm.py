@@ -20,7 +20,6 @@ the implicit phases the controller reacts to) come from real data.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -70,78 +69,70 @@ def trace_spmspm(
         raise ShapeError(
             f"inner dimensions differ: {a_csc.shape} @ {b_csr.shape}"
         )
-    multiply = EpochAccumulator(PHASE_MULTIPLY, epoch_fp_ops)
     a_counts = a_csc.col_lengths()
     b_counts = b_csr.row_lengths()
 
     # ------------------------------------------------------------------
     # Multiply phase: one task per outer product.
     # ------------------------------------------------------------------
-    for i in range(a_csc.shape[1]):
-        a_nnz = int(a_counts[i])
-        b_nnz = int(b_counts[i])
-        if a_nnz == 0 or b_nnz == 0:
-            continue
-        partials = a_nnz * b_nnz
-        # The B row is streamed once per element of the A column; reuse
-        # makes all but the first pass cache-resident.
-        fp_loads = a_nnz + a_nnz * b_nnz  # A values once, B values re-read
-        fp_stores = partials  # partial-product values
-        int_ops = 2.0 * partials + (a_nnz + b_nnz)  # indices + addressing
-        loads = 2.0 * a_nnz + a_nnz * b_nnz + b_nnz  # values + index arrays
-        stores = 2.0 * partials  # value + column index per partial
-        unique_words = 2.0 * (a_nnz + b_nnz) + 2.0 * partials
-        unique_lines = (
-            _ELEMENT_BYTES * (a_nnz + b_nnz) + _ELEMENT_BYTES * partials
-        ) / params.CACHE_LINE_BYTES
-        shared = (2.0 * b_nnz) / max(unique_words, 1.0)
-        multiply.add(
-            flops=float(partials),
-            fp_loads=float(fp_loads),
-            fp_stores=float(fp_stores),
-            int_ops=float(int_ops),
-            loads=float(loads),
-            stores=float(stores),
-            unique_words=float(unique_words),
-            unique_lines=float(max(unique_lines, 1.0)),
-            stride_fraction=_MULTIPLY_STRIDE,
-            shared_fraction=min(0.9, 4.0 * shared),
-            read_bytes=_ELEMENT_BYTES * (a_nnz + b_nnz),
-            write_bytes=_ELEMENT_BYTES * partials,
-            resident_bytes=_CONCURRENCY * _ELEMENT_BYTES * (a_nnz + b_nnz),
-            reuse_locality=0.9,  # the reused B row is re-scanned in order
-        )
+    nonempty = (a_counts > 0) & (b_counts > 0)
+    a_nnz = a_counts[nonempty]
+    b_nnz = b_counts[nonempty]
+    partials = a_nnz * b_nnz
+    # The B row is streamed once per element of the A column; reuse
+    # makes all but the first pass cache-resident.
+    unique_words = 2.0 * (a_nnz + b_nnz) + 2.0 * partials
+    unique_lines = (
+        _ELEMENT_BYTES * (a_nnz + b_nnz) + _ELEMENT_BYTES * partials
+    ) / params.CACHE_LINE_BYTES
+    shared = (2.0 * b_nnz) / np.maximum(unique_words, 1.0)
+    multiply = EpochAccumulator(PHASE_MULTIPLY, epoch_fp_ops)
+    multiply.add_tasks(
+        flops=partials,
+        fp_loads=a_nnz + a_nnz * b_nnz,  # A values once, B values re-read
+        fp_stores=partials,  # partial-product values
+        int_ops=2.0 * partials + (a_nnz + b_nnz),  # indices + addressing
+        loads=2.0 * a_nnz + a_nnz * b_nnz + b_nnz,  # values + index arrays
+        stores=2.0 * partials,  # value + column index per partial
+        unique_words=unique_words,
+        unique_lines=np.maximum(unique_lines, 1.0),
+        stride_fraction=_MULTIPLY_STRIDE,
+        shared_fraction=np.minimum(0.9, 4.0 * shared),
+        read_bytes=_ELEMENT_BYTES * (a_nnz + b_nnz),
+        write_bytes=_ELEMENT_BYTES * partials,
+        resident_bytes=_CONCURRENCY * _ELEMENT_BYTES * (a_nnz + b_nnz),
+        reuse_locality=0.9,  # the reused B row is re-scanned in order
+    )
     multiply_epochs = multiply.finish()
 
     # ------------------------------------------------------------------
     # Merge phase: one task per output row holding >= 1 partial.
     # ------------------------------------------------------------------
-    merge = EpochAccumulator(PHASE_MERGE, epoch_fp_ops)
     row_partials = partials_per_row(a_csc, b_csr)
-    for k in row_partials[row_partials > 0]:
-        k = float(k)
-        passes = max(1.0, math.ceil(math.log2(k)) if k > 1 else 1.0)
-        output = max(1.0, k * 0.7)  # duplicates collapse some partials
-        fp_loads = k * passes
-        fp_stores = k * (passes - 1.0) + output
-        merge.add(
-            flops=k,  # additions when summing duplicate columns
-            fp_loads=fp_loads,
-            fp_stores=fp_stores,
-            int_ops=2.0 * k * passes,  # comparisons + index moves
-            loads=2.0 * k * passes,
-            stores=2.0 * (k * (passes - 1.0) + output),
-            unique_words=2.0 * (k + output),
-            unique_lines=max(
-                1.0, _ELEMENT_BYTES * (k + output) / params.CACHE_LINE_BYTES
-            ),
-            stride_fraction=_MERGE_STRIDE,
-            shared_fraction=_MERGE_SHARED,
-            read_bytes=_ELEMENT_BYTES * k,
-            write_bytes=_ELEMENT_BYTES * output,
-            resident_bytes=_CONCURRENCY * _ELEMENT_BYTES * (k + output),
-            reuse_locality=0.6,  # merge passes re-scan partial runs
-        )
+    counts = row_partials[row_partials > 0]
+    k = counts.astype(np.float64)
+    # ceil(log2(k)) for k > 1 is the bit length of k - 1.
+    passes = np.maximum(1.0, np.frexp((counts - 1).astype(np.float64))[1])
+    output = np.maximum(1.0, k * 0.7)  # duplicates collapse some partials
+    merge = EpochAccumulator(PHASE_MERGE, epoch_fp_ops)
+    merge.add_tasks(
+        flops=k,  # additions when summing duplicate columns
+        fp_loads=k * passes,
+        fp_stores=k * (passes - 1.0) + output,
+        int_ops=2.0 * k * passes,  # comparisons + index moves
+        loads=2.0 * k * passes,
+        stores=2.0 * (k * (passes - 1.0) + output),
+        unique_words=2.0 * (k + output),
+        unique_lines=np.maximum(
+            1.0, _ELEMENT_BYTES * (k + output) / params.CACHE_LINE_BYTES
+        ),
+        stride_fraction=_MERGE_STRIDE,
+        shared_fraction=_MERGE_SHARED,
+        read_bytes=_ELEMENT_BYTES * k,
+        write_bytes=_ELEMENT_BYTES * output,
+        resident_bytes=_CONCURRENCY * _ELEMENT_BYTES * (k + output),
+        reuse_locality=0.6,  # merge passes re-scan partial runs
+    )
     merge_epochs = merge.finish()
 
     epochs = multiply_epochs + merge_epochs

@@ -49,80 +49,78 @@ def trace_spmspv(
         raise ShapeError(
             f"dimension mismatch: {a_csc.shape} @ vector({x.length})"
         )
-    n_rows = a_csc.shape[0]
-    accumulator_touched = np.zeros(n_rows, dtype=bool)
-    touched_count = 0
     accumulator = EpochAccumulator(PHASE_SPMSPV, epoch_fp_ops)
 
-    # Words per cache line: accumulator updates whose row gaps stay
-    # within a line behave like streaming; larger gaps are true gathers.
+    # One task per non-empty column x selects, in x order.
+    starts = a_csc.indptr[x.indices]
+    a_nnz = a_csc.indptr[x.indices + 1] - starts
+    nonempty = a_nnz > 0
+    starts, a_nnz = starts[nonempty], a_nnz[nonempty]
+    n_tasks = a_nnz.size
+    # Row indices of every selected column, concatenated in task order.
+    element_task = np.repeat(np.arange(n_tasks), a_nnz)
+    shift = starts - (np.cumsum(a_nnz) - a_nnz)
+    rows = a_csc.indices[np.arange(element_task.size) + shift[element_task]]
+
+    # A task's new touches are the accumulator rows no earlier column
+    # reached: the first occurrence of each row.
+    touched_rows, first = np.unique(rows, return_index=True)
+    new_touches = np.bincount(element_task[first], minlength=n_tasks)
+    touched_count = np.cumsum(new_touches)
+
+    # Spatial locality of the accumulator scatter: the fraction of
+    # consecutive row gaps inside a column that stay within one cache
+    # line. Diagonal-local matrices (R09) score high; power-law columns
+    # whose entries span the whole accumulator score low. Words per
+    # line: updates whose row gaps stay within a line behave like
+    # streaming; larger gaps are true gathers.
     words_per_line = params.CACHE_LINE_BYTES // params.WORD_BYTES
+    near = np.diff(rows) <= words_per_line
+    same_column = element_task[1:] == element_task[:-1]
+    near_gaps = np.bincount(
+        element_task[1:][near & same_column], minlength=n_tasks
+    )
+    accumulator_locality = np.ones(n_tasks)
+    multi = a_nnz > 1
+    accumulator_locality[multi] = near_gaps[multi] / (a_nnz[multi] - 1)
 
-    for j in x.indices:
-        rows, _values = a_csc.col(int(j))
-        a_nnz = int(rows.size)
-        if a_nnz == 0:
-            continue
-        new_mask = ~accumulator_touched[rows]
-        new_touches = int(np.count_nonzero(new_mask))
-        accumulator_touched[rows] = True
-        touched_count += new_touches
-
-        # Spatial locality of the accumulator scatter: the fraction of
-        # consecutive row gaps that stay within one cache line.
-        # Diagonal-local matrices (R09) score high; power-law columns
-        # whose entries span the whole accumulator score low.
-        if a_nnz > 1:
-            gaps = np.diff(rows)  # CSC row indices are sorted
-            accumulator_locality = float(np.mean(gaps <= words_per_line))
-        else:
-            accumulator_locality = 1.0
-
-        flops = 2.0 * a_nnz  # multiply + accumulate per stored element
-        fp_loads = 2.0 * a_nnz + 1.0  # column values + accumulator reads + x_j
-        fp_stores = float(a_nnz)  # accumulator writes
-        int_ops = 3.0 * a_nnz  # row indices + accumulator addressing
-        loads = 3.0 * a_nnz + 1.0  # values, indices, accumulator
-        stores = float(a_nnz)
-        unique_words = 2.0 * a_nnz + new_touches
-        unique_lines = max(
-            1.0,
-            (
-                _ELEMENT_BYTES * a_nnz
-                + params.WORD_BYTES * new_touches / max(accumulator_locality, 0.125)
-            )
-            / params.CACHE_LINE_BYTES,
+    unique_lines = np.maximum(
+        1.0,
+        (
+            _ELEMENT_BYTES * a_nnz
+            + params.WORD_BYTES * new_touches
+            / np.maximum(accumulator_locality, 0.125)
         )
-        column_accesses = 2.0 * a_nnz
-        accumulator_accesses = 2.0 * a_nnz
-        stride = (
-            column_accesses * _COLUMN_STRIDE
-            + accumulator_accesses * accumulator_locality
-        ) / (column_accesses + accumulator_accesses)
+        / params.CACHE_LINE_BYTES,
+    )
+    column_accesses = 2.0 * a_nnz
+    accumulator_accesses = 2.0 * a_nnz
+    stride = (
+        column_accesses * _COLUMN_STRIDE
+        + accumulator_accesses * accumulator_locality
+    ) / (column_accesses + accumulator_accesses)
+    accumulator.add_tasks(
+        flops=2.0 * a_nnz,  # multiply + accumulate per stored element
+        fp_loads=2.0 * a_nnz + 1.0,  # column values + accumulator reads + x_j
+        fp_stores=a_nnz,  # accumulator writes
+        int_ops=3.0 * a_nnz,  # row indices + accumulator addressing
+        loads=3.0 * a_nnz + 1.0,  # values, indices, accumulator
+        stores=a_nnz,
+        unique_words=2.0 * a_nnz + new_touches,
+        unique_lines=unique_lines,
+        stride_fraction=np.clip(stride, 0.0, 1.0),
         # The output vector is row-partitioned across GPEs, and each
         # GPE reads only the column entries landing in its slice, so
         # both the accumulator and the matrix data are effectively
         # private; only x values and index metadata are shared.
-        shared = 0.15
-        accumulator.add(
-            flops=flops,
-            fp_loads=fp_loads,
-            fp_stores=fp_stores,
-            int_ops=int_ops,
-            loads=loads,
-            stores=stores,
-            unique_words=unique_words,
-            unique_lines=unique_lines,
-            stride_fraction=float(np.clip(stride, 0.0, 1.0)),
-            shared_fraction=shared,
-            read_bytes=_ELEMENT_BYTES * a_nnz + _ELEMENT_BYTES,
-            write_bytes=_ELEMENT_BYTES * new_touches,
-            resident_bytes=(
-                touched_count * params.WORD_BYTES
-                + _ELEMENT_BYTES * a_nnz
-            ),
-            reuse_locality=accumulator_locality,
-        )
+        shared_fraction=0.15,
+        read_bytes=_ELEMENT_BYTES * a_nnz + _ELEMENT_BYTES,
+        write_bytes=_ELEMENT_BYTES * new_touches,
+        resident_bytes=(
+            touched_count * params.WORD_BYTES + _ELEMENT_BYTES * a_nnz
+        ),
+        reuse_locality=accumulator_locality,
+    )
 
     epochs = accumulator.finish()
     return KernelTrace(
@@ -131,6 +129,6 @@ def trace_spmspv(
         info={
             "a_nnz": float(a_csc.nnz),
             "x_nnz": float(x.nnz),
-            "y_nnz": float(np.count_nonzero(accumulator_touched)),
+            "y_nnz": float(touched_rows.size),
         },
     )

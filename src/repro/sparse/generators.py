@@ -48,6 +48,34 @@ def _values(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.uniform(0.1, 1.1, size=count)
 
 
+def _merge_first_new(
+    seen: np.ndarray, candidates: np.ndarray, need: int
+) -> np.ndarray:
+    """Add the first ``need`` new keys of ``candidates`` to ``seen``.
+
+    ``seen`` is sorted and duplicate-free; so is the result. A key is new
+    when it is not in ``seen``; among new keys, "first" is by position
+    of first occurrence in ``candidates``. This is what inserting the
+    candidates one by one into a set, stopping at ``need`` new keys,
+    leaves behind.
+    """
+    if seen.size:
+        # Look the candidates up in sorted order: binary searches with
+        # sorted needles are several times faster than with random ones.
+        order = np.argsort(candidates)
+        ordered = candidates[order]
+        pos = np.minimum(np.searchsorted(seen, ordered), seen.size - 1)
+        fresh = np.empty(candidates.size, dtype=bool)
+        fresh[order] = seen[pos] != ordered
+        candidates = candidates[fresh]
+        if not candidates.size:
+            return seen
+    keys, first = np.unique(candidates, return_index=True)
+    if keys.size > need:
+        keys = keys[np.sort(np.argsort(first)[:need])]
+    return np.insert(seen, np.searchsorted(seen, keys), keys)
+
+
 def uniform_random(
     n_rows: int,
     n_cols: int,
@@ -95,36 +123,30 @@ def rmat(
     else:
         depth = int(np.log2(n))
     rng = _rng(seed)
-    probs = np.array([a, b, c, d])
-    rows_out = np.zeros(0, dtype=np.int64)
-    cols_out = np.zeros(0, dtype=np.int64)
+    # Each level's quadrant is ``rng.choice(4, p=probs)``, drawn here the
+    # way ``choice`` draws it: one uniform per level against the CDF.
+    # Quadrants 2 and 3 (c, d) set the row bit, 1 and 3 (b, d) the column
+    # bit.
+    cdf = np.array([a, b, c, d]).cumsum()
+    cdf /= cdf[-1]
+    weights = 1 << np.arange(depth - 1, -1, -1, dtype=np.int64)
     target = min(nnz, n * n)
     # Oversample in rounds until enough distinct in-range coordinates exist.
-    seen = set()
+    seen = np.zeros(0, dtype=np.int64)
     max_rounds = 64
     for _ in range(max_rounds):
-        need = target - len(seen)
+        need = target - seen.size
         if need <= 0:
             break
         batch = max(64, int(need * 1.5))
-        quadrants = rng.choice(4, size=(batch, depth), p=probs)
-        row_bits = (quadrants >> 1) & 1
-        col_bits = quadrants & 1
-        weights = 1 << np.arange(depth - 1, -1, -1, dtype=np.int64)
-        rows = row_bits @ weights
-        cols = col_bits @ weights
+        u = rng.random((batch, depth))
+        row_bits = u >= cdf[1]
+        col_bits = ((cdf[0] <= u) & (u < cdf[1])) | (u >= cdf[2])
+        rows = row_bits.astype(np.int64) @ weights
+        cols = col_bits.astype(np.int64) @ weights
         in_range = (rows < n) & (cols < n)
-        for r, cl in zip(rows[in_range], cols[in_range]):
-            key = int(r) * n + int(cl)
-            if key not in seen:
-                seen.add(key)
-                if len(seen) >= target:
-                    break
-    keys = np.fromiter(seen, dtype=np.int64, count=len(seen))
-    keys.sort()
-    rows_out = keys // n
-    cols_out = keys % n
-    return COOMatrix(rows_out, cols_out, _values(rng, keys.size), (n, n))
+        seen = _merge_first_new(seen, rows[in_range] * n + cols[in_range], need)
+    return COOMatrix(seen // n, seen % n, _values(rng, seen.size), (n, n))
 
 
 def strip_matrix(
@@ -214,26 +236,17 @@ def diagonal_local(
     """
     rng = _rng(seed)
     scale = max(1.0, spread * n)
-    seen = set()
+    seen = np.zeros(0, dtype=np.int64)
     for _ in range(64):
-        need = nnz - len(seen)
+        need = nnz - seen.size
         if need <= 0:
             break
         rows = rng.integers(0, n, size=int(need * 1.5) + 16)
         offsets = np.round(rng.laplace(0.0, scale, size=rows.size)).astype(np.int64)
         cols = rows + offsets
         ok = (cols >= 0) & (cols < n)
-        for r, cl in zip(rows[ok], cols[ok]):
-            key = int(r) * n + int(cl)
-            if key not in seen:
-                seen.add(key)
-                if len(seen) >= nnz:
-                    break
-    keys = np.fromiter(seen, dtype=np.int64, count=len(seen))
-    keys.sort()
-    return COOMatrix(
-        keys // n, keys % n, _values(rng, keys.size), (n, n)
-    )
+        seen = _merge_first_new(seen, rows[ok] * n + cols[ok], need)
+    return COOMatrix(seen // n, seen % n, _values(rng, seen.size), (n, n))
 
 
 def block_arrow(
@@ -255,14 +268,14 @@ def block_arrow(
     block = max(1, n // n_blocks)
     arrow_nnz = int(nnz * arrow_fraction)
     block_nnz = nnz - arrow_nnz
-    seen = set()
+    seen = np.zeros(0, dtype=np.int64)
 
     # Border (arrow) entries live in the last few rows and columns.
     border = max(1, n // 50)
     attempts = 0
-    while len(seen) < arrow_nnz and attempts < 64:
+    while seen.size < arrow_nnz and attempts < 64:
         attempts += 1
-        need = arrow_nnz - len(seen)
+        need = arrow_nnz - seen.size
         pick_row_side = rng.random(int(need * 1.5) + 8) < 0.5
         rr = np.where(
             pick_row_side,
@@ -274,31 +287,21 @@ def block_arrow(
             rng.integers(0, n, size=pick_row_side.size),
             rng.integers(n - border, n, size=pick_row_side.size),
         )
-        for r, cl in zip(rr, cc):
-            seen.add(int(r) * n + int(cl))
-            if len(seen) >= arrow_nnz:
-                break
+        seen = _merge_first_new(seen, rr * n + cc, need)
 
     # Block-diagonal entries.
     target = arrow_nnz + block_nnz
     attempts = 0
-    while len(seen) < target and attempts < 128:
+    while seen.size < target and attempts < 128:
         attempts += 1
-        need = target - len(seen)
+        need = target - seen.size
         b = rng.integers(0, n_blocks, size=int(need * 1.5) + 8)
         base = b * block
         rr = base + rng.integers(0, block, size=b.size)
         cc = base + rng.integers(0, block, size=b.size)
         ok = (rr < n) & (cc < n)
-        for r, cl in zip(rr[ok], cc[ok]):
-            seen.add(int(r) * n + int(cl))
-            if len(seen) >= target:
-                break
-    keys = np.fromiter(seen, dtype=np.int64, count=len(seen))
-    keys.sort()
-    return COOMatrix(
-        keys // n, keys % n, _values(rng, keys.size), (n, n)
-    )
+        seen = _merge_first_new(seen, rr[ok] * n + cc[ok], need)
+    return COOMatrix(seen // n, seen % n, _values(rng, seen.size), (n, n))
 
 
 def random_vector(n: int, density: float, seed: Optional[int] = None):

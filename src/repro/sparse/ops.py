@@ -190,12 +190,12 @@ def partials_per_row(a_csc: CSCMatrix, b_csr: CSRMatrix) -> np.ndarray:
         raise ShapeError(
             f"inner dimensions differ: {a_csc.shape} @ {b_csr.shape}"
         )
-    b_counts = b_csr.row_lengths()
     counts = np.zeros(a_csc.shape[0], dtype=np.int64)
-    for i in range(a_csc.shape[1]):
-        rows, _ = a_csc.col(i)
-        if rows.size:
-            np.add.at(counts, rows, b_counts[i])
+    np.add.at(
+        counts,
+        a_csc.indices,
+        np.repeat(b_csr.row_lengths(), a_csc.col_lengths()),
+    )
     return counts
 
 

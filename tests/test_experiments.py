@@ -13,11 +13,13 @@ from repro.experiments import (
     evaluate_schemes,
     gains_over,
 )
+from repro.experiments import harness
 from repro.experiments.reporting import (
     append_geomean,
     format_gain_table,
     format_scalar_table,
 )
+from repro.sparse import suite
 from repro.transmuter import TransmuterModel
 
 EE = OptimizationMode.ENERGY_EFFICIENT
@@ -42,6 +44,32 @@ class TestBuildTrace:
         a = build_trace("spmspv", "P1", scale=0.1)
         b = build_trace("spmspv", "P1", scale=0.1)
         assert a is b
+
+    @pytest.mark.parametrize("kernel", ["spmspm", "bfs", "sssp"])
+    def test_cache_ignores_seed_and_density_off_spmspv(
+        self, kernel, monkeypatch
+    ):
+        """Only SpMSpV draws a vector, so another kernel's trace is one
+        cache entry for every job seed and vector density."""
+        loads = []
+        original = suite.load
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(suite, "load", counting_load)
+        monkeypatch.setattr(harness, "_TRACE_CACHE", {})
+        a = build_trace(kernel, "R03", scale=0.07, seed=1)
+        b = build_trace(kernel, "R03", scale=0.07, seed=2, vector_density=0.3)
+        assert a is b
+        assert len(loads) == 1
+
+    def test_spmspv_cache_keys_on_seed(self):
+        a = build_trace("spmspv", "R03", scale=0.07, seed=1)
+        b = build_trace("spmspv", "R03", scale=0.07, seed=2)
+        assert a is not b
+        assert a.epochs != b.epochs
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigError):

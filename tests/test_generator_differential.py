@@ -1,0 +1,144 @@
+"""The array-code matrix generators against their set-based originals.
+
+``rmat``, ``diagonal_local`` and ``block_arrow`` deduplicate each
+round's candidate coordinates with array operations. The originals in
+:mod:`tests.scalar_reference` insert the candidates one at a time into a
+Python set and draw R-MAT quadrants with ``rng.choice``. Both consume the
+same random stream, so every matrix must come out byte for byte equal:
+on about 300 seeded random cases, including targets no number of rounds
+can reach, and on every suite matrix against the content hashes in
+``tests/golden/suite_matrices.json``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from repro.errors import ShapeError
+from repro.sparse import generators, suite
+from tests import scalar_reference
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "suite_matrices.json"
+
+
+def _assert_same(matrix, reference) -> None:
+    assert matrix.shape == reference.shape
+    for name in ("rows", "cols", "vals"):
+        ours, theirs = getattr(matrix, name), getattr(reference, name)
+        assert ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes(), name
+
+
+def _digest(matrix) -> str:
+    digest = hashlib.sha256()
+    for array in (matrix.rows, matrix.cols, matrix.vals):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _cases(seed: int, count: int):
+    """Seeded ``(n, nnz, seed)`` triples from 1x1 up to a few hundred
+    rows; ``nnz`` reaches past what the structure can hold."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.choice([1, 2, 3, 5, 8, 16, 31, 64, 100, 128, 257, 400]))
+        nnz = int(rng.integers(1, min(2 * n * n, 2000) + 1))
+        yield n, nnz, int(rng.integers(0, 2**31 - 1))
+
+
+class TestSuiteMatricesGolden:
+    @pytest.mark.parametrize("scale", [0.05, 0.15])
+    @pytest.mark.parametrize("matrix_id", sorted(suite.SUITE))
+    def test_matches_recorded_hash(self, matrix_id, scale):
+        recorded = json.loads(GOLDEN.read_text())[f"{matrix_id}@{scale}"]
+        matrix = suite.load(matrix_id, scale)
+        assert list(matrix.shape) == recorded["shape"]
+        assert matrix.nnz == recorded["nnz"]
+        assert _digest(matrix) == recorded["sha256"]
+
+    @pytest.mark.parametrize("scale", [0.05, 0.15])
+    def test_suite_loads_match_set_based_generators(self, scale, monkeypatch):
+        """Every R-MAT, diagonal-local and block-arrow stand-in, including
+        R08 and R09 at 0.05, whose targets stay out of reach for all
+        64/128 rounds."""
+        ids = [
+            matrix_id
+            for matrix_id, spec in suite.SUITE.items()
+            if spec.structure in ("rmat", "diagonal_local", "block_arrow")
+        ]
+        ours = {matrix_id: suite.load(matrix_id, scale) for matrix_id in ids}
+        for name in ("rmat", "diagonal_local", "block_arrow"):
+            monkeypatch.setattr(
+                generators, name, getattr(scalar_reference, name)
+            )
+        for matrix_id in ids:
+            _assert_same(ours[matrix_id], suite.load(matrix_id, scale))
+
+
+class TestRmatDifferential:
+    def test_quadrant_draw_is_choice(self):
+        """``rng.choice(4, p=...)`` is one uniform per draw compared with
+        the normalized CDF; the generator relies on that identity."""
+        for seed in range(20):
+            probs = np.random.default_rng(1000 + seed).dirichlet(np.ones(4))
+            probs[3] = 1.0 - probs[:3].sum()
+            expected = np.random.default_rng(seed).choice(4, size=(50, 7), p=probs)
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            u = np.random.default_rng(seed).random((50, 7))
+            assert np.array_equal(expected, cdf.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize("n, nnz, seed", list(_cases(1, 100)))
+    def test_matches_set_based(self, n, nnz, seed):
+        a, b, c = np.random.default_rng(seed).dirichlet(np.ones(4))[:3]
+        for params in ({}, {"a": a, "b": b, "c": c}):
+            _assert_same(
+                generators.rmat(n, nnz, seed=seed, **params),
+                scalar_reference.rmat(n, nnz, seed=seed, **params),
+            )
+
+    def test_unreachable_target(self):
+        """Cells with probability 0.1**depth stay empty for all 64 rounds."""
+        _assert_same(
+            generators.rmat(16, 256, seed=5),
+            scalar_reference.rmat(16, 256, seed=5),
+        )
+
+    def test_probabilities_still_checked(self):
+        with pytest.raises(ShapeError):
+            generators.rmat(16, 10, a=0.5, b=0.5, c=0.5)
+
+
+class TestDiagonalLocalDifferential:
+    @pytest.mark.parametrize("n, nnz, seed", list(_cases(2, 100)))
+    def test_matches_set_based(self, n, nnz, seed):
+        spread = float(np.random.default_rng(seed).choice([0.0, 0.01, 0.1, 0.5]))
+        _assert_same(
+            generators.diagonal_local(n, nnz, spread=spread, seed=seed),
+            scalar_reference.diagonal_local(n, nnz, spread=spread, seed=seed),
+        )
+
+
+class TestBlockArrowDifferential:
+    @pytest.mark.parametrize("n, nnz, seed", list(_cases(3, 100)))
+    def test_matches_set_based(self, n, nnz, seed):
+        rng = np.random.default_rng(seed)
+        n_blocks = int(rng.integers(1, 17))
+        arrow_fraction = float(rng.choice([0.0, 0.25, 0.6, 1.0]))
+        _assert_same(
+            generators.block_arrow(
+                n, nnz, n_blocks, arrow_fraction, seed=seed
+            ),
+            scalar_reference.block_arrow(
+                n, nnz, n_blocks, arrow_fraction, seed=seed
+            ),
+        )
+
+    def test_block_count_still_checked(self):
+        with pytest.raises(ShapeError):
+            generators.block_arrow(64, 100, n_blocks=0)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.sparse import COOMatrix, generators, ops
+from repro.sparse import COOMatrix, generators, ops, suite
+from repro.sparse.suite import SPMSPM_IDS
 from repro.sparse.vector import SparseVector
+from tests import scalar_reference
 
 
 class TestSpMSpM:
@@ -109,3 +111,14 @@ class TestPartialCounts:
         b_csr = small_uniform.transpose().to_csr()
         product = ops.spmspm_reference(a_csc, b_csr)
         assert ops.total_partial_products(a_csc, b_csr) >= product.nnz
+
+    @pytest.mark.parametrize("scale", [0.05, 0.15])
+    @pytest.mark.parametrize("matrix_id", SPMSPM_IDS)
+    def test_partials_per_row_matches_column_loop(self, matrix_id, scale):
+        matrix = suite.load(matrix_id, scale)
+        a_csc = matrix.to_csc()
+        b_csr = matrix.transpose().to_csr()
+        assert np.array_equal(
+            ops.partials_per_row(a_csc, b_csr),
+            scalar_reference.partials_per_row(a_csc, b_csr),
+        )
