@@ -38,8 +38,10 @@ for different workloads, or a scheme that simulates fractional epoch
 slices, becomes one grid instead of a loop of small ones.
 
 The grid materializes :class:`~repro.transmuter.machine.EpochResult`
-objects lazily: schemes touch only the table cells they stitch into a
-schedule, so a 64-config table materializes ~1/64th of its entries.
+objects lazily, one cell at a time: :meth:`EpochGrid.result` unboxes
+only the fields of the cell it is asked for. Schemes touch only the
+table cells they stitch into a schedule; a nine-scheme Table-5 campaign
+reads about one cell in ten of the grids it reads from.
 
 This engine has no :class:`EpochEnvironment`: degraded epochs occur
 only inside the (inherently sequential) controller loop, which runs on
@@ -52,7 +54,7 @@ traced run executes the same code as an untraced one and emits the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -691,7 +693,6 @@ class EpochGrid:
                     for name in fields:
                         fields[name][:, indices] = sub[name]
                 self._fields = fields
-        self._lists: Optional[Dict[str, list]] = None
         self._cache: Dict[int, EpochResult] = {}
         recorder = get_recorder()
         if recorder.enabled:
@@ -786,13 +787,9 @@ class EpochGrid:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if self._lists is None:
-            # One bulk unboxing: scheme stitching touches whole rows, and
-            # tolist() converts far faster than per-cell item() calls.
-            self._lists = {
-                name: self._fields[name].tolist() for name in _FIELDS
-            }
-        f = {name: values[i][j] for name, values in self._lists.items()}
+        # Unbox only this cell: a scheme reads a small share of its
+        # table, so converting whole grids would mostly feed the GC.
+        f = {name: self._fields[name].item(i, j) for name in _FIELDS}
         workload, config = self._cell(i, j)
         energy = EnergyBreakdown(
             core_dynamic=f["core_dynamic"],

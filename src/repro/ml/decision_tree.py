@@ -114,12 +114,15 @@ class _BaseTree:
     def _node_value(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _split_gains(self, y_sorted: np.ndarray, positions: np.ndarray):
-        """Impurity decrease of every split ``[:pos] | [pos:]``.
+    def _split_gains(
+        self, y_sorted: np.ndarray, rows: np.ndarray, positions: np.ndarray
+    ):
+        """Impurity decrease of the splits ``[:pos] | [pos:]``.
 
         ``y_sorted`` holds one row of node targets per candidate
-        feature, in that feature's ascending order; the result has one
-        row per candidate and one column per entry of ``positions``.
+        feature, in that feature's ascending order. Split ``k`` cuts
+        row ``rows[k]`` before ``positions[k]``; the result has one
+        gain per split.
         """
         raise NotImplementedError
 
@@ -243,10 +246,11 @@ class _BaseTree:
         """(feature, threshold, gain) of the best split at one node.
 
         Every candidate feature is scored in one array pass over its
-        presorted row; ``feature`` is -1 when no split decreases the
-        impurity. Splits fall between distinct consecutive x values and
-        honor ``min_samples_leaf`` on both sides; ties go to the first
-        position, then to the first candidate.
+        presorted row, at the positions where x changes; ``feature`` is
+        -1 when no split decreases the impurity. Splits fall between
+        distinct consecutive x values and honor ``min_samples_leaf`` on
+        both sides; ties go to the first position, then to the first
+        candidate.
         """
         n = sorted_rows.shape[1]
         lo = self.min_samples_leaf
@@ -255,9 +259,16 @@ class _BaseTree:
             return -1, 0.0, 0.0
         positions = np.arange(lo, hi + 1)
         x_sorted = features[sorted_rows, candidates[:, None]]
-        gains = self._split_gains(encoded[sorted_rows], positions)
         distinct = x_sorted[:, positions] > x_sorted[:, positions - 1] + 1e-15
-        gains[~distinct] = -np.inf
+        rows, columns = np.nonzero(distinct)
+        if not rows.size:
+            return -1, 0.0, 0.0
+        # Only splits between distinct x values are scored; the rest
+        # stay -inf, so argmax and the tie order see the full grid.
+        gains = np.full(distinct.shape, -np.inf)
+        gains[rows, columns] = self._split_gains(
+            encoded[sorted_rows], rows, positions[columns]
+        )
         best_columns = np.argmax(gains, axis=1)
         row_gains = gains[np.arange(len(candidates)), best_columns]
 
@@ -462,17 +473,18 @@ class DecisionTreeClassifier(_BaseTree):
         np.log2(p, where=p > 0, out=logs)
         return -np.sum(p * logs, axis=-1)
 
-    def _split_gains(self, y_sorted, positions):
+    def _split_gains(self, y_sorted, rows, positions):
         """Gains from cumulative class counts along each sorted row."""
         n = y_sorted.shape[1]
+        # Integer counts, exact in float64 after the gather.
         prefix = np.cumsum(
             y_sorted[:, :, None] == np.arange(self._n_classes),
             axis=1,
-            dtype=np.float64,
+            dtype=np.int32,
         )
-        total = prefix[0, -1]
+        total = prefix[0, -1].astype(np.float64)
         parent_impurity = self._impurity_from_counts(total)
-        left_counts = prefix[:, positions - 1]
+        left_counts = prefix[rows, positions - 1].astype(np.float64)
         right_counts = total - left_counts
         n_left = positions.astype(np.float64)
         n_right = n - n_left
@@ -541,7 +553,7 @@ class DecisionTreeRegressor(_BaseTree):
     def _node_value(self, y: np.ndarray) -> np.ndarray:
         return np.array([float(np.mean(y))]) if y.size else np.zeros(1)
 
-    def _split_gains(self, y_sorted, positions):
+    def _split_gains(self, y_sorted, rows, positions):
         """Gains from prefix sums and sums of squares along each row."""
         n = y_sorted.shape[1]
         prefix = np.cumsum(y_sorted, axis=1)
@@ -555,14 +567,14 @@ class DecisionTreeRegressor(_BaseTree):
 
         n_left = positions.astype(np.float64)
         n_right = n - n_left
-        sum_left = prefix[:, positions - 1]
-        sq_left = prefix_sq[:, positions - 1]
+        sum_left = prefix[rows, positions - 1]
+        sq_left = prefix_sq[rows, positions - 1]
         var_left = sq_left / n_left - (sum_left / n_left) ** 2
-        sum_right = total[:, None] - sum_left
-        sq_right = total_sq[:, None] - sq_left
+        sum_right = total[rows] - sum_left
+        sq_right = total_sq[rows] - sq_left
         var_right = sq_right / n_right - (sum_right / n_right) ** 2
         weighted = (n_left * var_left + n_right * var_right) / n
-        return parent[:, None] - weighted
+        return parent[rows] - weighted
 
     def fit(self, features, targets) -> "DecisionTreeRegressor":
         """Fit the tree on continuous targets."""

@@ -112,27 +112,48 @@ class COOMatrix:
         """Return an equivalent matrix with duplicate coordinates summed.
 
         Entries that sum to exactly zero are kept (they are still stored
-        non-zeros); use :meth:`prune` to drop them.
+        non-zeros); use :meth:`prune` to drop them. The result is in
+        row-major order.
         """
         if self.nnz == 0:
             return self
-        keys = self.rows * self.shape[1] + self.cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        vals = self.vals[order]
-        unique_mask = np.empty(keys.size, dtype=bool)
-        unique_mask[0] = True
-        unique_mask[1:] = keys[1:] != keys[:-1]
-        group_ids = np.cumsum(unique_mask) - 1
-        summed = np.zeros(int(group_ids[-1]) + 1)
-        np.add.at(summed, group_ids, vals)
-        unique_keys = keys[unique_mask]
-        return COOMatrix(
-            unique_keys // self.shape[1],
-            unique_keys % self.shape[1],
-            summed,
-            self.shape,
-        )
+        rows, cols, vals = self._merged(self.rows, self.cols, self.shape[1])
+        return COOMatrix(rows, cols, vals, self.shape)
+
+    def _merged(self, major: np.ndarray, minor: np.ndarray, n_minor: int):
+        """``(major, minor, vals)`` sorted by (major, minor), merged.
+
+        One sort on the target-order key. Distinct keys have exactly one
+        sorted order, so the default (fastest) kind is used; only when
+        duplicates exist is the sort redone stably, so each group sums
+        in input order, from 0.0, as ``np.add.at`` does.
+        """
+        keys = major * n_minor + minor
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+            first = np.empty(sorted_keys.size, dtype=bool)
+            first[0] = True
+            first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+            group_ids = np.cumsum(first) - 1
+            vals = np.zeros(int(group_ids[-1]) + 1)
+            np.add.at(vals, group_ids, self.vals[order])
+            sorted_keys = sorted_keys[first]
+        else:
+            # 0.0 + v, as a one-entry group sums (turns -0.0 into 0.0).
+            vals = self.vals[order] + 0.0
+        return sorted_keys // n_minor, sorted_keys % n_minor, vals
+
+    def _compressed(
+        self, major: np.ndarray, minor: np.ndarray, n_major: int, n_minor: int
+    ):
+        """``(indptr, indices, data)`` of the CSR/CSC layout along major."""
+        major, indices, data = self._merged(major, minor, n_minor)
+        indptr = np.zeros(n_major + 1, dtype=np.int64)
+        np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
+        return indptr, indices, data
 
     def prune(self, tolerance: float = 0.0) -> "COOMatrix":
         """Drop stored entries whose magnitude is <= ``tolerance``."""
@@ -163,24 +184,16 @@ class COOMatrix:
         """Convert to :class:`repro.sparse.csr.CSRMatrix`."""
         from repro.sparse.csr import CSRMatrix
 
-        merged = self.sum_duplicates()
-        order = np.lexsort((merged.cols, merged.rows))
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-        np.add.at(indptr, merged.rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
         return CSRMatrix(
-            indptr, merged.cols[order], merged.vals[order], self.shape
+            *self._compressed(self.rows, self.cols, *self.shape), self.shape
         )
 
     def to_csc(self):
         """Convert to :class:`repro.sparse.csc.CSCMatrix`."""
         from repro.sparse.csc import CSCMatrix
 
-        merged = self.sum_duplicates()
-        order = np.lexsort((merged.rows, merged.cols))
-        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
-        np.add.at(indptr, merged.cols + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        n_rows, n_cols = self.shape
         return CSCMatrix(
-            indptr, merged.rows[order], merged.vals[order], self.shape
+            *self._compressed(self.cols, self.rows, n_cols, n_rows),
+            self.shape,
         )

@@ -20,10 +20,13 @@ campaign both ways and compare the results byte for byte:
   SpMSpM and SpMSpV traces (so BFS and SSSP too) feed it task by task,
   walking the columns and rows in a Python loop.
 
-It also keeps the set-based matrix generators (``rmat``,
-``diagonal_local``, ``block_arrow``) and the per-column
-``partials_per_row``, which the generator and kernel tests compare
-against directly.
+It also keeps code that tests compare against directly, without
+patching: the set-based matrix generators (``rmat``,
+``diagonal_local``, ``block_arrow``), the per-column
+``partials_per_row``, the two-sort COO conversions
+(``coo_sum_duplicates``, ``coo_to_csr``, ``coo_to_csc``), the
+all-positions CART split search (``all_position_splits``) and the
+whole-grid unboxing of ``EpochGrid`` cells (``whole_grid_results``).
 
 Every simulated epoch goes through ``TransmuterModel.simulate_epoch``,
 so a traced run under :func:`scalar_path` emits its ``machine.epoch``
@@ -56,13 +59,24 @@ from repro.kernels.base import (
     EpochAccumulator,
     KernelTrace,
 )
+from repro.fastpath import epochs
+from repro.fastpath.epochs import EpochGrid
+from repro.ml.decision_tree import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    _BaseTree,
+)
 from repro.obs import profile as obs_profile
 from repro.sparse import ops as sparse_ops
 from repro.sparse.coo import COOMatrix
+from repro.sparse.csc import CSCMatrix
+from repro.sparse.csr import CSRMatrix
 from repro.transmuter import config as transmuter_config
 from repro.transmuter import params, reconfig
 from repro.transmuter.config import HardwareConfig
 from repro.transmuter.counters import PerformanceCounters
+from repro.transmuter.machine import EpochResult
+from repro.transmuter.power import EnergyBreakdown
 from repro.transmuter.workload import (
     PHASE_MERGE,
     PHASE_MULTIPLY,
@@ -80,6 +94,11 @@ __all__ = [
     "rmat",
     "diagonal_local",
     "block_arrow",
+    "coo_sum_duplicates",
+    "coo_to_csr",
+    "coo_to_csc",
+    "all_position_splits",
+    "whole_grid_results",
 ]
 
 
@@ -568,6 +587,191 @@ def _from_keys(seen, n, rng) -> COOMatrix:
     )
 
 
+def coo_sum_duplicates(coo: COOMatrix) -> COOMatrix:
+    """Duplicates summed after a stable sort on the row-major key."""
+    if coo.nnz == 0:
+        return coo
+    keys = coo.rows * coo.shape[1] + coo.cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    vals = coo.vals[order]
+    unique_mask = np.empty(keys.size, dtype=bool)
+    unique_mask[0] = True
+    unique_mask[1:] = keys[1:] != keys[:-1]
+    group_ids = np.cumsum(unique_mask) - 1
+    summed = np.zeros(int(group_ids[-1]) + 1)
+    np.add.at(summed, group_ids, vals)
+    unique_keys = keys[unique_mask]
+    return COOMatrix(
+        unique_keys // coo.shape[1],
+        unique_keys % coo.shape[1],
+        summed,
+        coo.shape,
+    )
+
+
+def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
+    """Two sorts: ``coo_sum_duplicates``, then a row-major ``lexsort``."""
+    merged = coo_sum_duplicates(coo)
+    order = np.lexsort((merged.cols, merged.rows))
+    indptr = np.zeros(coo.shape[0] + 1, dtype=np.int64)
+    np.add.at(indptr, merged.rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return CSRMatrix(
+        indptr, merged.cols[order], merged.vals[order], coo.shape
+    )
+
+
+def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
+    """Two sorts: ``coo_sum_duplicates``, then a column-major ``lexsort``."""
+    merged = coo_sum_duplicates(coo)
+    order = np.lexsort((merged.rows, merged.cols))
+    indptr = np.zeros(coo.shape[1] + 1, dtype=np.int64)
+    np.add.at(indptr, merged.cols + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return CSCMatrix(
+        indptr, merged.rows[order], merged.vals[order], coo.shape
+    )
+
+
+def _best_split(self, features, encoded, sorted_rows, candidates):
+    """``_BaseTree._best_split`` scoring every position, then masking."""
+    n = sorted_rows.shape[1]
+    lo = self.min_samples_leaf
+    hi = n - self.min_samples_leaf
+    if hi < lo or not len(candidates):
+        return -1, 0.0, 0.0
+    positions = np.arange(lo, hi + 1)
+    x_sorted = features[sorted_rows, candidates[:, None]]
+    gains = self._all_split_gains(encoded[sorted_rows], positions)
+    distinct = x_sorted[:, positions] > x_sorted[:, positions - 1] + 1e-15
+    gains[~distinct] = -np.inf
+    best_columns = np.argmax(gains, axis=1)
+    row_gains = gains[np.arange(len(candidates)), best_columns]
+
+    best_gain = 0.0
+    best_feature = -1
+    best_threshold = 0.0
+    for row, gain in enumerate(row_gains.tolist()):
+        if gain > best_gain + 1e-15:
+            pos = positions[best_columns[row]]
+            best_gain = gain
+            best_feature = int(candidates[row])
+            best_threshold = float(
+                0.5 * (x_sorted[row, pos - 1] + x_sorted[row, pos])
+            )
+    return best_feature, best_threshold, best_gain
+
+
+def _classifier_gains(self, y_sorted, positions):
+    """Gains of every position, from float64 cumulative class counts."""
+    n = y_sorted.shape[1]
+    prefix = np.cumsum(
+        y_sorted[:, :, None] == np.arange(self._n_classes),
+        axis=1,
+        dtype=np.float64,
+    )
+    total = prefix[0, -1]
+    parent_impurity = self._impurity_from_counts(total)
+    left_counts = prefix[:, positions - 1]
+    right_counts = total - left_counts
+    n_left = positions.astype(np.float64)
+    n_right = n - n_left
+    weighted = (
+        n_left * self._batch_impurity(left_counts, n_left)
+        + n_right * self._batch_impurity(right_counts, n_right)
+    ) / n
+    return parent_impurity - weighted
+
+
+def _regressor_gains(self, y_sorted, positions):
+    """Gains of every position, from prefix sums and sums of squares."""
+    n = y_sorted.shape[1]
+    prefix = np.cumsum(y_sorted, axis=1)
+    prefix_sq = np.cumsum(y_sorted * y_sorted, axis=1)
+    total, total_sq = prefix[:, -1], prefix_sq[:, -1]
+    parent = np.array(
+        [sq / n - (t / n) ** 2 for t, sq in zip(total, total_sq)]
+    )
+    n_left = positions.astype(np.float64)
+    n_right = n - n_left
+    sum_left = prefix[:, positions - 1]
+    sq_left = prefix_sq[:, positions - 1]
+    var_left = sq_left / n_left - (sum_left / n_left) ** 2
+    sum_right = total[:, None] - sum_left
+    sq_right = total_sq[:, None] - sq_left
+    var_right = sq_right / n_right - (sum_right / n_right) ** 2
+    weighted = (n_left * var_left + n_right * var_right) / n
+    return parent[:, None] - weighted
+
+
+@contextmanager
+def all_position_splits() -> Iterator[None]:
+    """Fit CART trees in the block with the all-positions split search."""
+    with _patched(
+        [
+            (_BaseTree, "_best_split", _best_split),
+            (DecisionTreeClassifier, "_all_split_gains", _classifier_gains),
+            (DecisionTreeRegressor, "_all_split_gains", _regressor_gains),
+        ]
+    ):
+        yield
+
+
+def whole_grid_results(grid: EpochGrid) -> List[List[EpochResult]]:
+    """Every cell of ``grid``, unboxed by one ``tolist`` per field."""
+    lists = {name: grid._fields[name].tolist() for name in epochs._FIELDS}
+    out = []
+    for i in range(grid.n_workloads):
+        row = []
+        for j in range(grid.n_configs):
+            f = {name: values[i][j] for name, values in lists.items()}
+            workload, config = grid._cell(i, j)
+            energy = EnergyBreakdown(
+                core_dynamic=f["core_dynamic"],
+                l1_dynamic=f["l1_dynamic"],
+                l2_dynamic=f["l2_dynamic"],
+                xbar_dynamic=f["xbar_dynamic"],
+                dram=f["dram"],
+                leakage=f["leakage"],
+            )
+            counters = PerformanceCounters(
+                l1_access_rate=f["l1_access_rate"],
+                l1_occupancy=f["l1_occupancy"],
+                l1_miss_rate=f["l1_miss_rate"],
+                l1_prefetch_ratio=f["l1_prefetch_ratio"],
+                l1_capacity_kb=float(config.l1_kb),
+                l2_access_rate=f["l2_access_rate"],
+                l2_occupancy=f["l2_occupancy"],
+                l2_miss_rate=f["l2_miss_rate"],
+                l2_prefetch_ratio=f["l2_prefetch_ratio"],
+                l2_capacity_kb=float(config.l2_kb),
+                xbar_contention_ratio=f["xbar_contention_ratio"],
+                gpe_ipc=f["gpe_ipc"],
+                gpe_fp_ipc=f["gpe_fp_ipc"],
+                lcp_ipc=f["lcp_ipc"],
+                lcp_fp_ipc=f["lcp_ipc"] * 0.4,
+                clock_mhz=config.clock_mhz,
+                dram_read_utilization=f["dram_read_utilization"],
+                dram_write_utilization=f["dram_write_utilization"],
+            )
+            row.append(
+                EpochResult(
+                    time_s=f["time_s"],
+                    energy=energy,
+                    counters=counters,
+                    core_time_s=f["core_time_s"],
+                    memory_time_s=f["memory_time_s"],
+                    dram_read_bytes=f["dram_read_bytes"],
+                    dram_write_bytes=f["dram_write_bytes"],
+                    flops=workload.flops,
+                    fp_ops=workload.fp_ops,
+                )
+            )
+        out.append(row)
+    return out
+
+
 class _NeverStores(dict):
     """A memo that forgets: every lookup misses, every call recomputes."""
 
@@ -622,6 +826,13 @@ def scalar_path() -> Iterator[None]:
             (module, name, replacement)
             for module, name in _bindings(original)
         ]
+    with _patched(patches):
+        yield
+
+
+@contextmanager
+def _patched(patches: List[Tuple[object, str, object]]) -> Iterator[None]:
+    """Set each ``(owner, name, replacement)`` for the block, then undo."""
     saved = [(owner, name, vars(owner).get(name, _MISSING))
              for owner, name, _ in patches]
     try:
