@@ -14,10 +14,7 @@ from repro.core.hardening import (
     HardeningConfig,
     SafeModeMachine,
 )
-from repro.core.ablation import (
-    AblatedSparseAdaptModel,
-    train_counters_only_model,
-)
+from repro.core.ablation import train_counters_only_model
 from repro.core.history import HistoryAwareController, quantize_signature
 from repro.core.memorymode import (
     MemoryModeController,
@@ -68,7 +65,6 @@ __all__ = [
     "MemoryModeModel",
     "MemoryModeController",
     "train_memory_mode_model",
-    "AblatedSparseAdaptModel",
     "train_counters_only_model",
     "save_model",
     "load_model",

@@ -7,8 +7,9 @@ what removes the profiling configuration. Ablating those features
 quantifies their value: a counters-only model must implicitly guess
 what hardware produced the telemetry it sees.
 
-``AblatedSparseAdaptModel`` zeroes the configuration-echo columns both
-at training and at inference, so the trees can never split on them.
+:func:`train_counters_only_model` zeroes the configuration-echo columns
+of the training set. A constant column has no split position, so the
+fitted trees never split on them and ignore the echo at inference too.
 """
 
 from __future__ import annotations
@@ -21,14 +22,10 @@ from repro.core.dataset import TrainingSet
 from repro.core.model import SparseAdaptModel
 from repro.core.telemetry import feature_names
 from repro.core.training import QUICK_PARAM_GRID, train_model
-from repro.errors import ModelError
-from repro.transmuter.config import HardwareConfig
-from repro.transmuter.counters import PerformanceCounters
 
 __all__ = [
     "config_feature_indices",
     "mask_config_features",
-    "AblatedSparseAdaptModel",
     "train_counters_only_model",
 ]
 
@@ -50,52 +47,21 @@ def mask_config_features(features: np.ndarray) -> np.ndarray:
     return features
 
 
-class AblatedSparseAdaptModel(SparseAdaptModel):
-    """Per-parameter ensemble blind to the configuration echo."""
-
-    def predict(
-        self,
-        counters: PerformanceCounters,
-        current: HardwareConfig,
-    ) -> HardwareConfig:
-        from repro.core.telemetry import build_features
-        from repro.transmuter.config import SPM_FIXED_L1_KB
-
-        if current.l1_type != self.l1_type:
-            raise ModelError(
-                f"model trained for l1_type={self.l1_type!r}, "
-                f"got {current.l1_type!r}"
-            )
-        row = mask_config_features(build_features(counters, current))
-        values = {}
-        for name in self.predicted_parameters():
-            prediction = self.trees[name].predict(row)[0]
-            values[name] = self._coerce(name, prediction)
-        if self.l1_type == "spm":
-            values["l1_kb"] = SPM_FIXED_L1_KB
-        return HardwareConfig(l1_type=self.l1_type, **values)
-
-
 def train_counters_only_model(
     training_set: TrainingSet,
     l1_type: str = "cache",
     param_grid: Optional[Dict[str, Sequence]] = None,
     seed: int = 0,
-) -> AblatedSparseAdaptModel:
+) -> SparseAdaptModel:
     """Train the ablated (counters-only) model on the same training set."""
     masked = TrainingSet(
         features=mask_config_features(training_set.features),
         labels=training_set.labels,
         names=training_set.names,
     )
-    full = train_model(
+    return train_model(
         masked,
         l1_type=l1_type,
         param_grid=param_grid or QUICK_PARAM_GRID,
         seed=seed,
-    )
-    return AblatedSparseAdaptModel(
-        trees=full.trees,
-        l1_type=full.l1_type,
-        hyperparameters=full.hyperparameters,
     )

@@ -161,7 +161,7 @@ def train_memory_mode_model(
                 )
             )
             type_labels.append(winner)
-    type_tree = DecisionTreeClassifier(max_depth=8, random_state=seed)
+    type_tree = DecisionTreeClassifier(max_depth=8)
     type_tree.fit(np.vstack(type_rows), np.asarray(type_labels))
     return MemoryModeModel(
         cache_model=per_type_models["cache"],

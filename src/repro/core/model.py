@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.telemetry import build_features, feature_groups, feature_names
 from repro.errors import ModelError
 from repro.obs import profile as obs_profile
+from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.metrics import grouped_importance
 from repro.transmuter.config import (
     RUNTIME_PARAMETERS,
@@ -35,15 +36,15 @@ class SparseAdaptModel:
     Attributes
     ----------
     trees:
-        Mapping from runtime parameter name to a fitted classifier
-        (anything exposing ``predict``/``feature_importances_``).
+        Mapping from runtime parameter name to a fitted
+        :class:`~repro.ml.decision_tree.DecisionTreeClassifier`.
     l1_type:
         The compile-time L1 memory type this model was trained for.
     hyperparameters:
         The selected hyperparameters per tree (for inspection).
     """
 
-    trees: Dict[str, object]
+    trees: Dict[str, DecisionTreeClassifier]
     l1_type: str = "cache"
     hyperparameters: Dict[str, dict] = field(default_factory=dict)
 
@@ -52,6 +53,12 @@ class SparseAdaptModel:
         missing = expected - set(self.trees)
         if missing:
             raise ModelError(f"missing trees for parameters: {sorted(missing)}")
+        for name, tree in self.trees.items():
+            if not isinstance(tree, DecisionTreeClassifier):
+                raise ModelError(
+                    f"tree for {name!r} is a {type(tree).__name__}, "
+                    "not a DecisionTreeClassifier"
+                )
 
     # ------------------------------------------------------------------
     def predicted_parameters(self) -> List[str]:
@@ -78,13 +85,7 @@ class SparseAdaptModel:
             values = {}
             row_list = row.tolist()
             for name in self.predicted_parameters():
-                table = tables.get(name)
-                if table is None:  # estimator without a compiled form
-                    prediction = self.trees[name].predict(
-                        row.reshape(1, -1)
-                    )[0]
-                else:
-                    prediction = table.predict_row(row_list)
+                prediction = tables[name].predict_row(row_list)
                 values[name] = self._coerce(name, prediction)
             if self.l1_type == "spm":
                 values["l1_kb"] = SPM_FIXED_L1_KB
@@ -135,8 +136,7 @@ class SparseAdaptModel:
         The prediction is derived from the same leaf the traversal
         reaches, so the returned configuration is identical to
         :meth:`predict` on the same inputs — provenance collection can
-        never change a decision. Estimators without ``decision_path``
-        degrade to ``path=None`` and a plain ``predict`` call.
+        never change a decision.
         """
         if current.l1_type != self.l1_type:
             raise ModelError(
@@ -156,48 +156,21 @@ class SparseAdaptModel:
         values: Dict[str, object] = {}
         provenance: Dict[str, dict] = {}
         for name in self.predicted_parameters():
-            tree = self.trees[name]
-            if hasattr(tree, "decision_path"):
-                path = tree.decision_path(row)
-                if "trees" in path:  # forest: ensemble vote
-                    raw_prediction = path["prediction"]
-                    margin = path["margin"]
-                    steps = None
-                    leaf = {"votes": path["votes"]}
-                    kind = "forest"
-                    member_paths = [
-                        self._describe_steps(p["steps"], names)
-                        for p in path["trees"]
-                    ]
-                else:
-                    raw_prediction = path["leaf"]["prediction"]
-                    margin = path["leaf"].get("margin")
-                    steps = self._describe_steps(path["steps"], names)
-                    leaf = dict(path["leaf"])
-                    kind = "tree"
-                    member_paths = None
-            else:  # estimator without path introspection
-                raw_prediction = tree.predict(row.reshape(1, -1))[0]
-                margin = None
-                steps = None
-                leaf = None
-                kind = type(tree).__name__
-                member_paths = None
-            predicted = self._coerce(name, raw_prediction)
+            path = self.trees[name].decision_path(row)
+            leaf = path["leaf"]
+            steps = self._describe_steps(path["steps"], names)
+            predicted = self._coerce(name, leaf["prediction"])
             values[name] = predicted
-            record = {
+            provenance[name] = {
                 "parameter": name,
                 "current": current.get(name),
                 "predicted": predicted,
-                "kind": kind,
-                "margin": margin,
-                "depth": len(steps) if steps is not None else None,
+                "kind": "tree",
+                "margin": leaf["margin"],
+                "depth": len(steps),
                 "path": steps,
                 "leaf": leaf,
             }
-            if member_paths is not None:
-                record["tree_paths"] = member_paths
-            provenance[name] = record
         if self.l1_type == "spm":
             values["l1_kb"] = SPM_FIXED_L1_KB
         return HardwareConfig(l1_type=self.l1_type, **values), provenance
@@ -261,7 +234,7 @@ class SparseAdaptModel:
         lines = []
         for name in self.predicted_parameters():
             tree = self.trees[name]
-            depth = tree.depth() if hasattr(tree, "depth") else "?"
-            leaves = tree.n_leaves() if hasattr(tree, "n_leaves") else "?"
-            lines.append(f"{name}: depth={depth} leaves={leaves}")
+            lines.append(
+                f"{name}: depth={tree.depth()} leaves={tree.n_leaves()}"
+            )
         return "\n".join(lines)

@@ -75,11 +75,7 @@ def _tree_to_dict(tree: DecisionTreeClassifier) -> dict:
         class_values = [int(c) for c in classes]
         class_kind = "int"
     return {
-        "params": {
-            key: value
-            for key, value in tree.get_params().items()
-            if value is None or isinstance(value, (int, float, str, bool))
-        },
+        "params": tree.get_params(),
         "classes": class_values,
         "class_kind": class_kind,
         "n_features": int(tree.n_features_),
@@ -91,7 +87,13 @@ def _tree_to_dict(tree: DecisionTreeClassifier) -> dict:
 
 
 def _tree_from_dict(data: dict) -> DecisionTreeClassifier:
-    tree = DecisionTreeClassifier(**data["params"])
+    params = dict(data["params"])
+    # Older files also carry the since-removed per-node feature
+    # subsampling knob and its seed; only the unsubsampled tree loads.
+    params.pop("random_state", None)
+    if params.pop("max_features", None) is not None:
+        raise ModelError("feature-subsampled trees are not supported")
+    tree = DecisionTreeClassifier(**params)
     kind = {"str": str, "int": np.int64, "float": np.float64}[
         data["class_kind"]
     ]

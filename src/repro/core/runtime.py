@@ -114,11 +114,12 @@ class TransmuterRuntime:
             "offload", kernel=kernel, trace=trace.name, n_epochs=trace.n_epochs
         ) as span:
             schedule = self.run_trace(trace)
-            span.set(
-                gflops=schedule.gflops,
-                gflops_per_watt=schedule.gflops_per_watt,
-                reconfigurations=schedule.n_reconfigurations,
-            )
+            if recorder.enabled:
+                span.set(
+                    gflops=schedule.gflops,
+                    gflops_per_watt=schedule.gflops_per_watt,
+                    reconfigurations=schedule.n_reconfigurations,
+                )
         obs.metrics.counter(
             "runtime.offloads", "kernels offloaded to the modeled device"
         ).labels(kernel=kernel).inc()

@@ -65,7 +65,7 @@ def train_model(
         labels = training_set.labels[name]
         if np.unique(labels).size == 1:
             # Degenerate phase mix: a single-leaf tree is still valid.
-            tree = DecisionTreeClassifier(max_depth=1, random_state=seed)
+            tree = DecisionTreeClassifier(max_depth=1)
             tree.fit(training_set.features, labels)
             trees[name] = tree
             chosen[name] = {"constant": True}
@@ -73,13 +73,13 @@ def train_model(
         single_candidate = all(len(v) == 1 for v in param_grid.values())
         if single_candidate:
             params = {key: values[0] for key, values in param_grid.items()}
-            tree = DecisionTreeClassifier(random_state=seed, **params)
+            tree = DecisionTreeClassifier(**params)
             tree.fit(training_set.features, labels)
             trees[name] = tree
             chosen[name] = params
             continue
         search = GridSearchCV(
-            DecisionTreeClassifier(random_state=seed),
+            DecisionTreeClassifier(),
             param_grid,
             KFold(n_splits=n_folds, shuffle=True, random_state=seed),
         )

@@ -212,9 +212,7 @@ def figure9_per_parameter_depth(
         labels = training_set.labels[parameter]
         per_depth: Dict[int, float] = {}
         for depth in depths:
-            replacement = DecisionTreeClassifier(
-                max_depth=depth, random_state=0
-            )
+            replacement = DecisionTreeClassifier(max_depth=depth)
             replacement.fit(training_set.features, labels)
             trees = dict(original.trees)
             trees[parameter] = replacement

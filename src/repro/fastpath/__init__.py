@@ -5,10 +5,9 @@ millions of times; both are pure-Python loops in their reference form
 (``TransmuterModel.simulate_epoch``, the estimators' own ``predict``).
 This package compiles them down to numpy:
 
-* :mod:`repro.fastpath.tables` flattens fitted trees and forests into
-  contiguous feature/threshold/child/value arrays walked breadth-wise
-  over whole batches (and by a tight flat-array loop for the single-row
-  controller case).
+* :mod:`repro.fastpath.tables` flattens fitted trees into contiguous
+  feature/threshold/child/leaf-class arrays, walked by a tight
+  flat-array loop for the controller's single-row case.
 * :mod:`repro.fastpath.epochs` evaluates the cache/crossbar/DVFS/power
   epoch model for a whole ``workloads x configs`` grid in one pass of
   elementwise array ops.

@@ -1,41 +1,26 @@
-"""Machine-learning substrate: trees, forests, linear models, CV.
+"""Machine-learning substrate: the paper's CART classifier and its CV.
 
 Public API::
 
     from repro.ml import (
-        DecisionTreeClassifier, DecisionTreeRegressor,
-        RandomForestClassifier, LinearRegression, LogisticRegression,
-        KFold, GridSearchCV, cross_val_score, train_test_split,
+        DecisionTreeClassifier, KFold, GridSearchCV, cross_val_score,
     )
 """
 
 from repro.ml import metrics
 from repro.ml.decision_tree import (
     DecisionTreeClassifier,
-    DecisionTreeRegressor,
     TreeNode,
     clone_estimator,
 )
-from repro.ml.linear import LinearRegression, LogisticRegression
-from repro.ml.model_selection import (
-    GridSearchCV,
-    KFold,
-    cross_val_score,
-    train_test_split,
-)
-from repro.ml.random_forest import RandomForestClassifier
+from repro.ml.model_selection import GridSearchCV, KFold, cross_val_score
 
 __all__ = [
     "DecisionTreeClassifier",
-    "DecisionTreeRegressor",
     "TreeNode",
     "clone_estimator",
-    "RandomForestClassifier",
-    "LinearRegression",
-    "LogisticRegression",
     "KFold",
     "GridSearchCV",
     "cross_val_score",
-    "train_test_split",
     "metrics",
 ]

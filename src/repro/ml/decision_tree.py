@@ -1,4 +1,4 @@
-"""CART decision trees (classification and regression), from scratch.
+"""The CART classification tree, from scratch.
 
 The paper's predictive model is "an ensemble of decision trees, one per
 configuration parameter", trained with Scikit-learn's
@@ -13,13 +13,13 @@ pruning, and Gini feature importance (used for Figure 10).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ModelError
 
-__all__ = ["TreeNode", "DecisionTreeClassifier", "DecisionTreeRegressor"]
+__all__ = ["TreeNode", "DecisionTreeClassifier", "clone_estimator"]
 
 _CRITERIA = ("gini", "entropy")
 
@@ -71,24 +71,19 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _variance(y: np.ndarray) -> float:
-    if y.size == 0:
-        return 0.0
-    return float(np.var(y))
-
-
-class _BaseTree:
-    """Shared fitting machinery for classifier and regressor trees."""
+class DecisionTreeClassifier:
+    """CART classification tree with Gini or entropy splitting."""
 
     def __init__(
         self,
+        criterion: str = "gini",
         max_depth: Optional[int] = None,
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
-        max_features: Optional[int] = None,
         ccp_alpha: float = 0.0,
-        random_state: Optional[int] = None,
     ) -> None:
+        if criterion not in _CRITERIA:
+            raise ModelError(f"criterion must be one of {_CRITERIA}")
         if max_depth is not None and max_depth < 1:
             raise ModelError("max_depth must be >= 1 when given")
         if min_samples_split < 2:
@@ -97,57 +92,88 @@ class _BaseTree:
             raise ModelError("min_samples_leaf must be >= 1")
         if ccp_alpha < 0:
             raise ModelError("ccp_alpha must be non-negative")
+        self.criterion = criterion
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
         self.ccp_alpha = ccp_alpha
-        self.random_state = random_state
         self.root_: Optional[TreeNode] = None
+        self.classes_: Optional[np.ndarray] = None
         self.n_features_: int = 0
         self.feature_importances_: Optional[np.ndarray] = None
 
-    # -- subclass hooks -------------------------------------------------
-    def _node_impurity(self, y: np.ndarray) -> float:
-        raise NotImplementedError
+    def get_params(self) -> dict:
+        """Constructor parameters, for model-selection clones."""
+        return {
+            "criterion": self.criterion,
+            "max_depth": self.max_depth,
+            "min_samples_split": self.min_samples_split,
+            "min_samples_leaf": self.min_samples_leaf,
+            "ccp_alpha": self.ccp_alpha,
+        }
 
-    def _node_value(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    # -- criterion ---------------------------------------------------------
+    def _impurity_from_counts(self, counts: np.ndarray) -> float:
+        if self.criterion == "gini":
+            return _gini(counts)
+        return _entropy(counts)
 
-    def _split_gains(
-        self, y_sorted: np.ndarray, rows: np.ndarray, positions: np.ndarray
-    ):
+    def _batch_impurity(self, counts: np.ndarray, sizes: np.ndarray):
+        """Impurity of many splits' sides; classes on the last axis."""
+        p = counts / sizes[:, None]
+        if self.criterion == "gini":
+            return 1.0 - np.sum(p * p, axis=-1)
+        logs = np.zeros_like(p)
+        np.log2(p, where=p > 0, out=logs)
+        return -np.sum(p * logs, axis=-1)
+
+    def _split_gains(self, y_sorted, rows, positions):
         """Impurity decrease of the splits ``[:pos] | [pos:]``.
 
-        ``y_sorted`` holds one row of node targets per candidate
-        feature, in that feature's ascending order. Split ``k`` cuts
-        row ``rows[k]`` before ``positions[k]``; the result has one
-        gain per split.
+        ``y_sorted`` holds one row of node labels per feature, in that
+        feature's ascending order. Split ``k`` cuts row ``rows[k]``
+        before ``positions[k]``; the gains come from cumulative class
+        counts along each sorted row.
         """
-        raise NotImplementedError
+        n = y_sorted.shape[1]
+        # Integer counts, exact in float64 after the gather.
+        prefix = np.cumsum(
+            y_sorted[:, :, None] == np.arange(self._n_classes),
+            axis=1,
+            dtype=np.int32,
+        )
+        total = prefix[0, -1].astype(np.float64)
+        parent_impurity = self._impurity_from_counts(total)
+        left_counts = prefix[rows, positions - 1].astype(np.float64)
+        right_counts = total - left_counts
+        n_left = positions.astype(np.float64)
+        n_right = n - n_left
+        weighted = (
+            n_left * self._batch_impurity(left_counts, n_left)
+            + n_right * self._batch_impurity(right_counts, n_right)
+        ) / n
+        return parent_impurity - weighted
 
     # -- fitting ---------------------------------------------------------
     def _check_fitted(self) -> TreeNode:
-        if self.root_ is None:
+        if self.root_ is None or self.classes_ is None:
             raise ModelError("estimator is not fitted; call fit() first")
         return self.root_
 
-    def _validate_xy(self, features, targets):
+    def fit(self, features, labels) -> "DecisionTreeClassifier":
+        """Fit the tree; labels may be any hashable values."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ModelError("X must be a 2-D array")
         if features.shape[0] == 0:
             raise ModelError("cannot fit on an empty dataset")
-        targets = np.asarray(targets)
-        if targets.shape[0] != features.shape[0]:
+        labels = np.asarray(labels)
+        if labels.shape[0] != features.shape[0]:
             raise ModelError("X and y must have the same number of rows")
-        return features, targets
-
-    def _fit_tree(self, features: np.ndarray, encoded: np.ndarray) -> None:
+        self.classes_, encoded = np.unique(labels, return_inverse=True)
+        self._n_classes = self.classes_.size
         self.n_features_ = features.shape[1]
         self._importance_raw = np.zeros(self.n_features_)
-        rng = np.random.default_rng(self.random_state)
-        indices = np.arange(features.shape[0])
         # Presort once: row f lists the samples in stable x[:, f] order.
         # Children inherit order-preserving partitions of the rows, and
         # node indices stay ascending, so each row equals what a stable
@@ -156,7 +182,11 @@ class _BaseTree:
             np.argsort(features, axis=0, kind="stable").T
         )
         self.root_ = self._build(
-            features, encoded, indices, presorted, depth=0, rng=rng
+            features,
+            encoded.astype(np.int64),
+            np.arange(features.shape[0]),
+            presorted,
+            depth=0,
         )
         if self.ccp_alpha > 0.0:
             self._prune(self.root_)
@@ -165,6 +195,7 @@ class _BaseTree:
             self.feature_importances_ = self._importance_raw / total
         else:
             self.feature_importances_ = np.zeros(self.n_features_)
+        return self
 
     def _build(
         self,
@@ -173,12 +204,11 @@ class _BaseTree:
         indices: np.ndarray,
         presorted: np.ndarray,
         depth: int,
-        rng: np.random.Generator,
     ) -> TreeNode:
-        y_node = encoded[indices]
-        impurity = self._node_impurity(y_node)
+        counts = np.bincount(encoded[indices], minlength=self._n_classes)
+        impurity = self._impurity_from_counts(counts)
         node = TreeNode(
-            value=self._node_value(y_node),
+            value=counts / counts.sum(),
             n_samples=indices.size,
             impurity=impurity,
         )
@@ -189,16 +219,8 @@ class _BaseTree:
         ):
             return node
 
-        candidate_features = np.arange(self.n_features_)
-        if self.max_features is not None and self.max_features < self.n_features_:
-            candidate_features = rng.choice(
-                self.n_features_, size=self.max_features, replace=False
-            )
         best_feature, best_threshold, best_gain = self._best_split(
-            features,
-            encoded,
-            presorted[candidate_features],
-            candidate_features,
+            features, encoded, presorted
         )
         if best_feature < 0:
             return node
@@ -224,7 +246,6 @@ class _BaseTree:
             left_idx,
             presorted[sorted_left].reshape(n_features, -1),
             depth + 1,
-            rng,
         )
         node.right = self._build(
             features,
@@ -232,7 +253,6 @@ class _BaseTree:
             right_idx,
             presorted[~sorted_left].reshape(n_features, -1),
             depth + 1,
-            rng,
         )
         return node
 
@@ -241,24 +261,24 @@ class _BaseTree:
         features: np.ndarray,
         encoded: np.ndarray,
         sorted_rows: np.ndarray,
-        candidates: np.ndarray,
     ):
         """(feature, threshold, gain) of the best split at one node.
 
-        Every candidate feature is scored in one array pass over its
-        presorted row, at the positions where x changes; ``feature`` is
-        -1 when no split decreases the impurity. Splits fall between
-        distinct consecutive x values and honor ``min_samples_leaf`` on
-        both sides; ties go to the first position, then to the first
-        candidate.
+        Every feature is scored in one array pass over its presorted
+        row, at the positions where x changes; ``feature`` is -1 when
+        no split decreases the impurity. Splits fall between distinct
+        consecutive x values and honor ``min_samples_leaf`` on both
+        sides; ties go to the first position, then to the first
+        feature.
         """
         n = sorted_rows.shape[1]
         lo = self.min_samples_leaf
         hi = n - self.min_samples_leaf
-        if hi < lo or not len(candidates):
+        if hi < lo:
             return -1, 0.0, 0.0
         positions = np.arange(lo, hi + 1)
-        x_sorted = features[sorted_rows, candidates[:, None]]
+        n_features = sorted_rows.shape[0]
+        x_sorted = features[sorted_rows, np.arange(n_features)[:, None]]
         distinct = x_sorted[:, positions] > x_sorted[:, positions - 1] + 1e-15
         rows, columns = np.nonzero(distinct)
         if not rows.size:
@@ -270,7 +290,7 @@ class _BaseTree:
             encoded[sorted_rows], rows, positions[columns]
         )
         best_columns = np.argmax(gains, axis=1)
-        row_gains = gains[np.arange(len(candidates)), best_columns]
+        row_gains = gains[np.arange(n_features), best_columns]
 
         best_gain = 0.0
         best_feature = -1
@@ -279,7 +299,7 @@ class _BaseTree:
             if gain > best_gain + 1e-15:
                 pos = positions[best_columns[row]]
                 best_gain = gain
-                best_feature = int(candidates[row])
+                best_feature = row
                 best_threshold = float(
                     0.5 * (x_sorted[row, pos - 1] + x_sorted[row, pos])
                 )
@@ -326,7 +346,8 @@ class _BaseTree:
         return best
 
     # -- inference ---------------------------------------------------------
-    def _decision_values(self, features: np.ndarray) -> np.ndarray:
+    def predict_proba(self, features) -> np.ndarray:
+        """Class-probability estimates, one row per sample."""
         root = self._check_fitted()
         features = np.asarray(features, dtype=np.float64)
         if features.ndim == 1:
@@ -349,6 +370,16 @@ class _BaseTree:
             stack.append((node.right, idx[~go_left]))
         return out
 
+    def predict(self, features) -> np.ndarray:
+        """Predicted class labels."""
+        probs = self.predict_proba(features)
+        return self.classes_[np.argmax(probs, axis=1)]
+
+    def score(self, features, labels) -> float:
+        """Mean accuracy on the given data."""
+        labels = np.asarray(labels)
+        return float(np.mean(self.predict(features) == labels))
+
     def decision_path(self, features) -> dict:
         """Root-to-leaf trace explaining the prediction for ONE sample.
 
@@ -360,19 +391,19 @@ class _BaseTree:
 
         ``direction`` is ``"le"`` when the sample went left
         (``value <= threshold``) and ``"gt"`` otherwise. The leaf entry
-        carries its depth, training-sample count, and raw node value
-        (class probabilities for classifiers, mean target for
-        regressors). Subclasses extend the leaf with the decoded
-        ``prediction`` (and a vote ``margin`` for classifiers).
+        carries its depth, training-sample count, class probabilities
+        (``value``), the decoded ``prediction`` (exactly like
+        :meth:`predict`) and ``margin``: the probability gap between
+        the winning class and the runner-up (1.0 for a single-class
+        leaf).
         """
-        root = self._check_fitted()
+        node = self._check_fitted()
         sample = np.asarray(features, dtype=np.float64).reshape(-1)
         if sample.size != self.n_features_:
             raise ModelError(
                 f"expected {self.n_features_} features, got {sample.size}"
             )
         steps = []
-        node = root
         depth = 0
         while not node.is_leaf:
             observed = float(sample[node.feature])
@@ -388,10 +419,21 @@ class _BaseTree:
             )
             node = node.left if go_left else node.right
             depth += 1
+        probabilities = node.value
+        best = int(np.argmax(probabilities))
+        prediction = self.classes_[best]
+        item = getattr(prediction, "item", None)
+        if probabilities.size > 1:
+            others = np.delete(probabilities, best)
+            margin = float(probabilities[best] - others.max())
+        else:
+            margin = 1.0
         leaf = {
             "depth": depth,
             "n_samples": int(node.n_samples),
-            "value": [float(v) for v in node.value],
+            "value": [float(v) for v in probabilities],
+            "prediction": item() if callable(item) else prediction,
+            "margin": margin,
         }
         return {"steps": steps, "leaf": leaf}
 
@@ -404,213 +446,9 @@ class _BaseTree:
         """Number of leaves of the fitted tree."""
         return self._check_fitted().count_leaves()
 
-    def get_params(self) -> dict:
-        """Constructor parameters, for model-selection clones."""
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "ccp_alpha": self.ccp_alpha,
-            "random_state": self.random_state,
-        }
-
-
-class DecisionTreeClassifier(_BaseTree):
-    """CART classification tree with Gini or entropy splitting."""
-
-    def __init__(
-        self,
-        criterion: str = "gini",
-        max_depth: Optional[int] = None,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-        max_features: Optional[int] = None,
-        ccp_alpha: float = 0.0,
-        random_state: Optional[int] = None,
-    ) -> None:
-        if criterion not in _CRITERIA:
-            raise ModelError(f"criterion must be one of {_CRITERIA}")
-        super().__init__(
-            max_depth=max_depth,
-            min_samples_split=min_samples_split,
-            min_samples_leaf=min_samples_leaf,
-            max_features=max_features,
-            ccp_alpha=ccp_alpha,
-            random_state=random_state,
-        )
-        self.criterion = criterion
-        self.classes_: Optional[np.ndarray] = None
-
-    def get_params(self) -> dict:
-        params = super().get_params()
-        params["criterion"] = self.criterion
-        return params
-
-    # -- criterion ---------------------------------------------------------
-    def _impurity_from_counts(self, counts: np.ndarray) -> float:
-        if self.criterion == "gini":
-            return _gini(counts)
-        return _entropy(counts)
-
-    def _node_impurity(self, y: np.ndarray) -> float:
-        counts = np.bincount(y, minlength=self._n_classes)
-        return self._impurity_from_counts(counts)
-
-    def _node_value(self, y: np.ndarray) -> np.ndarray:
-        counts = np.bincount(y, minlength=self._n_classes)
-        total = counts.sum()
-        if total == 0:
-            return np.full(self._n_classes, 1.0 / self._n_classes)
-        return counts / total
-
-    def _batch_impurity(self, counts: np.ndarray, sizes: np.ndarray):
-        """Impurity of many splits' sides; classes on the last axis."""
-        p = counts / sizes[:, None]
-        if self.criterion == "gini":
-            return 1.0 - np.sum(p * p, axis=-1)
-        logs = np.zeros_like(p)
-        np.log2(p, where=p > 0, out=logs)
-        return -np.sum(p * logs, axis=-1)
-
-    def _split_gains(self, y_sorted, rows, positions):
-        """Gains from cumulative class counts along each sorted row."""
-        n = y_sorted.shape[1]
-        # Integer counts, exact in float64 after the gather.
-        prefix = np.cumsum(
-            y_sorted[:, :, None] == np.arange(self._n_classes),
-            axis=1,
-            dtype=np.int32,
-        )
-        total = prefix[0, -1].astype(np.float64)
-        parent_impurity = self._impurity_from_counts(total)
-        left_counts = prefix[rows, positions - 1].astype(np.float64)
-        right_counts = total - left_counts
-        n_left = positions.astype(np.float64)
-        n_right = n - n_left
-        weighted = (
-            n_left * self._batch_impurity(left_counts, n_left)
-            + n_right * self._batch_impurity(right_counts, n_right)
-        ) / n
-        return parent_impurity - weighted
-
-    # -- public API -----------------------------------------------------------
-    def fit(self, features, labels) -> "DecisionTreeClassifier":
-        """Fit the tree; labels may be any hashable values."""
-        features, labels = self._validate_xy(features, labels)
-        self.classes_, encoded = np.unique(labels, return_inverse=True)
-        self._n_classes = self.classes_.size
-        self._fit_tree(features, encoded.astype(np.int64))
-        return self
-
-    def predict_proba(self, features) -> np.ndarray:
-        """Class-probability estimates, one row per sample."""
-        return self._decision_values(features)
-
-    def predict(self, features) -> np.ndarray:
-        """Predicted class labels."""
-        if self.classes_ is None:
-            raise ModelError("estimator is not fitted; call fit() first")
-        probs = self.predict_proba(features)
-        return self.classes_[np.argmax(probs, axis=1)]
-
-    def score(self, features, labels) -> float:
-        """Mean accuracy on the given data."""
-        labels = np.asarray(labels)
-        return float(np.mean(self.predict(features) == labels))
-
-    def decision_path(self, features) -> dict:
-        """Path trace plus the decoded class and its vote margin.
-
-        The leaf gains ``prediction`` (the class label, decoded exactly
-        like :meth:`predict`) and ``margin`` — the probability gap
-        between the winning class and the runner-up at the leaf (1.0
-        for a pure or single-class leaf).
-        """
-        if self.classes_ is None:
-            raise ModelError("estimator is not fitted; call fit() first")
-        path = super().decision_path(features)
-        probabilities = np.asarray(path["leaf"]["value"])
-        best = int(np.argmax(probabilities))
-        prediction = self.classes_[best]
-        item = getattr(prediction, "item", None)
-        path["leaf"]["prediction"] = item() if callable(item) else prediction
-        if probabilities.size > 1:
-            others = np.delete(probabilities, best)
-            margin = float(probabilities[best] - others.max())
-        else:
-            margin = 1.0
-        path["leaf"]["margin"] = margin
-        return path
-
-
-class DecisionTreeRegressor(_BaseTree):
-    """CART regression tree with variance-reduction splitting."""
-
-    def _node_impurity(self, y: np.ndarray) -> float:
-        return _variance(y)
-
-    def _node_value(self, y: np.ndarray) -> np.ndarray:
-        return np.array([float(np.mean(y))]) if y.size else np.zeros(1)
-
-    def _split_gains(self, y_sorted, rows, positions):
-        """Gains from prefix sums and sums of squares along each row."""
-        n = y_sorted.shape[1]
-        prefix = np.cumsum(y_sorted, axis=1)
-        prefix_sq = np.cumsum(y_sorted * y_sorted, axis=1)
-        total, total_sq = prefix[:, -1], prefix_sq[:, -1]
-        # Scalar arithmetic per row: numpy's scalar ``** 2`` can differ
-        # in the last bit from array squaring.
-        parent = np.array(
-            [sq / n - (t / n) ** 2 for t, sq in zip(total, total_sq)]
-        )
-
-        n_left = positions.astype(np.float64)
-        n_right = n - n_left
-        sum_left = prefix[rows, positions - 1]
-        sq_left = prefix_sq[rows, positions - 1]
-        var_left = sq_left / n_left - (sum_left / n_left) ** 2
-        sum_right = total[rows] - sum_left
-        sq_right = total_sq[rows] - sq_left
-        var_right = sq_right / n_right - (sum_right / n_right) ** 2
-        weighted = (n_left * var_left + n_right * var_right) / n
-        return parent[rows] - weighted
-
-    def fit(self, features, targets) -> "DecisionTreeRegressor":
-        """Fit the tree on continuous targets."""
-        features, targets = self._validate_xy(features, targets)
-        self._fit_tree(features, targets.astype(np.float64))
-        return self
-
-    def predict(self, features) -> np.ndarray:
-        """Predicted targets."""
-        return self._decision_values(features)[:, 0]
-
-    def decision_path(self, features) -> dict:
-        """Path trace plus the predicted target at the leaf."""
-        path = super().decision_path(features)
-        path["leaf"]["prediction"] = path["leaf"]["value"][0]
-        return path
-
-    def score(self, features, targets) -> float:
-        """Coefficient of determination R^2."""
-        targets = np.asarray(targets, dtype=np.float64)
-        predictions = self.predict(features)
-        ss_res = float(np.sum((targets - predictions) ** 2))
-        ss_tot = float(np.sum((targets - targets.mean()) ** 2))
-        if ss_tot == 0:
-            return 1.0 if ss_res == 0 else 0.0
-        return 1.0 - ss_res / ss_tot
-
 
 def clone_estimator(estimator, **overrides):
     """Return an unfitted copy of ``estimator`` with parameter overrides."""
     params = estimator.get_params()
     params.update(overrides)
     return type(estimator)(**params)
-
-
-def _as_feature_names(names: Optional[Sequence[str]], count: int) -> List[str]:
-    if names is None:
-        return [f"x{i}" for i in range(count)]
-    return list(names)

@@ -8,49 +8,7 @@ import numpy as np
 
 from repro.errors import ModelError
 
-__all__ = [
-    "accuracy",
-    "confusion_matrix",
-    "macro_f1",
-    "geometric_mean",
-    "grouped_importance",
-]
-
-
-def accuracy(y_true, y_pred) -> float:
-    """Fraction of exactly matching predictions."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise ModelError("y_true and y_pred must have the same shape")
-    if y_true.size == 0:
-        raise ModelError("cannot score empty predictions")
-    return float(np.mean(y_true == y_pred))
-
-
-def confusion_matrix(y_true, y_pred) -> np.ndarray:
-    """Square confusion matrix over the union of observed labels."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    labels = np.unique(np.concatenate([y_true, y_pred]))
-    index = {label: i for i, label in enumerate(labels.tolist())}
-    matrix = np.zeros((labels.size, labels.size), dtype=np.int64)
-    for t, p in zip(y_true.tolist(), y_pred.tolist()):
-        matrix[index[t], index[p]] += 1
-    return matrix
-
-
-def macro_f1(y_true, y_pred) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    matrix = confusion_matrix(y_true, y_pred)
-    f1_scores = []
-    for i in range(matrix.shape[0]):
-        tp = matrix[i, i]
-        fp = matrix[:, i].sum() - tp
-        fn = matrix[i, :].sum() - tp
-        denominator = 2 * tp + fp + fn
-        f1_scores.append(2 * tp / denominator if denominator else 0.0)
-    return float(np.mean(f1_scores))
+__all__ = ["geometric_mean", "grouped_importance"]
 
 
 def geometric_mean(values: Sequence[float]) -> float:

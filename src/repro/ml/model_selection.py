@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ModelError
 
-__all__ = ["KFold", "cross_val_score", "GridSearchCV", "train_test_split"]
+__all__ = ["KFold", "cross_val_score", "GridSearchCV"]
 
 
 class KFold:
@@ -51,25 +51,6 @@ class KFold:
                 [folds[j] for j in range(self.n_splits) if j != i]
             )
             yield train, test
-
-
-def train_test_split(
-    features: np.ndarray,
-    labels: np.ndarray,
-    test_fraction: float = 0.25,
-    random_state: Optional[int] = 0,
-):
-    """Shuffle and split into train and test partitions."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ModelError("test_fraction must be in (0, 1)")
-    features = np.asarray(features)
-    labels = np.asarray(labels)
-    n = features.shape[0]
-    rng = np.random.default_rng(random_state)
-    order = rng.permutation(n)
-    cut = max(1, int(round(n * (1.0 - test_fraction))))
-    train, test = order[:cut], order[cut:]
-    return features[train], features[test], labels[train], labels[test]
 
 
 def cross_val_score(

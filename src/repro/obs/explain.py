@@ -130,7 +130,7 @@ def _render_record(attrs: Dict, lines: List[str]) -> None:
     if margin is not None:
         head += f"; margin {margin:.2f}"
     head += ")"
-    if attrs.get("kind") not in (None, "tree", "forest"):
+    if attrs.get("kind") not in (None, "tree"):
         head += f" [{attrs['kind']}]"
     lines.append(head)
 
@@ -158,12 +158,6 @@ def _render_record(attrs: Dict, lines: List[str]) -> None:
                 _fmt_value(leaf.get("prediction")), leaf.get("n_samples", "?")
             )
         )
-    votes = (attrs.get("leaf") or {}).get("votes")
-    if votes:
-        ballots = ", ".join(
-            f"{label}: {share:.2f}" for label, share in votes.items()
-        )
-        lines.append(f"  forest votes: {ballots}")
 
     verdict = attrs.get("verdict")
     if verdict:

@@ -61,11 +61,7 @@ from repro.kernels.base import (
 )
 from repro.fastpath import epochs
 from repro.fastpath.epochs import EpochGrid
-from repro.ml.decision_tree import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    _BaseTree,
-)
+from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.obs import profile as obs_profile
 from repro.sparse import ops as sparse_ops
 from repro.sparse.coo import COOMatrix
@@ -634,11 +630,13 @@ def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
     )
 
 
-def _best_split(self, features, encoded, sorted_rows, candidates):
-    """``_BaseTree._best_split`` scoring every position, then masking."""
+def _best_split(self, features, encoded, sorted_rows):
+    """``DecisionTreeClassifier._best_split`` scoring every position,
+    then masking."""
     n = sorted_rows.shape[1]
     lo = self.min_samples_leaf
     hi = n - self.min_samples_leaf
+    candidates = np.arange(sorted_rows.shape[0])
     if hi < lo or not len(candidates):
         return -1, 0.0, 0.0
     positions = np.arange(lo, hi + 1)
@@ -684,35 +682,13 @@ def _classifier_gains(self, y_sorted, positions):
     return parent_impurity - weighted
 
 
-def _regressor_gains(self, y_sorted, positions):
-    """Gains of every position, from prefix sums and sums of squares."""
-    n = y_sorted.shape[1]
-    prefix = np.cumsum(y_sorted, axis=1)
-    prefix_sq = np.cumsum(y_sorted * y_sorted, axis=1)
-    total, total_sq = prefix[:, -1], prefix_sq[:, -1]
-    parent = np.array(
-        [sq / n - (t / n) ** 2 for t, sq in zip(total, total_sq)]
-    )
-    n_left = positions.astype(np.float64)
-    n_right = n - n_left
-    sum_left = prefix[:, positions - 1]
-    sq_left = prefix_sq[:, positions - 1]
-    var_left = sq_left / n_left - (sum_left / n_left) ** 2
-    sum_right = total[:, None] - sum_left
-    sq_right = total_sq[:, None] - sq_left
-    var_right = sq_right / n_right - (sum_right / n_right) ** 2
-    weighted = (n_left * var_left + n_right * var_right) / n
-    return parent[:, None] - weighted
-
-
 @contextmanager
 def all_position_splits() -> Iterator[None]:
     """Fit CART trees in the block with the all-positions split search."""
     with _patched(
         [
-            (_BaseTree, "_best_split", _best_split),
+            (DecisionTreeClassifier, "_best_split", _best_split),
             (DecisionTreeClassifier, "_all_split_gains", _classifier_gains),
-            (DecisionTreeRegressor, "_all_split_gains", _regressor_gains),
         ]
     ):
         yield

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import OptimizationMode, build_training_set
 from repro.core.ablation import (
-    AblatedSparseAdaptModel,
     config_feature_indices,
     mask_config_features,
     train_counters_only_model,
@@ -77,7 +76,7 @@ class TestAblatedModel:
             workload, HardwareConfig()
         ).counters
         # Identical counters + different current configs must give the
-        # same prediction once the echo is masked.
+        # same prediction: the trees never split on the zeroed echo.
         a = ablated.predict(counters, HardwareConfig())
         b = ablated.predict(counters, HardwareConfig(l2_kb=64, prefetch=8))
         assert a == b
@@ -104,6 +103,3 @@ class TestAblatedModel:
         for tree in ablated.trees.values():
             check(tree.root_)
 
-    def test_ablated_is_ablated_type(self, models):
-        _, ablated = models
-        assert isinstance(ablated, AblatedSparseAdaptModel)

@@ -12,7 +12,7 @@ code it replaced.
   the whole-grid ``tolist`` unboxing, field by field, as Python floats.
 * ``gains_over`` and the job body each read a schedule's totals once,
   so an untraced job walks each schedule's records at most twice per
-  total.
+  total, and an untraced offload reads none once its run is done.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ import pytest
 
 from repro.core import dataset
 from repro.core.modes import OptimizationMode
+from repro.core.runtime import TransmuterRuntime
 from repro.core.schedule import ScheduleResult
 from repro.experiments.harness import KNOWN_SCHEMES, build_trace
 from repro.fastpath.epochs import EpochGrid
-from repro.ml.decision_tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.runner.plan import JobSpec
 from repro.runner.worker import _evaluate_fn
 from repro.sparse import generators, suite
@@ -245,33 +246,6 @@ class TestCARTSplits:
         labels = np.arange(40) % 3
         _assert_same_tree(DecisionTreeClassifier, features, labels)
 
-    @pytest.mark.parametrize("max_features", [1, 2, 4])
-    def test_max_features(self, max_features):
-        for seed in range(4):
-            features, labels = _dataset(seed, 200, 6, 4, decimals=1)
-            _assert_same_tree(
-                lambda: DecisionTreeClassifier(
-                    max_features=max_features, random_state=seed
-                ),
-                features,
-                labels,
-            )
-
-    @pytest.mark.parametrize("leaf", [1, 5])
-    def test_regressor(self, leaf):
-        for seed in range(4):
-            rng = np.random.default_rng(seed)
-            features = np.round(rng.normal(size=(200, 4)), 1)
-            targets = features[:, 0] * 2.0 - features[:, 2] ** 2
-            targets = targets + rng.normal(size=200)
-            _assert_same_tree(
-                lambda: DecisionTreeRegressor(
-                    min_samples_leaf=leaf, max_depth=9
-                ),
-                features,
-                targets,
-            )
-
     def test_training_set_trees(self):
         """The stock spmspm training set: 1728 rows, 27 features."""
         data = dataset.build_training_set(
@@ -393,3 +367,39 @@ class TestTotalsWalks:
         report = _evaluate_fn(spec.as_dict())()
         assert sorted(report["schemes"]) == sorted(KNOWN_SCHEMES)
         assert walks and max(walks.values()) <= 2, walks
+
+    def test_untraced_offload_reads_no_totals(
+        self, monkeypatch, model_ee, small_powerlaw, small_vector
+    ):
+        # The offload span's attributes are built only under a recorder.
+        reads = []
+        finished = []
+        run_trace = TransmuterRuntime.run_trace
+
+        def tracked_run_trace(self, trace):
+            schedule = run_trace(self, trace)
+            finished.append(schedule)
+            return schedule
+
+        def counted(name):
+            original = getattr(ScheduleResult, name)
+
+            def get(self):
+                if finished:
+                    reads.append(name)
+                return original.fget(self)
+
+            return property(get)
+
+        for name in (
+            "total_flops",
+            "total_time_s",
+            "total_energy_j",
+            "n_reconfigurations",
+        ):
+            monkeypatch.setattr(ScheduleResult, name, counted(name))
+        monkeypatch.setattr(TransmuterRuntime, "run_trace", tracked_run_trace)
+        runtime = TransmuterRuntime(model=model_ee)
+        runtime.spmspv(small_powerlaw, small_vector)
+        assert len(finished) == 1
+        assert reads == []

@@ -10,6 +10,7 @@ from repro.core import (
     HybridPolicy,
     OptimizationMode,
     SparseAdaptController,
+    SparseAdaptModel,
     TransmuterRuntime,
     policy_from_name,
 )
@@ -56,6 +57,11 @@ class TestSparseAdaptModel:
         text = model_ee.describe()
         assert "clock_mhz" in text
         assert "depth=" in text
+
+    def test_rejects_non_cart_estimator(self, model_ee):
+        trees = dict(model_ee.trees, l1_kb=object())
+        with pytest.raises(ModelError, match="l1_kb"):
+            SparseAdaptModel(trees=trees)
 
 
 class TestPolicies:

@@ -66,6 +66,33 @@ class TestPersistence:
         with pytest.raises(ModelError):
             model_from_dict(data)
 
+    @staticmethod
+    def _with_subsampling_params(model, max_features):
+        """A model dict as files written before the tree lost its
+        ``max_features``/``random_state`` options carry it."""
+        data = model_to_dict(model)
+        for tree in data["trees"].values():
+            tree["params"].update(max_features=max_features, random_state=0)
+        return data
+
+    def test_older_format_loads_and_predicts_the_same(
+        self, model_ee, machine, spmspv_trace
+    ):
+        loaded = model_from_dict(self._with_subsampling_params(model_ee, None))
+        for config in (HardwareConfig(), HardwareConfig(l1_kb=64, l2_kb=16)):
+            for epoch in spmspv_trace.epochs[:5]:
+                counters = machine.simulate_epoch(epoch, config).counters
+                assert loaded.predict(counters, config) == model_ee.predict(
+                    counters, config
+                )
+                assert loaded.predict_with_provenance(
+                    counters, config
+                ) == model_ee.predict_with_provenance(counters, config)
+
+    def test_subsampled_tree_rejected(self, model_ee):
+        with pytest.raises(ModelError):
+            model_from_dict(self._with_subsampling_params(model_ee, 3))
+
 
 class TestHistoryController:
     def test_signature_is_stable_and_hashable(self, machine, spmspv_trace):

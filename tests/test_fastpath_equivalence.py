@@ -36,13 +36,8 @@ from repro.experiments.harness import (
     evaluate_schemes,
 )
 from repro.faults.spec import FaultSchedule, FaultSpec
-from repro.fastpath.tables import compile_estimator, compile_forest
-from repro.ml import random_forest
-from repro.ml.decision_tree import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-)
-from repro.ml.random_forest import RandomForestClassifier
+from repro.fastpath.tables import compile_forest, compile_tree
+from repro.ml.decision_tree import DecisionTreeClassifier, TreeNode
 from repro.transmuter.config import HardwareConfig, sample_configs
 from repro.transmuter.machine import TransmuterModel
 from repro.transmuter.reconfig import (
@@ -129,43 +124,13 @@ class TestCompiledTables:
     def test_tree_predictions_identical(self, seed):
         rows, labels = self._dataset(seed)
         tree = DecisionTreeClassifier(max_depth=6).fit(rows, labels)
-        table = compile_estimator(tree)
-        assert table is not None
+        table = compile_tree(tree)
         queries = np.random.default_rng(seed + 100).normal(
             size=(64, rows.shape[1])
         )
-        assert (
-            table.predict_batch(queries).tolist()
-            == tree.predict(queries).tolist()
-        )
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_forest_predictions_identical(self, seed):
-        rows, labels = self._dataset(seed)
-        forest = RandomForestClassifier(
-            n_estimators=7, max_depth=5, random_state=seed
-        ).fit(rows, labels)
-        table = compile_estimator(forest)
-        assert table is not None
-        queries = np.random.default_rng(seed + 200).normal(
-            size=(64, rows.shape[1])
-        )
-        assert (
-            table.predict_batch(queries).tolist()
-            == forest.predict(queries).tolist()
-        )
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_row_walker_matches_batch(self, seed):
-        rows, labels = self._dataset(seed)
-        tree = DecisionTreeClassifier(max_depth=6).fit(rows, labels)
-        table = compile_estimator(tree)
-        queries = np.random.default_rng(seed + 300).normal(
-            size=(32, rows.shape[1])
-        )
-        batch = table.predict_batch(queries).tolist()
-        rows_out = [table.predict_row(q.tolist()) for q in queries]
-        assert rows_out == batch
+        assert [
+            table.predict_row(q) for q in queries.tolist()
+        ] == tree.predict(queries).tolist()
 
     def test_compiled_model_matches_scalar_and_provenance(self):
         """model.predict (compiled) == model.predict (scalar) ==
@@ -600,12 +565,11 @@ class TestTransitionMatrices:
 
 def _reference_fit_tree(self, features, encoded):
     """The per-node, per-feature-argsort CART builder that presorting
-    replaced, kept verbatim (as a method body) as the reference."""
+    replaced, kept (as a method body) as the reference."""
     self.n_features_ = features.shape[1]
     self._importance_raw = np.zeros(self.n_features_)
-    rng = np.random.default_rng(self.random_state)
     indices = np.arange(features.shape[0])
-    self.root_ = _reference_build(self, features, encoded, indices, 0, rng)
+    self.root_ = _reference_build(self, features, encoded, indices, 0)
     if self.ccp_alpha > 0.0:
         self._prune(self.root_)
     total = self._importance_raw.sum()
@@ -615,13 +579,12 @@ def _reference_fit_tree(self, features, encoded):
         self.feature_importances_ = np.zeros(self.n_features_)
 
 
-def _reference_build(self, features, encoded, indices, depth, rng):
-    from repro.ml.decision_tree import TreeNode
-
+def _reference_build(self, features, encoded, indices, depth):
     y_node = encoded[indices]
-    impurity = self._node_impurity(y_node)
+    counts = np.bincount(y_node, minlength=self._n_classes)
+    impurity = self._impurity_from_counts(counts)
     node = TreeNode(
-        value=self._node_value(y_node),
+        value=counts / counts.sum(),
         n_samples=indices.size,
         impurity=impurity,
     )
@@ -631,15 +594,10 @@ def _reference_build(self, features, encoded, indices, depth, rng):
         or (self.max_depth is not None and depth >= self.max_depth)
     ):
         return node
-    candidate_features = np.arange(self.n_features_)
-    if self.max_features is not None and self.max_features < self.n_features_:
-        candidate_features = rng.choice(
-            self.n_features_, size=self.max_features, replace=False
-        )
     best_gain = 0.0
     best_feature = -1
     best_threshold = 0.0
-    for feat in candidate_features:
+    for feat in range(self.n_features_):
         x_col = features[indices, feat]
         order = np.argsort(x_col, kind="stable")
         gain, threshold = self._reference_split(x_col, y_node, order)
@@ -660,11 +618,9 @@ def _reference_build(self, features, encoded, indices, depth, rng):
     node.feature = best_feature
     node.threshold = best_threshold
     self._importance_raw[best_feature] += best_gain * indices.size
-    node.left = _reference_build(
-        self, features, encoded, left_idx, depth + 1, rng
-    )
+    node.left = _reference_build(self, features, encoded, left_idx, depth + 1)
     node.right = _reference_build(
-        self, features, encoded, right_idx, depth + 1, rng
+        self, features, encoded, right_idx, depth + 1
     )
     return node
 
@@ -690,7 +646,15 @@ def _best_of(gains, positions, x_sorted):
 
 
 class ReferenceClassifier(DecisionTreeClassifier):
-    _fit_tree = _reference_fit_tree
+    def fit(self, features, labels):
+        self.classes_, encoded = np.unique(labels, return_inverse=True)
+        self._n_classes = self.classes_.size
+        _reference_fit_tree(
+            self,
+            np.asarray(features, dtype=np.float64),
+            encoded.astype(np.int64),
+        )
+        return self
 
     def _reference_split(self, x_col, y, order):
         x_sorted = x_col[order]
@@ -722,32 +686,6 @@ class ReferenceClassifier(DecisionTreeClassifier):
             + n_right * batch_impurity(right_counts, n_right)
         ) / n
         return _best_of(parent_impurity - weighted, positions, x_sorted)
-
-
-class ReferenceRegressor(DecisionTreeRegressor):
-    _fit_tree = _reference_fit_tree
-
-    def _reference_split(self, x_col, y, order):
-        x_sorted = x_col[order]
-        y_sorted = y[order].astype(np.float64)
-        n = y_sorted.size
-        prefix = np.cumsum(y_sorted)
-        prefix_sq = np.cumsum(y_sorted * y_sorted)
-        total, total_sq = prefix[-1], prefix_sq[-1]
-        parent = total_sq / n - (total / n) ** 2
-        positions = _split_positions(x_sorted, n, self.min_samples_leaf)
-        if positions is None:
-            return 0.0, 0.0
-        n_left = positions.astype(np.float64)
-        n_right = n - n_left
-        sum_left = prefix[positions - 1]
-        sq_left = prefix_sq[positions - 1]
-        var_left = sq_left / n_left - (sum_left / n_left) ** 2
-        sum_right = total - sum_left
-        sq_right = total_sq - sq_left
-        var_right = sq_right / n_right - (sum_right / n_right) ** 2
-        weighted = (n_left * var_left + n_right * var_right) / n
-        return _best_of(parent - weighted, positions, x_sorted)
 
 
 def _preorder(tree):
@@ -802,45 +740,10 @@ class TestPresortedTree:
                 criterion=criterion,
                 max_depth=max_depth,
                 min_samples_leaf=min_samples_leaf,
-                random_state=seed,
             )
             assert _same_tree(
                 DecisionTreeClassifier(**params).fit(rows, labels),
                 ReferenceClassifier(**params).fit(rows, labels),
-            ), seed
-
-    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
-    def test_forest_identical(self, criterion, monkeypatch):
-        rows, labels = self._dataset(3)
-        params = dict(
-            n_estimators=6, criterion=criterion, max_depth=8, random_state=3
-        )
-        forest = RandomForestClassifier(**params).fit(rows, labels)
-        monkeypatch.setattr(
-            random_forest, "DecisionTreeClassifier", ReferenceClassifier
-        )
-        reference = RandomForestClassifier(**params).fit(rows, labels)
-        assert all(
-            _same_tree(got, want)
-            for got, want in zip(forest.trees_, reference.trees_)
-        )
-        assert np.array_equal(
-            forest.feature_importances_, reference.feature_importances_
-        )
-
-    @pytest.mark.parametrize(
-        "max_depth,min_samples_leaf", [(10, 5), (6, 1), (None, 1)]
-    )
-    def test_regressor_identical(self, max_depth, min_samples_leaf):
-        for seed in SEEDS:
-            rows, _ = self._dataset(seed)
-            targets = 3.0 * rows[:, 0] + np.sin(rows[:, 1]) + (rows[:, 2] > 0)
-            params = dict(
-                max_depth=max_depth, min_samples_leaf=min_samples_leaf
-            )
-            assert _same_tree(
-                DecisionTreeRegressor(**params).fit(rows, targets),
-                ReferenceRegressor(**params).fit(rows, targets),
             ), seed
 
     def test_tied_and_duplicate_values_identical(self):
@@ -853,26 +756,17 @@ class TestPresortedTree:
         labels = (rows[:, 0] + rows[:, 1] > 0).astype(int) + (
             rows[:, 2] > 0.5
         )
-        targets = 1.7 * rows[:, 0] + 0.1 * rng.normal(size=240)
         small = np.array(
             [[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.5, 1.0],
              [2.0, 1.0], [1.0, 1.0], [0.5, 0.0], [3.0, 0.0], [3.0, 1.0]]
         )
         small_labels = np.array([0, 1, 1, 0, 0, 1, 1, 0, 2, 2])
-        cases = [
-            (rows, labels, targets),
-            (small, small_labels, small_labels * 0.7),
-        ]
-        for x, y, t in cases:
+        for x, y in ((rows, labels), (small, small_labels)):
             for min_samples_leaf in (1, 2, 3):
                 params = dict(min_samples_leaf=min_samples_leaf)
                 assert _same_tree(
                     DecisionTreeClassifier(**params).fit(x, y),
                     ReferenceClassifier(**params).fit(x, y),
-                )
-                assert _same_tree(
-                    DecisionTreeRegressor(**params).fit(x, t),
-                    ReferenceRegressor(**params).fit(x, t),
                 )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml import DecisionTreeClassifier
 from repro.ml.decision_tree import clone_estimator
 
 
@@ -120,30 +120,6 @@ class TestClassifier:
         assert np.array_equal(a.predict(features), b.predict(features))
 
 
-class TestRegressor:
-    def test_fits_step_function(self):
-        features = np.linspace(0, 1, 100).reshape(-1, 1)
-        targets = (features[:, 0] > 0.5).astype(float) * 10.0
-        tree = DecisionTreeRegressor(max_depth=2).fit(features, targets)
-        assert tree.score(features, targets) > 0.99
-
-    def test_r2_of_mean_predictor_is_zero(self):
-        features = np.ones((50, 1))
-        rng = np.random.default_rng(5)
-        targets = rng.normal(size=50)
-        tree = DecisionTreeRegressor(max_depth=3).fit(features, targets)
-        # Constant features force a single leaf predicting the mean.
-        assert tree.score(features, targets) == pytest.approx(0.0, abs=1e-9)
-
-    def test_deeper_tree_fits_better(self):
-        rng = np.random.default_rng(6)
-        features = rng.uniform(size=(300, 1))
-        targets = np.sin(features[:, 0] * 6.0)
-        shallow = DecisionTreeRegressor(max_depth=2).fit(features, targets)
-        deep = DecisionTreeRegressor(max_depth=8).fit(features, targets)
-        assert deep.score(features, targets) > shallow.score(features, targets)
-
-
 class TestCloneEstimator:
     def test_clone_copies_params(self):
         tree = DecisionTreeClassifier(max_depth=7, criterion="entropy")
@@ -195,15 +171,6 @@ class TestDecisionPath:
         labels = np.ones(10, dtype=int)
         tree = DecisionTreeClassifier().fit(features, labels)
         assert tree.decision_path(features[0])["leaf"]["margin"] == 1.0
-
-    def test_regressor_path_prediction(self):
-        features = np.linspace(0, 1, 100).reshape(-1, 1)
-        targets = (features[:, 0] > 0.5).astype(float)
-        tree = DecisionTreeRegressor(max_depth=3).fit(features, targets)
-        path = tree.decision_path(np.array([0.75]))
-        assert path["leaf"]["prediction"] == pytest.approx(
-            tree.predict(np.array([[0.75]]))[0]
-        )
 
     def test_unfitted_raises(self):
         with pytest.raises(ModelError):

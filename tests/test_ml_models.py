@@ -1,4 +1,4 @@
-"""Unit tests for forest, linear models, CV, and ML metrics."""
+"""Unit tests for cross-validation, grid search and ML metrics."""
 
 import numpy as np
 import pytest
@@ -8,19 +8,9 @@ from repro.ml import (
     DecisionTreeClassifier,
     GridSearchCV,
     KFold,
-    LinearRegression,
-    LogisticRegression,
-    RandomForestClassifier,
     cross_val_score,
-    train_test_split,
 )
-from repro.ml.metrics import (
-    accuracy,
-    confusion_matrix,
-    geometric_mean,
-    grouped_importance,
-    macro_f1,
-)
+from repro.ml.metrics import geometric_mean, grouped_importance
 
 
 def _make_data(n=300, seed=0):
@@ -28,118 +18,6 @@ def _make_data(n=300, seed=0):
     features = rng.normal(size=(n, 4))
     labels = (features[:, 0] - features[:, 1] > 0).astype(int)
     return features, labels
-
-
-class TestRandomForest:
-    def test_accuracy_reasonable(self):
-        features, labels = _make_data()
-        forest = RandomForestClassifier(
-            n_estimators=10, max_depth=6, random_state=0
-        ).fit(features, labels)
-        assert forest.score(features, labels) > 0.9
-
-    def test_probabilities_valid(self):
-        features, labels = _make_data()
-        forest = RandomForestClassifier(
-            n_estimators=5, max_depth=4, random_state=1
-        ).fit(features, labels)
-        probs = forest.predict_proba(features[:10])
-        assert np.allclose(probs.sum(axis=1), 1.0)
-        assert np.all(probs >= 0)
-
-    def test_importances_normalized(self):
-        features, labels = _make_data()
-        forest = RandomForestClassifier(
-            n_estimators=5, max_depth=5, random_state=2
-        ).fit(features, labels)
-        assert forest.feature_importances_.sum() == pytest.approx(1.0)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(ModelError):
-            RandomForestClassifier().predict(np.zeros((1, 3)))
-
-    def test_invalid_params(self):
-        with pytest.raises(ModelError):
-            RandomForestClassifier(n_estimators=0)
-        with pytest.raises(ModelError):
-            RandomForestClassifier(max_features="log2")
-
-    def test_decision_path_matches_predict(self):
-        features, labels = _make_data()
-        forest = RandomForestClassifier(
-            n_estimators=7, max_depth=5, random_state=2
-        ).fit(features, labels)
-        predictions = forest.predict(features[:25])
-        for row, expected in zip(features[:25], predictions):
-            path = forest.decision_path(row)
-            assert path["prediction"] == expected
-            assert len(path["trees"]) == 7
-            assert 0.0 <= path["margin"] <= 1.0
-            assert sum(path["votes"].values()) == pytest.approx(1.0)
-
-    def test_decision_path_per_tree_paths(self):
-        features, labels = _make_data(n=100)
-        forest = RandomForestClassifier(
-            n_estimators=3, max_depth=4, random_state=0
-        ).fit(features, labels)
-        path = forest.decision_path(features[0])
-        for member in path["trees"]:
-            assert "steps" in member and "leaf" in member
-            assert member["leaf"]["n_samples"] >= 1
-
-    def test_decision_path_unfitted_raises(self):
-        with pytest.raises(ModelError):
-            RandomForestClassifier().decision_path(np.zeros(3))
-
-
-class TestLinearModels:
-    def test_linear_regression_separable(self):
-        features, labels = _make_data()
-        model = LinearRegression().fit(features, labels)
-        assert model.score(features, labels) > 0.8
-
-    def test_logistic_regression_separable(self):
-        features, labels = _make_data()
-        model = LogisticRegression(n_iterations=300).fit(features, labels)
-        assert model.score(features, labels) > 0.9
-
-    def test_logistic_multiclass(self):
-        rng = np.random.default_rng(3)
-        features = rng.normal(size=(400, 2))
-        labels = np.digitize(features[:, 0], [-0.6, 0.6])
-        model = LogisticRegression(n_iterations=400).fit(features, labels)
-        assert model.score(features, labels) > 0.85
-
-    def test_trees_beat_linear_on_nonlinear_target(self):
-        """The paper's Section 4.3 finding: tree models outperform the
-        linear/logistic baselines on the configuration-prediction task,
-        which is highly non-linear (XOR-like capacity/working-set
-        interactions)."""
-        rng = np.random.default_rng(4)
-        features = rng.uniform(-1, 1, size=(600, 2))
-        labels = ((features[:, 0] > 0) ^ (features[:, 1] > 0)).astype(int)
-        tree_score = (
-            DecisionTreeClassifier(max_depth=4)
-            .fit(features, labels)
-            .score(features, labels)
-        )
-        linear_score = LinearRegression().fit(features, labels).score(
-            features, labels
-        )
-        logistic_score = (
-            LogisticRegression(n_iterations=300)
-            .fit(features, labels)
-            .score(features, labels)
-        )
-        assert tree_score > 0.95
-        assert linear_score < 0.7
-        assert logistic_score < 0.7
-
-    def test_invalid_params(self):
-        with pytest.raises(ModelError):
-            LinearRegression(l2=-1.0)
-        with pytest.raises(ModelError):
-            LogisticRegression(learning_rate=0.0)
 
 
 class TestModelSelection:
@@ -182,36 +60,10 @@ class TestModelSelection:
             DecisionTreeClassifier(), {"max_depth": [2, 6]}, KFold(3)
         )
         search.fit(features, labels)
-        assert accuracy(labels, search.predict(features)) > 0.85
-
-    def test_train_test_split_shapes(self):
-        features, labels = _make_data(n=100)
-        tr_x, te_x, tr_y, te_y = train_test_split(
-            features, labels, test_fraction=0.25, random_state=0
-        )
-        assert tr_x.shape[0] == 75
-        assert te_x.shape[0] == 25
-        assert tr_y.shape[0] == 75
-        assert te_y.shape[0] == 25
+        assert np.mean(search.predict(features) == labels) > 0.85
 
 
 class TestMetrics:
-    def test_accuracy(self):
-        assert accuracy([1, 0, 1], [1, 1, 1]) == pytest.approx(2 / 3)
-
-    def test_accuracy_empty_raises(self):
-        with pytest.raises(ModelError):
-            accuracy([], [])
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1])
-        assert matrix[0, 0] == 1
-        assert matrix[0, 1] == 1
-        assert matrix[1, 1] == 2
-
-    def test_macro_f1_perfect(self):
-        assert macro_f1([0, 1, 2], [0, 1, 2]) == pytest.approx(1.0)
-
     def test_geometric_mean(self):
         assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
 

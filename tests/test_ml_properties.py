@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml import DecisionTreeClassifier
 
 
 @st.composite
@@ -71,17 +71,3 @@ def test_depth_limit_respected(data, max_depth):
     features, labels = data
     tree = DecisionTreeClassifier(max_depth=max_depth).fit(features, labels)
     assert tree.depth() <= max_depth
-
-
-@given(st.integers(0, 2**31 - 1), st.integers(20, 100))
-@settings(max_examples=30, deadline=None)
-def test_regressor_never_extrapolates(seed, n):
-    """Leaf means lie inside [min(y), max(y)], so predictions must too."""
-    rng = np.random.default_rng(seed)
-    features = rng.normal(size=(n, 2))
-    targets = rng.normal(size=n)
-    tree = DecisionTreeRegressor(max_depth=4).fit(features, targets)
-    probe = rng.normal(size=(50, 2)) * 10
-    predictions = tree.predict(probe)
-    assert predictions.min() >= targets.min() - 1e-9
-    assert predictions.max() <= targets.max() + 1e-9

@@ -263,6 +263,22 @@ class TestExplain:
         assert "leaf predicts 64 (12 training samples)" in text
         assert "verdict: REJECTED — rejected l1_kb: cost" in text
 
+    def test_render_tags_only_unknown_kinds(self):
+        tree = _provenance(0)
+        other = _provenance(1)
+        other["attrs"]["kind"] = "forest"
+        records = [_header(), _start(), _epoch(0, CONFIG_A),
+                   _epoch(1, CONFIG_A), tree, other]
+        lines = render_explanation(records).splitlines()
+        assert any(
+            line.startswith("epoch 0 · l1_kb:") and line.endswith(")")
+            for line in lines
+        )
+        assert any(
+            line.startswith("epoch 1 · l1_kb:") and line.endswith("[forest]")
+            for line in lines
+        )
+
     def test_render_with_counters(self):
         records = _trace(
             [CONFIG_A], counters_by_epoch={0: {"l1_miss_rate": 0.42}}
