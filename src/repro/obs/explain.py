@@ -150,7 +150,7 @@ def _render_record(attrs: Dict, lines: List[str]) -> None:
                 )
             )
     else:
-        lines.append("  (no decision path recorded for this estimator)")
+        lines.append("  (single-leaf tree: no split before the leaf)")
     leaf = attrs.get("leaf")
     if leaf:
         lines.append(

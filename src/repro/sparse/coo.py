@@ -126,7 +126,8 @@ class COOMatrix:
         One sort on the target-order key. Distinct keys have exactly one
         sorted order, so the default (fastest) kind is used; only when
         duplicates exist is the sort redone stably, so each group sums
-        in input order, from 0.0, as ``np.add.at`` does.
+        in input order, from 0.0, as ``np.add.at`` does. Each nnz-sized
+        transient is dropped as soon as it is spent.
         """
         keys = major * n_minor + minor
         order = np.argsort(keys)
@@ -134,17 +135,23 @@ class COOMatrix:
         if np.any(sorted_keys[1:] == sorted_keys[:-1]):
             order = np.argsort(keys, kind="stable")
             sorted_keys = keys[order]
+            del keys
             first = np.empty(sorted_keys.size, dtype=bool)
             first[0] = True
             first[1:] = sorted_keys[1:] != sorted_keys[:-1]
             group_ids = np.cumsum(first) - 1
             vals = np.zeros(int(group_ids[-1]) + 1)
             np.add.at(vals, group_ids, self.vals[order])
+            del order, group_ids
             sorted_keys = sorted_keys[first]
         else:
+            del keys
+            vals = self.vals[order]
+            del order
             # 0.0 + v, as a one-entry group sums (turns -0.0 into 0.0).
-            vals = self.vals[order] + 0.0
-        return sorted_keys // n_minor, sorted_keys % n_minor, vals
+            vals += 0.0
+        major, minor = np.divmod(sorted_keys, n_minor)
+        return major, minor, vals
 
     def _compressed(
         self, major: np.ndarray, minor: np.ndarray, n_major: int, n_minor: int

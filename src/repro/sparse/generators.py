@@ -48,6 +48,57 @@ def _values(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.uniform(0.1, 1.1, size=count)
 
 
+def _sample_without_replacement(
+    rng: np.random.Generator, population: int, size: int
+) -> np.ndarray:
+    """``rng.choice(population, size, replace=False)`` in O(size) memory.
+
+    Returns the same array and leaves ``rng`` in the same state. For
+    ``size > population // 50`` (and ``population > 10000``) numpy
+    shuffles the tail of a full ``arange(population)``: step ``k`` swaps
+    position ``i = population - 1 - k`` with a uniform ``j`` in
+    ``[0, i]``, and the last ``size`` positions are the sample. Nothing
+    touches position ``i`` after step ``k``, so it keeps what position
+    ``j`` held before the step: ``j`` itself, unless an earlier step
+    targeted ``j`` too, in which case it is what the latest such step
+    deposited there -- the value its own position ``i`` held, found the
+    same way. The swap targets are redrawn with the same bounded draws,
+    sorted once by ``(target, step)``, and the few deposit chains are
+    followed with binary searches instead of an array of every cell.
+    (For ``size == population`` numpy skips the last step; here it
+    draws from ``[0, 0]``, which consumes no random bits.) Below the
+    cutoff numpy uses Floyd's algorithm, already O(size).
+    """
+    if not (population > 10000 and size > population // 50):
+        return rng.choice(population, size, replace=False)
+    # (target, step) packed in one int64; population * size stays far
+    # below 2**63 for any population whose arange would fit in memory.
+    keys = rng.integers(0, np.arange(population, population - size, -1))
+    keys *= size
+    keys += np.arange(size)
+    keys.sort()
+    target, step = np.divmod(keys, size)
+    result = np.empty(size, dtype=np.int64)
+    out = result[::-1]  # step k fills position population - 1 - k
+    repeat = np.zeros(size, dtype=bool)
+    np.equal(target[1:], target[:-1], out=repeat[1:])
+    fresh = ~repeat
+    out[step[fresh]] = target[fresh]
+    del fresh
+    # A step whose target was hit before reads the latest hit's deposit.
+    (at,) = np.nonzero(repeat)
+    readers, source = step[at], step[at - 1]
+    while source.size:
+        # Step s deposits what its position held: the latest earlier
+        # deposit there, or the position itself if none.
+        position = population - 1 - source
+        prev = np.searchsorted(keys, position * size + source) - 1
+        hit = (prev >= 0) & (target[prev] == position)
+        out[readers[~hit]] = position[~hit]
+        readers, source = readers[hit], step[prev[hit]]
+    return result
+
+
 def _merge_first_new(
     seen: np.ndarray, candidates: np.ndarray, need: int
 ) -> np.ndarray:
@@ -92,10 +143,10 @@ def uniform_random(
     rng = _rng(seed)
     cells = n_rows * n_cols
     nnz = int(round(density * cells))
-    flat = rng.choice(cells, size=nnz, replace=False)
-    return COOMatrix(
-        flat // n_cols, flat % n_cols, _values(rng, nnz), (n_rows, n_cols)
+    rows, cols = np.divmod(
+        _sample_without_replacement(rng, cells, nnz), n_cols
     )
+    return COOMatrix(rows, cols, _values(rng, nnz), (n_rows, n_cols))
 
 
 def rmat(
@@ -312,5 +363,5 @@ def random_vector(n: int, density: float, seed: Optional[int] = None):
         raise ShapeError(f"density must be in [0, 1], got {density}")
     rng = _rng(seed)
     nnz = int(round(density * n))
-    idx = np.sort(rng.choice(n, size=nnz, replace=False))
+    idx = np.sort(_sample_without_replacement(rng, n, nnz))
     return SparseVector(idx, _values(rng, nnz), n)

@@ -3,9 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.faults import noise_schedule
+from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.obs.diff import diff_traces, render_diff
 from repro.obs.explain import explain, render_explanation
 
@@ -278,6 +280,20 @@ class TestExplain:
             line.startswith("epoch 1 · l1_kb:") and line.endswith("[forest]")
             for line in lines
         )
+
+    def test_render_single_leaf_tree(self):
+        """A tree fitted on constant labels never splits: its recorded
+        path is empty and the leaf is the whole decision."""
+        tree = DecisionTreeClassifier(max_depth=1).fit(
+            np.zeros((6, 3)), np.full(6, 64)
+        )
+        path = tree.decision_path(np.zeros(3))
+        record = _provenance(0, predicted=64, path=path["steps"])
+        record["attrs"]["leaf"] = path["leaf"]
+        records = [_header(), _start(), _epoch(0, CONFIG_A), record]
+        lines = render_explanation(records).splitlines()
+        at = lines.index("  (single-leaf tree: no split before the leaf)")
+        assert lines[at + 1] == "  => leaf predicts 64 (6 training samples)"
 
     def test_render_with_counters(self):
         records = _trace(
