@@ -341,13 +341,19 @@ def table3_phases(
         for density in grid["densities"]:
             matrix_seed = int(rng.integers(0, 2**31 - 1))
             matrix = generators.uniform_random(dim, dim, density, matrix_seed)
+            # Drop the COO matrix once its compressed copies exist: the
+            # trace reads only those, and the largest sweep points would
+            # otherwise hold both forms through the whole trace.
             if kernel == "spmspm":
-                trace = trace_spmspm(
-                    matrix.to_csc(), matrix.transpose().to_csr()
-                )
+                operands = (matrix.to_csc(), matrix.transpose().to_csr())
+                del matrix
+                trace = trace_spmspm(*operands)
             else:
+                operands = (matrix.to_csc(),)
+                del matrix
                 vector = generators.random_vector(dim, 0.5, matrix_seed + 1)
-                trace = trace_spmspv(matrix.to_csc(), vector)
+                trace = trace_spmspv(*operands, vector)
+            del operands
             workloads = representative_epochs(trace)
             for bandwidth in grid["bandwidths"]:
                 for workload in workloads:

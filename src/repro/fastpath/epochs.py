@@ -19,11 +19,15 @@ strategy, in order of importance:
    latency depend only on the configuration; they are computed once per
    distinct config by the original scalar code (sqrt, pow and all) and
    broadcast, so their bits are the scalar path's bits by construction.
-4. **Keep per-workload quantities in Python floats.** Workload-derived
-   scalars (instruction counts, imbalance, geometry working sets, the
-   GPE->L1 crossbar, which never varies along the config axis within a
-   batch) are computed in a plain Python loop with the scalar
-   expressions, then broadcast.
+4. **Compute per-workload quantities as arrays over all workloads.**
+   Workload-derived scalars (instruction counts, imbalance, geometry
+   working sets, the GPE->L1 crossbar, which never varies along the
+   config axis within a batch) are one array expression each, then
+   broadcast. They are exact for the reasons of point 1: each is the
+   scalar expression in the same operand order, with ``min``/``max``
+   as ``np.minimum``/``np.maximum`` (exact selections, like the
+   builtins), the crossbar's collision power through
+   :func:`pow_exact`, and its zero-access branch as an ``np.where``.
 
 Branches on the configuration (sharing modes, prefetch level, L1 type)
 become ``np.where`` selections between per-branch values; mixed-type
@@ -37,11 +41,16 @@ across a cross product. A search that scores different configurations
 for different workloads, or a scheme that simulates fractional epoch
 slices, becomes one grid instead of a loop of small ones.
 
-The grid materializes :class:`~repro.transmuter.machine.EpochResult`
-objects lazily, one cell at a time: :meth:`EpochGrid.result` unboxes
-only the fields of the cell it is asked for. Schemes touch only the
-table cells they stitch into a schedule; a nine-scheme Table-5 campaign
-reads about one cell in ten of the grids it reads from.
+The result fields are written into one preallocated
+``(fields, workloads, configs)`` stack, one row per field, so a cell's
+fields are the column ``stack[:, i, j]``. The grid materializes
+:class:`~repro.transmuter.machine.EpochResult` objects lazily, one cell
+at a time: :meth:`EpochGrid.result` unboxes its cell's column with one
+``tolist`` and fills the three frozen records' ``__dict__`` directly
+(none defines ``__post_init__``, so the skipped ``__init__`` checks
+nothing). Schemes touch only the table cells they stitch into a
+schedule; a nine-scheme Table-5 campaign reads about one cell in ten of
+the grids it reads from.
 
 This engine has no :class:`EpochEnvironment`: degraded epochs occur
 only inside the (inherently sequential) controller loop, which runs on
@@ -54,6 +63,7 @@ traced run executes the same code as an untraced one and emits the
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -64,7 +74,6 @@ from repro.obs import profile as obs_profile
 from repro.transmuter import params
 from repro.transmuter.config import HardwareConfig
 from repro.transmuter.counters import PerformanceCounters
-from repro.transmuter.crossbar import model_crossbar
 from repro.transmuter.dvfs import OperatingPoint, operating_point
 from repro.transmuter.machine import (
     EpochResult,
@@ -94,104 +103,104 @@ def pow_exact(base: np.ndarray, exponent: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Per-axis precomputation
 # ---------------------------------------------------------------------------
+#: The :class:`EpochWorkload` fields :func:`_workload_scalars` reads.
+_WORKLOAD_FIELDS = (
+    "fp_ops", "flops", "int_ops", "loads", "stores", "unique_words",
+    "unique_lines", "stride_fraction", "shared_fraction",
+    "read_bytes_compulsory", "write_bytes", "work_skew", "resident_bytes",
+    "reuse_locality",
+)
+_workload_row = operator.attrgetter(*_WORKLOAD_FIELDS)
+
+
 def _workload_scalars(
     machine: TransmuterModel, workloads: Sequence[EpochWorkload], spm: bool
 ) -> Dict[str, np.ndarray]:
-    """Workload-only quantities, computed with scalar Python math.
+    """Workload-only quantities, one array expression per quantity.
 
-    Every expression mirrors the scalar model verbatim; results are
-    shaped ``(n_workloads, 1)`` for broadcasting along the config axis.
+    Every expression mirrors the scalar model (``EpochWorkload``'s
+    properties, ``_simulate_epoch`` and ``model_crossbar``) with the
+    same operand order; results are shaped ``(n_workloads, 1)`` for
+    broadcasting along the config axis.
     """
     tiles = machine.n_tiles
     gpes = machine.gpes_per_tile
     n_gpes = machine.n_gpes
-    cols: Dict[str, List[float]] = {name: [] for name in (
-        "accesses", "instructions", "imbalance", "ipg", "mlp",
-        "ws_l1_shared", "infl_l1_shared", "ws_l1_private",
-        "infl_l1_private", "total_ws", "ws_l2_private",
-        "infl_l2_private", "unique_words", "unique_lines", "conflict",
-        "stride", "reuse_locality", "store_fraction", "lcp_instr",
-        "fp_per_gpe", "read_bytes_compulsory", "write_bytes",
-        "x1_contention", "x1_extra", "x1_transfers",
-    )}
-    for w in workloads:
-        int_ops = w.int_ops
-        if spm:
-            int_ops *= 1.0 + params.SPM_ORCHESTRATION_OVERHEAD
-        instructions = w.flops + int_ops + w.accesses
-        imbalance = 1.0 + min(
-            params.IMBALANCE_CAP - 1.0,
-            params.IMBALANCE_COEFF * w.work_skew,
-        )
-        ipg = instructions / n_gpes * imbalance
-        shared_frac = w.shared_fraction
-        total_ws = w.live_set_bytes
-        sf2 = w.shared_fraction * params.TILE_SHARING_FACTOR
-        # GPE->L1 crossbar: its load never varies along the config axis
-        # (within one l1_type partition), only the shared/private mode
-        # does — evaluate the scalar model once for the shared case and
-        # select by mask later (the private case is all zeros).
-        x1 = model_crossbar(
-            accesses=w.accesses / tiles,
-            busy_cycles=ipg,
-            n_requesters=gpes,
-            n_banks=gpes,
-            shared=True,
-        )
-        cols["accesses"].append(w.accesses)
-        cols["instructions"].append(instructions)
-        cols["imbalance"].append(imbalance)
-        cols["ipg"].append(ipg)
-        cols["mlp"].append(
-            params.MLP
-            * (
-                params.MLP_STRIDE_FLOOR
-                + params.MLP_STRIDE_SLOPE * w.stride_fraction
-            )
-        )
-        cols["ws_l1_shared"].append(
-            total_ws * ((1.0 - shared_frac) / tiles + shared_frac)
-        )
-        cols["infl_l1_shared"].append(
-            (1.0 - shared_frac) + shared_frac * min(tiles, 2.0)
-        )
-        cols["ws_l1_private"].append(
-            total_ws * ((1.0 - shared_frac) / (tiles * gpes) + shared_frac)
-        )
-        cols["infl_l1_private"].append(
-            (1.0 - shared_frac)
-            + shared_frac * min(gpes, params.REPLICATION_CAP_L1)
-        )
-        cols["total_ws"].append(total_ws)
-        cols["ws_l2_private"].append(total_ws * ((1.0 - sf2) / tiles + sf2))
-        cols["infl_l2_private"].append(
-            (1.0 - sf2) + sf2 * min(tiles, params.REPLICATION_CAP_L2)
-        )
-        cols["unique_words"].append(w.unique_words)
-        cols["unique_lines"].append(w.unique_lines)
-        cols["conflict"].append(
-            params.CONFLICT_BASE
-            + params.CONFLICT_IRREGULAR * (1.0 - w.stride_fraction)
-        )
-        cols["stride"].append(w.stride_fraction)
-        cols["reuse_locality"].append(w.reuse_locality)
-        cols["store_fraction"].append(w.stores / max(w.accesses, 1e-9))
-        cols["lcp_instr"].append(
-            w.instructions
-            * params.LCP_WORK_FRACTION
-            * (1.0 + w.work_skew)
-            / tiles
-        )
-        cols["fp_per_gpe"].append(w.fp_ops / n_gpes)
-        cols["read_bytes_compulsory"].append(w.read_bytes_compulsory)
-        cols["write_bytes"].append(w.write_bytes)
-        cols["x1_contention"].append(x1.contention_ratio)
-        cols["x1_extra"].append(x1.extra_latency_cycles)
-        cols["x1_transfers"].append(x1.transfers)
-    return {
-        name: np.asarray(values, dtype=np.float64).reshape(-1, 1)
-        for name, values in cols.items()
+    (
+        fp_ops, flops, int_ops, loads, stores, unique_words, unique_lines,
+        stride, shared_frac, read_bytes_compulsory, write_bytes, work_skew,
+        resident_bytes, reuse_locality,
+    ) = np.array(
+        [_workload_row(w) for w in workloads], dtype=np.float64
+    ).reshape(len(workloads), len(_WORKLOAD_FIELDS)).T
+    accesses = loads + stores
+    spm_int_ops = int_ops
+    if spm:
+        spm_int_ops = int_ops * (1.0 + params.SPM_ORCHESTRATION_OVERHEAD)
+    instructions = flops + spm_int_ops + accesses
+    imbalance = 1.0 + np.minimum(
+        params.IMBALANCE_CAP - 1.0,
+        params.IMBALANCE_COEFF * work_skew,
+    )
+    ipg = instructions / n_gpes * imbalance
+    total_ws = np.maximum(
+        unique_lines * params.CACHE_LINE_BYTES, resident_bytes
+    )
+    sf2 = shared_frac * params.TILE_SHARING_FACTOR
+
+    # GPE->L1 crossbar: its load never varies along the config axis
+    # (within one l1_type partition), only the shared/private mode
+    # does — evaluate ``model_crossbar``'s shared case and select by
+    # mask later (the private case is all zeros).
+    x1_accesses = accesses / tiles
+    if np.any(x1_accesses < 0) or np.any(ipg < 0):
+        raise SimulationError("negative crossbar load")
+    x1_rate = np.minimum(1.0, x1_accesses / (gpes * np.maximum(ipg, 1.0)))
+    x1_collision = 1.0 - pow_exact(1.0 - x1_rate / gpes, gpes - 1)
+    x1_idle = x1_accesses == 0
+    cols = {
+        "accesses": accesses,
+        "instructions": instructions,
+        "imbalance": imbalance,
+        "ipg": ipg,
+        "mlp": params.MLP
+        * (params.MLP_STRIDE_FLOOR + params.MLP_STRIDE_SLOPE * stride),
+        "ws_l1_shared": total_ws * ((1.0 - shared_frac) / tiles + shared_frac),
+        "infl_l1_shared": (1.0 - shared_frac)
+        + shared_frac * min(tiles, 2.0),
+        "ws_l1_private": total_ws
+        * ((1.0 - shared_frac) / (tiles * gpes) + shared_frac),
+        "infl_l1_private": (1.0 - shared_frac)
+        + shared_frac * min(gpes, params.REPLICATION_CAP_L1),
+        "total_ws": total_ws,
+        "ws_l2_private": total_ws * ((1.0 - sf2) / tiles + sf2),
+        "infl_l2_private": (1.0 - sf2)
+        + sf2 * min(tiles, params.REPLICATION_CAP_L2),
+        "unique_words": unique_words,
+        "unique_lines": unique_lines,
+        "conflict": params.CONFLICT_BASE
+        + params.CONFLICT_IRREGULAR * (1.0 - stride),
+        "stride": stride,
+        "reuse_locality": reuse_locality,
+        "store_fraction": stores / np.maximum(accesses, 1e-9),
+        "lcp_instr": (flops + int_ops + accesses)
+        * params.LCP_WORK_FRACTION
+        * (1.0 + work_skew)
+        / tiles,
+        "fp_per_gpe": fp_ops / n_gpes,
+        "read_bytes_compulsory": read_bytes_compulsory,
+        "write_bytes": write_bytes,
+        "x1_contention": np.where(x1_idle, 0.0, x1_collision),
+        "x1_extra": np.where(
+            x1_idle,
+            0.0,
+            params.L1_SHARED_BASE_LATENCY
+            - 1.0
+            + x1_collision * params.XBAR_CONTENTION_PENALTY,
+        ),
+        "x1_transfers": x1_accesses,
     }
+    return {name: values.reshape(-1, 1) for name, values in cols.items()}
 
 
 def _config_scalars(
@@ -385,6 +394,9 @@ _COUNTER_FIELDS = (
     "dram_read_utilization", "dram_write_utilization",
 )
 
+#: Rows of a grid's field stack: a cell is ``stack[:, i, j]``.
+_STACKED = _FIELDS + _HIT_RATES
+
 #: The fields a ``machine.epoch`` record carries.
 _RECORD_FIELDS = (
     "time_s", "core_time_s", "memory_time_s",
@@ -398,12 +410,13 @@ def _compute(
     c: Dict[str, np.ndarray],
     spm: bool,
     shape: Tuple[int, int],
-) -> Dict[str, np.ndarray]:
+) -> np.ndarray:
     """Evaluate one homogeneous-``l1_type`` grid; see module docstring.
 
     ``w`` and ``c`` are the per-workload and per-config scalars, shaped
     ``(n, 1)`` and ``(1, m)`` for a cross grid or both ``(1, n)`` for
-    pairs; every expression broadcasts them to ``shape``.
+    pairs; every expression broadcasts them to ``shape``. Returns the
+    ``(len(_STACKED),) + shape`` stack, one row per field.
     """
     tiles = machine.n_tiles
     n_gpes = machine.n_gpes
@@ -548,10 +561,10 @@ def _compute(
         "l1_hit_rate": l1["hit_rate"],
         "l2_hit_rate": l2["hit_rate"],
     }
-    return {
-        name: np.broadcast_to(np.asarray(value), shape)
-        for name, value in grid.items()
-    }
+    stack = np.empty((len(_STACKED),) + shape)
+    for row, name in zip(stack, _STACKED):
+        row[...] = grid[name]
+    return stack
 
 
 def _distinct(
@@ -585,7 +598,7 @@ def _cross_fields(
     workloads: Sequence[EpochWorkload],
     configs: Sequence[HardwareConfig],
     indices: Sequence[int],
-) -> Dict[str, np.ndarray]:
+) -> np.ndarray:
     """Config columns ``indices`` of the ``workloads x configs`` grid."""
     columns = [configs[j] for j in indices]
     spm = columns[0].l1_type == "spm"
@@ -603,7 +616,7 @@ def _paired_fields(
     workloads: Sequence[EpochWorkload],
     configs: Sequence[HardwareConfig],
     indices: Sequence[int],
-) -> Dict[str, np.ndarray]:
+) -> np.ndarray:
     """Pairs ``indices``, each distinct workload and config done once.
 
     Workloads are told apart by identity (a search pairs one workload
@@ -619,6 +632,22 @@ def _paired_fields(
         spm,
         (1, len(indices)),
     )
+
+
+def _frozen(cls, **fields):
+    """A frozen dataclass instance, built without its ``__init__``.
+
+    The generated ``__init__`` of a frozen dataclass sets each field
+    through ``object.__setattr__``; filling ``__dict__`` in one update
+    gives an equal object (same fields, same ``==`` and ``hash``) at a
+    fraction of the cost. Only for classes without ``__post_init__``,
+    whose ``__init__`` checks nothing: ``EnergyBreakdown``,
+    ``PerformanceCounters`` and ``EpochResult``. Pass the fields in
+    declaration order so ``vars()`` lists them as ``__init__`` would.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 class _ResultRow:
@@ -676,23 +705,21 @@ class EpochGrid:
             for j, cfg in enumerate(self.configs):
                 by_type.setdefault(cfg.l1_type, []).append(j)
             if len(by_type) == 1:
-                self._fields = compute(
+                stack = compute(
                     machine, self.workloads, self.configs,
                     range(self.n_configs),
                 )
             else:
-                shape = (self.n_workloads, self.n_configs)
-                fields = {
-                    name: np.empty(shape, dtype=np.float64)
-                    for name in _FIELDS + _HIT_RATES
-                }
+                stack = np.empty(
+                    (len(_STACKED), self.n_workloads, self.n_configs)
+                )
                 for indices in by_type.values():
-                    sub = compute(
+                    stack[:, :, indices] = compute(
                         machine, self.workloads, self.configs, indices
                     )
-                    for name in fields:
-                        fields[name][:, indices] = sub[name]
-                self._fields = fields
+        stack.flags.writeable = False
+        self._stack = stack
+        self._fields = dict(zip(_STACKED, stack))
         self._cache: Dict[int, EpochResult] = {}
         recorder = get_recorder()
         if recorder.enabled:
@@ -787,46 +814,56 @@ class EpochGrid:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        # Unbox only this cell: a scheme reads a small share of its
-        # table, so converting whole grids would mostly feed the GC.
-        f = {name: self._fields[name].item(i, j) for name in _FIELDS}
+        # Unbox only this cell, in one call: a scheme reads a small share
+        # of its table, so converting whole grids would mostly feed the GC.
+        (
+            time_s, core_time_s, memory_time_s,
+            dram_read_bytes, dram_write_bytes,
+            core_dynamic, l1_dynamic, l2_dynamic, xbar_dynamic,
+            dram, leakage,
+            l1_access_rate, l1_occupancy, l1_miss_rate, l1_prefetch_ratio,
+            l2_access_rate, l2_occupancy, l2_miss_rate, l2_prefetch_ratio,
+            xbar_contention_ratio, gpe_ipc, gpe_fp_ipc, lcp_ipc,
+            dram_read_utilization, dram_write_utilization,
+        ) = self._stack[:len(_FIELDS), i, j].tolist()
         workload, config = self._cell(i, j)
-        energy = EnergyBreakdown(
-            core_dynamic=f["core_dynamic"],
-            l1_dynamic=f["l1_dynamic"],
-            l2_dynamic=f["l2_dynamic"],
-            xbar_dynamic=f["xbar_dynamic"],
-            dram=f["dram"],
-            leakage=f["leakage"],
-        )
-        counters = PerformanceCounters(
-            l1_access_rate=f["l1_access_rate"],
-            l1_occupancy=f["l1_occupancy"],
-            l1_miss_rate=f["l1_miss_rate"],
-            l1_prefetch_ratio=f["l1_prefetch_ratio"],
-            l1_capacity_kb=float(config.l1_kb),
-            l2_access_rate=f["l2_access_rate"],
-            l2_occupancy=f["l2_occupancy"],
-            l2_miss_rate=f["l2_miss_rate"],
-            l2_prefetch_ratio=f["l2_prefetch_ratio"],
-            l2_capacity_kb=float(config.l2_kb),
-            xbar_contention_ratio=f["xbar_contention_ratio"],
-            gpe_ipc=f["gpe_ipc"],
-            gpe_fp_ipc=f["gpe_fp_ipc"],
-            lcp_ipc=f["lcp_ipc"],
-            lcp_fp_ipc=f["lcp_ipc"] * 0.4,
-            clock_mhz=config.clock_mhz,
-            dram_read_utilization=f["dram_read_utilization"],
-            dram_write_utilization=f["dram_write_utilization"],
-        )
-        result = EpochResult(
-            time_s=f["time_s"],
-            energy=energy,
-            counters=counters,
-            core_time_s=f["core_time_s"],
-            memory_time_s=f["memory_time_s"],
-            dram_read_bytes=f["dram_read_bytes"],
-            dram_write_bytes=f["dram_write_bytes"],
+        result = _frozen(
+            EpochResult,
+            time_s=time_s,
+            energy=_frozen(
+                EnergyBreakdown,
+                core_dynamic=core_dynamic,
+                l1_dynamic=l1_dynamic,
+                l2_dynamic=l2_dynamic,
+                xbar_dynamic=xbar_dynamic,
+                dram=dram,
+                leakage=leakage,
+            ),
+            counters=_frozen(
+                PerformanceCounters,
+                l1_access_rate=l1_access_rate,
+                l1_occupancy=l1_occupancy,
+                l1_miss_rate=l1_miss_rate,
+                l1_prefetch_ratio=l1_prefetch_ratio,
+                l1_capacity_kb=float(config.l1_kb),
+                l2_access_rate=l2_access_rate,
+                l2_occupancy=l2_occupancy,
+                l2_miss_rate=l2_miss_rate,
+                l2_prefetch_ratio=l2_prefetch_ratio,
+                l2_capacity_kb=float(config.l2_kb),
+                xbar_contention_ratio=xbar_contention_ratio,
+                gpe_ipc=gpe_ipc,
+                gpe_fp_ipc=gpe_fp_ipc,
+                lcp_ipc=lcp_ipc,
+                lcp_fp_ipc=lcp_ipc * 0.4,
+                clock_mhz=config.clock_mhz,
+                dram_read_utilization=dram_read_utilization,
+                dram_write_utilization=dram_write_utilization,
+            ),
+            core_time_s=core_time_s,
+            memory_time_s=memory_time_s,
+            dram_read_bytes=dram_read_bytes,
+            dram_write_bytes=dram_write_bytes,
             flops=workload.flops,
             fp_ops=workload.fp_ops,
         )

@@ -25,8 +25,10 @@ patching: the set-based matrix generators (``rmat``,
 ``diagonal_local``, ``block_arrow``), the per-column
 ``partials_per_row``, the two-sort COO conversions
 (``coo_sum_duplicates``, ``coo_to_csr``, ``coo_to_csc``), the
-all-positions CART split search (``all_position_splits``) and the
-whole-grid unboxing of ``EpochGrid`` cells (``whole_grid_results``).
+all-positions CART split search (``all_position_splits``), the
+whole-grid unboxing of ``EpochGrid`` cells through the dataclass
+constructors (``whole_grid_results``) and the per-workload loop that
+computed the grid's workload-only quantities (``workload_scalars``).
 
 Every simulated epoch goes through ``TransmuterModel.simulate_epoch``,
 so a traced run under :func:`scalar_path` emits its ``machine.epoch``
@@ -71,6 +73,7 @@ from repro.transmuter import config as transmuter_config
 from repro.transmuter import params, reconfig
 from repro.transmuter.config import HardwareConfig
 from repro.transmuter.counters import PerformanceCounters
+from repro.transmuter.crossbar import model_crossbar
 from repro.transmuter.machine import EpochResult
 from repro.transmuter.power import EnergyBreakdown
 from repro.transmuter.workload import (
@@ -95,6 +98,7 @@ __all__ = [
     "coo_to_csc",
     "all_position_splits",
     "whole_grid_results",
+    "workload_scalars",
 ]
 
 
@@ -695,13 +699,14 @@ def all_position_splits() -> Iterator[None]:
 
 
 def whole_grid_results(grid: EpochGrid) -> List[List[EpochResult]]:
-    """Every cell of ``grid``, unboxed by one ``tolist`` per field."""
-    lists = {name: grid._fields[name].tolist() for name in epochs._FIELDS}
+    """Every cell of ``grid``, unboxed by one ``tolist`` of its field
+    stack and built through the dataclass constructors."""
+    lists = dict(zip(epochs._STACKED, grid._stack.tolist()))
     out = []
     for i in range(grid.n_workloads):
         row = []
         for j in range(grid.n_configs):
-            f = {name: values[i][j] for name, values in lists.items()}
+            f = {name: lists[name][i][j] for name in epochs._FIELDS}
             workload, config = grid._cell(i, j)
             energy = EnergyBreakdown(
                 core_dynamic=f["core_dynamic"],
@@ -746,6 +751,101 @@ def whole_grid_results(grid: EpochGrid) -> List[List[EpochResult]]:
             )
         out.append(row)
     return out
+
+
+def workload_scalars(machine, workloads, spm):
+    """``EpochGrid``'s workload-only quantities, one workload at a time.
+
+    The scalar expressions of ``EpochWorkload``'s properties and
+    ``_simulate_epoch``, with ``model_crossbar`` called per workload;
+    columns shaped ``(n_workloads, 1)`` like the array form's.
+    """
+    tiles = machine.n_tiles
+    gpes = machine.gpes_per_tile
+    n_gpes = machine.n_gpes
+    cols = {name: [] for name in (
+        "accesses", "instructions", "imbalance", "ipg", "mlp",
+        "ws_l1_shared", "infl_l1_shared", "ws_l1_private",
+        "infl_l1_private", "total_ws", "ws_l2_private",
+        "infl_l2_private", "unique_words", "unique_lines", "conflict",
+        "stride", "reuse_locality", "store_fraction", "lcp_instr",
+        "fp_per_gpe", "read_bytes_compulsory", "write_bytes",
+        "x1_contention", "x1_extra", "x1_transfers",
+    )}
+    for w in workloads:
+        int_ops = w.int_ops
+        if spm:
+            int_ops *= 1.0 + params.SPM_ORCHESTRATION_OVERHEAD
+        instructions = w.flops + int_ops + w.accesses
+        imbalance = 1.0 + min(
+            params.IMBALANCE_CAP - 1.0,
+            params.IMBALANCE_COEFF * w.work_skew,
+        )
+        ipg = instructions / n_gpes * imbalance
+        shared_frac = w.shared_fraction
+        total_ws = w.live_set_bytes
+        sf2 = w.shared_fraction * params.TILE_SHARING_FACTOR
+        x1 = model_crossbar(
+            accesses=w.accesses / tiles,
+            busy_cycles=ipg,
+            n_requesters=gpes,
+            n_banks=gpes,
+            shared=True,
+        )
+        cols["accesses"].append(w.accesses)
+        cols["instructions"].append(instructions)
+        cols["imbalance"].append(imbalance)
+        cols["ipg"].append(ipg)
+        cols["mlp"].append(
+            params.MLP
+            * (
+                params.MLP_STRIDE_FLOOR
+                + params.MLP_STRIDE_SLOPE * w.stride_fraction
+            )
+        )
+        cols["ws_l1_shared"].append(
+            total_ws * ((1.0 - shared_frac) / tiles + shared_frac)
+        )
+        cols["infl_l1_shared"].append(
+            (1.0 - shared_frac) + shared_frac * min(tiles, 2.0)
+        )
+        cols["ws_l1_private"].append(
+            total_ws * ((1.0 - shared_frac) / (tiles * gpes) + shared_frac)
+        )
+        cols["infl_l1_private"].append(
+            (1.0 - shared_frac)
+            + shared_frac * min(gpes, params.REPLICATION_CAP_L1)
+        )
+        cols["total_ws"].append(total_ws)
+        cols["ws_l2_private"].append(total_ws * ((1.0 - sf2) / tiles + sf2))
+        cols["infl_l2_private"].append(
+            (1.0 - sf2) + sf2 * min(tiles, params.REPLICATION_CAP_L2)
+        )
+        cols["unique_words"].append(w.unique_words)
+        cols["unique_lines"].append(w.unique_lines)
+        cols["conflict"].append(
+            params.CONFLICT_BASE
+            + params.CONFLICT_IRREGULAR * (1.0 - w.stride_fraction)
+        )
+        cols["stride"].append(w.stride_fraction)
+        cols["reuse_locality"].append(w.reuse_locality)
+        cols["store_fraction"].append(w.stores / max(w.accesses, 1e-9))
+        cols["lcp_instr"].append(
+            w.instructions
+            * params.LCP_WORK_FRACTION
+            * (1.0 + w.work_skew)
+            / tiles
+        )
+        cols["fp_per_gpe"].append(w.fp_ops / n_gpes)
+        cols["read_bytes_compulsory"].append(w.read_bytes_compulsory)
+        cols["write_bytes"].append(w.write_bytes)
+        cols["x1_contention"].append(x1.contention_ratio)
+        cols["x1_extra"].append(x1.extra_latency_cycles)
+        cols["x1_transfers"].append(x1.transfers)
+    return {
+        name: np.asarray(values, dtype=np.float64).reshape(-1, 1)
+        for name, values in cols.items()
+    }
 
 
 class _NeverStores(dict):

@@ -8,8 +8,14 @@ code it replaced.
 * CART scores only the positions where x changes. The all-positions
   search (score everything, then mask) must grow equal trees, node for
   node, with equal feature importances.
-* ``EpochGrid.result`` unboxes only its own cell. Every cell must equal
-  the whole-grid ``tolist`` unboxing, field by field, as Python floats.
+* ``EpochGrid.result`` unboxes only its own cell, in one call, and
+  builds its records without the dataclass ``__init__``. Every cell
+  must equal the whole-grid ``tolist`` unboxing built through the
+  constructors: ``==``, equal hashes, the same fields, Python floats.
+* ``EpochGrid``'s workload-only quantities are array expressions. Each
+  column must equal the per-workload loop's (``np.array_equal``) on
+  every Table-5 trace, on an epoch without memory accesses, and both
+  must raise on a negative crossbar load.
 * ``gains_over`` and the job body each read a schedule's totals once,
   so an untraced job walks each schedule's records at most twice per
   total, and an untraced offload reads none once its run is done.
@@ -27,7 +33,9 @@ from repro.core import dataset
 from repro.core.modes import OptimizationMode
 from repro.core.runtime import TransmuterRuntime
 from repro.core.schedule import ScheduleResult
+from repro.errors import SimulationError
 from repro.experiments.harness import KNOWN_SCHEMES, build_trace
+from repro.fastpath import epochs
 from repro.fastpath.epochs import EpochGrid
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.runner.plan import JobSpec
@@ -35,7 +43,10 @@ from repro.runner.worker import _evaluate_fn
 from repro.sparse import generators, suite
 from repro.sparse.coo import COOMatrix
 from repro.transmuter.config import sample_configs
-from repro.transmuter.machine import TransmuterModel
+from repro.transmuter.counters import PerformanceCounters
+from repro.transmuter.machine import EpochResult, TransmuterModel
+from repro.transmuter.power import EnergyBreakdown
+from repro.transmuter.workload import EpochWorkload
 from tests import scalar_reference
 
 
@@ -275,12 +286,26 @@ def _flat_fields(value, prefix=""):
     return out
 
 
+def _assert_same_object(ours, theirs) -> None:
+    """Equal dataclass instances with the same fields in ``vars``."""
+    assert type(ours) is type(theirs)
+    assert ours == theirs
+    assert list(vars(ours)) == [f.name for f in dataclasses.fields(theirs)]
+
+
 def _assert_cells_match(grid: EpochGrid) -> None:
     reference = scalar_reference.whole_grid_results(grid)
     for i in range(grid.n_workloads):
         for j in range(grid.n_configs):
-            ours = _flat_fields(grid.result(i, j))
-            theirs = _flat_fields(reference[i][j])
+            result = grid.result(i, j)
+            built = reference[i][j]
+            _assert_same_object(result, built)
+            _assert_same_object(result.energy, built.energy)
+            _assert_same_object(result.counters, built.counters)
+            assert hash(result.counters) == hash(built.counters)
+            assert hash(result.energy) == hash(built.energy)
+            ours = _flat_fields(result)
+            theirs = _flat_fields(built)
             assert ours.keys() == theirs.keys()
             for name, value in ours.items():
                 assert type(value) is type(theirs[name]), (i, j, name)
@@ -299,6 +324,21 @@ class TestGridUnboxing:
             sample_configs(8, l1_type=l1_type, seed=4),
         )
         _assert_cells_match(grid)
+
+    def test_cross_grid_mixed_l1_types(self):
+        trace = build_trace("spmspv", "R10", scale=0.1)
+        configs = sample_configs(4, l1_type="spm", seed=7)
+        configs[1:1] = sample_configs(3, l1_type="cache", seed=8)
+        grid = EpochGrid(TransmuterModel(), trace.epochs[:5], configs)
+        assert len({config.l1_type for config in grid.configs}) == 2
+        _assert_cells_match(grid)
+
+    def test_result_classes_have_no_post_init(self):
+        # result() skips the generated __init__; that is only sound
+        # while __init__ checks nothing.
+        for cls in (EpochResult, EnergyBreakdown, PerformanceCounters):
+            assert dataclasses.is_dataclass(cls)
+            assert not hasattr(cls, "__post_init__"), cls
 
     def test_paired_grid_mixed_l1_types(self):
         trace = build_trace("spmspv", "R10", scale=0.1)
@@ -322,6 +362,72 @@ class TestGridUnboxing:
         first = grid.result(2, 3)
         assert grid.result(2, 3) is first
         assert grid.result(0, 0) is not first
+
+
+# ---------------------------------------------------------------------------
+# EpochGrid workload scalars
+# ---------------------------------------------------------------------------
+#: Every Table-5 trace: SpMSpM over R01-R08, SpMSpV over R09-R16.
+_TABLE5_TRACES = [("spmspm", f"R{index:02d}") for index in range(1, 9)] + [
+    ("spmspv", f"R{index:02d}") for index in range(9, 17)
+]
+
+
+def _assert_same_scalars(machine, workloads, spm) -> None:
+    ours = epochs._workload_scalars(machine, workloads, spm)
+    theirs = scalar_reference.workload_scalars(machine, workloads, spm)
+    assert ours.keys() == theirs.keys()
+    for name, column in theirs.items():
+        assert ours[name].dtype == column.dtype, name
+        assert np.array_equal(ours[name], column), name
+
+
+def _idle_epoch() -> EpochWorkload:
+    """An epoch that issues no memory access at all."""
+    return EpochWorkload(
+        phase="merge",
+        fp_ops=0.0,
+        flops=0.0,
+        int_ops=12.0,
+        loads=0.0,
+        stores=0.0,
+        unique_words=0.0,
+        unique_lines=0.0,
+        stride_fraction=1.0,
+        shared_fraction=0.0,
+        read_bytes_compulsory=0.0,
+        write_bytes=0.0,
+    )
+
+
+class TestWorkloadScalars:
+    @pytest.mark.parametrize("spm", [False, True], ids=["cache", "spm"])
+    @pytest.mark.parametrize("kernel,matrix", _TABLE5_TRACES)
+    def test_table5_trace(self, kernel, matrix, spm):
+        trace = build_trace(kernel, matrix, scale=0.15)
+        _assert_same_scalars(TransmuterModel(), trace.epochs, spm)
+
+    @pytest.mark.parametrize("spm", [False, True], ids=["cache", "spm"])
+    def test_epoch_without_accesses(self, spm):
+        busy = build_trace("spmspv", "R10", scale=0.1).epochs[:2]
+        workloads = [busy[0], _idle_epoch(), busy[1]]
+        _assert_same_scalars(TransmuterModel(), workloads, spm)
+        ours = epochs._workload_scalars(TransmuterModel(), workloads, spm)
+        assert ours["x1_contention"][1, 0] == 0.0
+        assert ours["x1_extra"][1, 0] == 0.0
+        assert ours["x1_extra"][0, 0] > 0.0
+
+    def test_negative_crossbar_load_raises(self):
+        busy = build_trace("spmspv", "R10", scale=0.1).epochs[0]
+        broken = dataclasses.replace(busy)
+        # Past the workload's own validation, as a corrupt epoch would be.
+        object.__setattr__(broken, "stores", -busy.loads - 1.0)
+        for compute in (
+            epochs._workload_scalars,
+            scalar_reference.workload_scalars,
+        ):
+            with pytest.raises(SimulationError, match="negative crossbar"):
+                compute(TransmuterModel(), [busy, broken], False)
 
 
 # ---------------------------------------------------------------------------
