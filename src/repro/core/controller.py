@@ -46,11 +46,13 @@ additionally emit ``fault.injected``, ``fault.detected``,
 ``machine.degraded``, ``controller.readback`` and
 ``controller.safe_mode`` events. With tracing disabled all
 instrumentation is skipped behind a single flag check, so the modeled
-numbers and the runtime cost are identical to an uninstrumented run:
-the traced path calls ``model.predict_with_provenance`` /
-``policy.filter_with_verdicts``, which share the decision code with
-the untraced ``predict`` / ``filter`` calls and therefore cannot
-change any decision.
+numbers and the runtime cost are identical to an uninstrumented run.
+Traced and untraced epochs take the same decision path: the decision
+memo, ``model.predict`` on a miss and ``policy.filter``. A recorder
+only adds what gets reported: it hands ``filter`` a list to collect
+the policy verdicts in, and asks ``model.explain`` for the tree paths
+behind the (possibly memoized) prediction, so tracing cannot change
+a decision.
 """
 
 from __future__ import annotations
@@ -260,15 +262,14 @@ class SparseAdaptController:
                     "controller.readback_retries",
                     "reconfiguration command retries after read-back",
                 )
-        else:
-            self._check_memo_token()
-            memo = self._decision_memo
-            memo_hits = obs.metrics.counter(
-                "fastpath.memo_hits", "controller decision-memo hits"
-            )
-            memo_misses = obs.metrics.counter(
-                "fastpath.memo_misses", "controller decision-memo misses"
-            )
+        self._check_memo_token()
+        memo = self._decision_memo
+        memo_hits = obs.metrics.counter(
+            "fastpath.memo_hits", "controller decision-memo hits"
+        )
+        memo_misses = obs.metrics.counter(
+            "fastpath.memo_misses", "controller decision-memo misses"
+        )
         for index, workload in enumerate(trace.epochs):
             with recorder.span(
                 "epoch", epoch=index, phase=workload.phase
@@ -370,22 +371,9 @@ class SparseAdaptController:
                     # Safe mode: no inference, hold the safe config.
                     predicted = self.safe_config
                     applied = self.safe_config
-                elif traced:
-                    t1 = perf_counter()
-                    predicted, provenance = self.model.predict_with_provenance(
-                        counters, config
-                    )
-                    t2 = perf_counter()
-                    applied, verdicts = self.policy.filter_with_verdicts(
-                        current=config,
-                        predicted=predicted,
-                        last_epoch_time_s=last_epoch_time,
-                        power=self.machine.power,
-                        bandwidth_gbps=self.bandwidth_gbps,
-                        dirty_bytes_hint=dirty_hint,
-                    )
-                    t3 = perf_counter()
                 else:
+                    if traced:
+                        t1 = perf_counter()
                     memo_key = (config, counters)
                     predicted = memo.get(memo_key)
                     if predicted is None:
@@ -394,9 +382,12 @@ class SparseAdaptController:
                         memo_misses.inc()
                     else:
                         memo_hits.inc()
+                    if traced:
+                        t2 = perf_counter()
                     # The policy filter is NOT memoized: its verdicts
                     # depend on last_epoch_time/dirty_hint, which vary
                     # epoch to epoch.
+                    verdicts = [] if traced else None
                     applied = self.policy.filter(
                         current=config,
                         predicted=predicted,
@@ -404,7 +395,10 @@ class SparseAdaptController:
                         power=self.machine.power,
                         bandwidth_gbps=self.bandwidth_gbps,
                         dirty_bytes_hint=dirty_hint,
+                        verdicts=verdicts,
                     )
+                    if traced:
+                        t3 = perf_counter()
                 if clean:
                     pending_reconfig = reconfiguration_cost(
                         config,
@@ -467,6 +461,7 @@ class SparseAdaptController:
                         counters.as_dict() if not clean else raw_counters
                     )
                     verdict_by_param = {v.parameter: v for v in verdicts}
+                    provenance = self.model.explain(counters, config)
                     for parameter, record in provenance.items():
                         verdict = verdict_by_param.get(parameter)
                         recorder.event(

@@ -67,6 +67,13 @@ class SparseAdaptModel:
             return [p for p in RUNTIME_PARAMETERS if p != "l1_kb"]
         return list(RUNTIME_PARAMETERS)
 
+    def _check_l1_type(self, current: HardwareConfig) -> None:
+        if current.l1_type != self.l1_type:
+            raise ModelError(
+                f"model trained for l1_type={self.l1_type!r}, "
+                f"got {current.l1_type!r}"
+            )
+
     def predict(
         self,
         counters: PerformanceCounters,
@@ -74,57 +81,27 @@ class SparseAdaptModel:
     ) -> HardwareConfig:
         """Best configuration for the next epoch given this epoch's
         telemetry and the configuration it ran on."""
-        if current.l1_type != self.l1_type:
-            raise ModelError(
-                f"model trained for l1_type={self.l1_type!r}, "
-                f"got {current.l1_type!r}"
-            )
+        self._check_l1_type(current)
         with obs_profile.span("forest_inference"):
-            row = build_features(counters, current)
-            tables = self.compiled_tables()
-            values = {}
-            row_list = row.tolist()
-            for name in self.predicted_parameters():
-                prediction = tables[name].predict_row(row_list)
-                values[name] = self._coerce(name, prediction)
+            row = build_features(counters, current).tolist()
+            values = {
+                name: self._coerce(
+                    name, self.trees[name].table.predict_row(row)
+                )
+                for name in self.predicted_parameters()
+            }
             if self.l1_type == "spm":
                 values["l1_kb"] = SPM_FIXED_L1_KB
             return HardwareConfig(l1_type=self.l1_type, **values)
 
-    def compiled_tables(self) -> Dict[str, object]:
-        """Flat decision tables for this ensemble.
-
-        Compiled lazily on first use and cached on the instance; the
-        cache is invalidated automatically when any per-parameter
-        estimator object is replaced (retraining builds new estimators,
-        so identity tracks model changes).
-        """
-        token = tuple(
-            (name, id(self.trees[name]))
-            for name in self.predicted_parameters()
-        )
-        cached = getattr(self, "_compiled_cache", None)
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        from repro.fastpath.tables import compile_forest
-
-        tables = compile_forest(self)
-        self._compiled_cache = (token, tables)
-        return tables
-
-    def invalidate_compiled(self) -> None:
-        """Drop the compiled-table cache (e.g. after editing trees)."""
-        self._compiled_cache = None
-
-    def predict_with_provenance(
+    def explain(
         self,
         counters: PerformanceCounters,
         current: HardwareConfig,
-    ):
-        """Like :meth:`predict`, also returning per-parameter provenance.
+    ) -> Dict[str, dict]:
+        """Per-parameter provenance of :meth:`predict` on the same inputs.
 
-        Returns ``(config, provenance)`` where ``provenance`` maps each
-        predicted parameter to a JSON-friendly dict::
+        Maps each predicted parameter to a JSON-friendly dict::
 
             {"parameter": "l1_kb", "current": 16, "predicted": 64,
              "kind": "tree", "margin": 0.83, "depth": 2,
@@ -133,47 +110,29 @@ class SparseAdaptModel:
                        "value": 0.31, "direction": "gt"}, ...],
              "leaf": {...}}
 
-        The prediction is derived from the same leaf the traversal
-        reaches, so the returned configuration is identical to
-        :meth:`predict` on the same inputs — provenance collection can
-        never change a decision.
+        Each tree's ``decision_path`` reads the leaf that :meth:`predict`
+        decodes, so ``predicted`` always equals the prediction.
         """
-        if current.l1_type != self.l1_type:
-            raise ModelError(
-                f"model trained for l1_type={self.l1_type!r}, "
-                f"got {current.l1_type!r}"
-            )
+        self._check_l1_type(current)
         with obs_profile.span("forest_inference"):
-            return self._predict_with_provenance(counters, current)
-
-    def _predict_with_provenance(
-        self,
-        counters: PerformanceCounters,
-        current: HardwareConfig,
-    ):
-        row = build_features(counters, current)
-        names = feature_names()
-        values: Dict[str, object] = {}
-        provenance: Dict[str, dict] = {}
-        for name in self.predicted_parameters():
-            path = self.trees[name].decision_path(row)
-            leaf = path["leaf"]
-            steps = self._describe_steps(path["steps"], names)
-            predicted = self._coerce(name, leaf["prediction"])
-            values[name] = predicted
-            provenance[name] = {
-                "parameter": name,
-                "current": current.get(name),
-                "predicted": predicted,
-                "kind": "tree",
-                "margin": leaf["margin"],
-                "depth": len(steps),
-                "path": steps,
-                "leaf": leaf,
-            }
-        if self.l1_type == "spm":
-            values["l1_kb"] = SPM_FIXED_L1_KB
-        return HardwareConfig(l1_type=self.l1_type, **values), provenance
+            row = build_features(counters, current)
+            names = feature_names()
+            provenance: Dict[str, dict] = {}
+            for name in self.predicted_parameters():
+                path = self.trees[name].decision_path(row)
+                leaf = path["leaf"]
+                steps = self._describe_steps(path["steps"], names)
+                provenance[name] = {
+                    "parameter": name,
+                    "current": current.get(name),
+                    "predicted": self._coerce(name, leaf["prediction"]),
+                    "kind": "tree",
+                    "margin": leaf["margin"],
+                    "depth": len(steps),
+                    "path": steps,
+                    "leaf": leaf,
+                }
+            return provenance
 
     @staticmethod
     def _describe_steps(steps, names: List[str]) -> List[dict]:

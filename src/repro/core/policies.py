@@ -14,20 +14,20 @@ worth its reconfiguration cost:
   occasional ones in long epochs. The paper finds 10-40 % tolerances
   best (Figure 11 left) and uses 40 % for SpMSpV.
 
-Every policy can also *explain* itself: :meth:`~ReconfigurationPolicy.
-filter_with_verdicts` runs the exact same per-parameter walk as
-:meth:`~ReconfigurationPolicy.filter` and additionally returns one
-:class:`PolicyVerdict` per proposed change, carrying the accept/reject
-decision, the cost-vs-budget numbers that produced it, a stable
-machine-readable ``code``, and a human-readable ``reason`` sentence.
-The verdict path shares the decision code with the plain path, so an
-explained run can never diverge from an unexplained one.
+Every policy can also *explain* itself: pass ``verdicts=[]`` to
+:meth:`~ReconfigurationPolicy.filter` and the same per-parameter walk
+appends one :class:`PolicyVerdict` per proposed change, carrying the
+accept/reject decision, the cost-vs-budget numbers that produced it, a
+stable machine-readable ``code``, and a human-readable ``reason``
+sentence. The list only records decisions, so an explained run can
+never diverge from an unexplained one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ConfigError
 from repro.transmuter.config import HardwareConfig
@@ -94,10 +94,28 @@ def _payback_epochs(cost_time_s: float, last_epoch_time_s: float) -> float:
     return float("inf")
 
 
+def _check_budget(name: str, value: float) -> float:
+    """A policy budget: a finite, non-negative number."""
+    if not math.isfinite(value) or value < 0:
+        raise ConfigError(
+            f"{name} must be finite and non-negative, got {value!r}"
+        )
+    return value
+
+
 class ReconfigurationPolicy:
-    """Filters a predicted configuration against reconfiguration cost."""
+    """Filters a predicted configuration against reconfiguration cost.
+
+    A policy supplies its time budget (:meth:`_budget_s`) and its verdict
+    prose (:meth:`_verdict`); :meth:`filter` applies each proposed
+    change whose cost fits the budget.
+    """
 
     name = "base"
+
+    def _budget_s(self, last_epoch_time_s: float) -> float:
+        """Largest reconfiguration time one parameter change may cost."""
+        raise NotImplementedError
 
     def filter(
         self,
@@ -107,28 +125,41 @@ class ReconfigurationPolicy:
         power: PowerModel,
         bandwidth_gbps: float,
         dirty_bytes_hint=None,
+        verdicts: Optional[List["PolicyVerdict"]] = None,
     ) -> HardwareConfig:
-        """Return the configuration to actually apply."""
-        raise NotImplementedError
+        """Return the configuration to actually apply.
 
-    def filter_with_verdicts(
-        self,
-        current: HardwareConfig,
-        predicted: HardwareConfig,
-        last_epoch_time_s: float,
-        power: PowerModel,
-        bandwidth_gbps: float,
-        dirty_bytes_hint=None,
-    ) -> Tuple[HardwareConfig, List["PolicyVerdict"]]:
-        """``filter`` plus one :class:`PolicyVerdict` per proposed change.
-
-        The applied configuration is identical to :meth:`filter` on the
-        same inputs: both run the same walk; this one just keeps the
-        decision record instead of dropping it.
+        When ``verdicts`` is a list, one :class:`PolicyVerdict` per
+        proposed change is appended to it; the decisions are the same
+        either way. An unbounded budget applies the prediction as is.
         """
-        raise NotImplementedError
+        budget = self._budget_s(last_epoch_time_s)
+        unbounded = budget == math.inf
+        if unbounded and verdicts is None:
+            return predicted
+        config = current
+        for name in changed_parameters(current, predicted):
+            cost = parameter_change_cost(
+                config, predicted, name, power, bandwidth_gbps,
+                dirty_bytes_hint=dirty_bytes_hint,
+            )
+            accepted = unbounded or cost.time_s <= budget
+            if verdicts is not None:
+                verdicts.append(
+                    self._verdict(
+                        name,
+                        config.get(name),
+                        predicted.get(name),
+                        cost,
+                        accepted,
+                        budget,
+                        last_epoch_time_s,
+                    )
+                )
+            if accepted:
+                config = config.with_value(name, predicted.get(name))
+        return predicted if unbounded else config
 
-    # ------------------------------------------------------------------
     def _verdict(
         self,
         parameter: str,
@@ -142,85 +173,14 @@ class ReconfigurationPolicy:
         """Policy-specific verdict record; subclasses supply the prose."""
         raise NotImplementedError
 
-    def _apply_per_parameter(
-        self,
-        current: HardwareConfig,
-        predicted: HardwareConfig,
-        power: PowerModel,
-        bandwidth_gbps: float,
-        accept,
-        dirty_bytes_hint=None,
-        budget_s: float = float("inf"),
-        last_epoch_time_s: float = 0.0,
-        verdicts: Optional[List["PolicyVerdict"]] = None,
-    ) -> HardwareConfig:
-        """Shared per-knob walk: ``accept(cost)`` decides each change.
-
-        When ``verdicts`` is a list, one :class:`PolicyVerdict` per
-        proposed change is appended; the decision itself is taken by the
-        exact same ``accept`` call either way.
-        """
-        config = current
-        for name in changed_parameters(current, predicted):
-            cost = parameter_change_cost(
-                config, predicted, name, power, bandwidth_gbps,
-                dirty_bytes_hint=dirty_bytes_hint,
-            )
-            accepted = accept(cost)
-            if verdicts is not None:
-                verdicts.append(
-                    self._verdict(
-                        name,
-                        config.get(name),
-                        predicted.get(name),
-                        cost,
-                        accepted,
-                        budget_s,
-                        last_epoch_time_s,
-                    )
-                )
-            if accepted:
-                config = config.with_value(name, predicted.get(name))
-        return config
-
 
 class AggressivePolicy(ReconfigurationPolicy):
     """Always follow the model's prediction."""
 
     name = "aggressive"
 
-    def filter(
-        self,
-        current: HardwareConfig,
-        predicted: HardwareConfig,
-        last_epoch_time_s: float,
-        power: PowerModel,
-        bandwidth_gbps: float,
-        dirty_bytes_hint=None,
-    ) -> HardwareConfig:
-        return predicted
-
-    def filter_with_verdicts(
-        self,
-        current: HardwareConfig,
-        predicted: HardwareConfig,
-        last_epoch_time_s: float,
-        power: PowerModel,
-        bandwidth_gbps: float,
-        dirty_bytes_hint=None,
-    ) -> Tuple[HardwareConfig, List[PolicyVerdict]]:
-        verdicts: List[PolicyVerdict] = []
-        self._apply_per_parameter(
-            current,
-            predicted,
-            power,
-            bandwidth_gbps,
-            accept=lambda cost: True,
-            dirty_bytes_hint=dirty_bytes_hint,
-            last_epoch_time_s=last_epoch_time_s,
-            verdicts=verdicts,
-        )
-        return predicted, verdicts
+    def _budget_s(self, last_epoch_time_s: float) -> float:
+        return math.inf
 
     def _verdict(
         self,
@@ -255,50 +215,10 @@ class ConservativePolicy(ReconfigurationPolicy):
     name = "conservative"
 
     def __init__(self, max_cost_s: float = 5e-6) -> None:
-        if max_cost_s < 0:
-            raise ConfigError("max_cost_s must be non-negative")
-        self.max_cost_s = max_cost_s
+        self.max_cost_s = _check_budget("max_cost_s", max_cost_s)
 
-    def filter(
-        self,
-        current: HardwareConfig,
-        predicted: HardwareConfig,
-        last_epoch_time_s: float,
-        power: PowerModel,
-        bandwidth_gbps: float,
-        dirty_bytes_hint=None,
-    ) -> HardwareConfig:
-        return self._apply_per_parameter(
-            current,
-            predicted,
-            power,
-            bandwidth_gbps,
-            accept=lambda cost: cost.time_s <= self.max_cost_s,
-            dirty_bytes_hint=dirty_bytes_hint,
-        )
-
-    def filter_with_verdicts(
-        self,
-        current: HardwareConfig,
-        predicted: HardwareConfig,
-        last_epoch_time_s: float,
-        power: PowerModel,
-        bandwidth_gbps: float,
-        dirty_bytes_hint=None,
-    ) -> Tuple[HardwareConfig, List[PolicyVerdict]]:
-        verdicts: List[PolicyVerdict] = []
-        applied = self._apply_per_parameter(
-            current,
-            predicted,
-            power,
-            bandwidth_gbps,
-            accept=lambda cost: cost.time_s <= self.max_cost_s,
-            dirty_bytes_hint=dirty_bytes_hint,
-            budget_s=self.max_cost_s,
-            last_epoch_time_s=last_epoch_time_s,
-            verdicts=verdicts,
-        )
-        return applied, verdicts
+    def _budget_s(self, last_epoch_time_s: float) -> float:
+        return self.max_cost_s
 
     def _verdict(
         self,
@@ -336,52 +256,10 @@ class HybridPolicy(ReconfigurationPolicy):
     name = "hybrid"
 
     def __init__(self, tolerance: float = 0.40) -> None:
-        if tolerance < 0:
-            raise ConfigError("tolerance must be non-negative")
-        self.tolerance = tolerance
+        self.tolerance = _check_budget("tolerance", tolerance)
 
-    def filter(
-        self,
-        current: HardwareConfig,
-        predicted: HardwareConfig,
-        last_epoch_time_s: float,
-        power: PowerModel,
-        bandwidth_gbps: float,
-        dirty_bytes_hint=None,
-    ) -> HardwareConfig:
-        budget = self.tolerance * max(last_epoch_time_s, 0.0)
-        return self._apply_per_parameter(
-            current,
-            predicted,
-            power,
-            bandwidth_gbps,
-            accept=lambda cost: cost.time_s <= budget,
-            dirty_bytes_hint=dirty_bytes_hint,
-        )
-
-    def filter_with_verdicts(
-        self,
-        current: HardwareConfig,
-        predicted: HardwareConfig,
-        last_epoch_time_s: float,
-        power: PowerModel,
-        bandwidth_gbps: float,
-        dirty_bytes_hint=None,
-    ) -> Tuple[HardwareConfig, List[PolicyVerdict]]:
-        budget = self.tolerance * max(last_epoch_time_s, 0.0)
-        verdicts: List[PolicyVerdict] = []
-        applied = self._apply_per_parameter(
-            current,
-            predicted,
-            power,
-            bandwidth_gbps,
-            accept=lambda cost: cost.time_s <= budget,
-            dirty_bytes_hint=dirty_bytes_hint,
-            budget_s=budget,
-            last_epoch_time_s=last_epoch_time_s,
-            verdicts=verdicts,
-        )
-        return applied, verdicts
+    def _budget_s(self, last_epoch_time_s: float) -> float:
+        return self.tolerance * max(last_epoch_time_s, 0.0)
 
     def _verdict(
         self,

@@ -1,16 +1,12 @@
-"""Compiled hot path: vectorized epoch batches and flat decision tables.
+"""Compiled hot path: the vectorized epoch grid.
 
-Campaigns evaluate the analytic machine model and the CART ensemble
-millions of times; both are pure-Python loops in their reference form
-(``TransmuterModel.simulate_epoch``, the estimators' own ``predict``).
-This package compiles them down to numpy:
-
-* :mod:`repro.fastpath.tables` flattens fitted trees into contiguous
-  feature/threshold/child/leaf-class arrays, walked by a tight
-  flat-array loop for the controller's single-row case.
-* :mod:`repro.fastpath.epochs` evaluates the cache/crossbar/DVFS/power
-  epoch model for a whole ``workloads x configs`` grid in one pass of
-  elementwise array ops.
+Campaigns evaluate the analytic machine model millions of times; in
+its reference form (``TransmuterModel.simulate_epoch``) that is a
+pure-Python loop. :mod:`repro.fastpath.epochs` compiles it down to
+numpy: it evaluates the cache/crossbar/DVFS/power epoch model for a
+whole ``workloads x configs`` grid in one pass of elementwise array
+ops. (The decision trees' flat tables live with the estimator, in
+:class:`repro.ml.decision_tree.DecisionTable`.)
 
 **Bit-identity is the contract.** Every downstream guarantee
 (kill/resume, multi-host convergence, compare gates) keys off exact
@@ -29,8 +25,8 @@ from the scalar reference:
   precomputed per distinct configuration with the original scalar
   functions.
 
-There is one code path: traced and untraced runs alike execute these
-engines. ``tests/test_fastpath_equivalence.py`` locks the equivalence
+There is one code path: traced and untraced runs alike execute this
+engine. ``tests/test_fastpath_equivalence.py`` locks the equivalence
 down with differential property tests against scalar reference copies
 kept under ``tests/`` (``tests/scalar_reference.py``).
 """

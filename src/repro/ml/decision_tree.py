@@ -13,13 +13,18 @@ pruning, and Gini feature importance (used for Figure 10).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import ModelError
 
-__all__ = ["TreeNode", "DecisionTreeClassifier", "clone_estimator"]
+__all__ = [
+    "TreeNode",
+    "DecisionTable",
+    "DecisionTreeClassifier",
+    "clone_estimator",
+]
 
 _CRITERIA = ("gini", "entropy")
 
@@ -53,6 +58,87 @@ class TreeNode:
         if self.is_leaf:
             return 0
         return 1 + max(self.left.depth(), self.right.depth())
+
+
+class DecisionTable:
+    """A fitted tree as flat preorder lists indexed by node id::
+
+        feature[n]     splitting feature, -1 for leaves
+        threshold[n]   split threshold (x[feature] <= threshold -> left)
+        left[n]        left child node id (0 for leaves)
+        right[n]       right child node id (0 for leaves)
+        parent[n]      parent node id (0 for the root)
+        leaf_class[n]  index of the node's first maximal class
+        n_samples[n]   training samples that reached the node
+        value[n]       the node's class probabilities (a float64 row)
+
+    :meth:`leaf` walks the plain Python lists, which beats both the
+    linked-node chase and numpy scalar indexing for one row; every
+    prediction, probability and decision path of the classifier is
+    read off the leaf it returns.
+    """
+
+    __slots__ = (
+        "root",
+        "classes",
+        "feature",
+        "threshold",
+        "left",
+        "right",
+        "parent",
+        "leaf_class",
+        "n_samples",
+        "value",
+    )
+
+    def __init__(self, root: TreeNode, classes: np.ndarray) -> None:
+        self.root = root
+        self.classes = classes
+        self.feature: List[int] = []
+        self.threshold: List[float] = []
+        self.left: List[int] = []
+        self.right: List[int] = []
+        self.parent: List[int] = []
+        self.leaf_class: List[int] = []
+        self.n_samples: List[int] = []
+        values = []
+
+        def visit(node: TreeNode, parent: int) -> int:
+            index = len(self.feature)
+            self.feature.append(-1 if node.is_leaf else int(node.feature))
+            self.threshold.append(float(node.threshold))
+            self.left.append(0)
+            self.right.append(0)
+            self.parent.append(parent)
+            self.leaf_class.append(int(np.argmax(node.value)))
+            self.n_samples.append(int(node.n_samples))
+            values.append(node.value)
+            if not node.is_leaf:
+                self.left[index] = visit(node.left, index)
+                self.right[index] = visit(node.right, index)
+            return index
+
+        visit(root, 0)
+        self.value = np.array(values, dtype=np.float64)
+
+    def leaf(self, row) -> int:
+        """Node id of the leaf a sample (a sequence of floats) reaches."""
+        feature = self.feature
+        threshold = self.threshold
+        left = self.left
+        right = self.right
+        node = 0
+        feat = feature[0]
+        while feat >= 0:
+            node = (
+                left[node] if row[feat] <= threshold[node] else right[node]
+            )
+            feat = feature[node]
+        return node
+
+    def predict_row(self, row) -> object:
+        """Decoded prediction for one sample (a sequence of floats)."""
+        return self.classes[self.leaf_class[self.leaf(row)]]
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -101,6 +187,7 @@ class DecisionTreeClassifier:
         self.classes_: Optional[np.ndarray] = None
         self.n_features_: int = 0
         self.feature_importances_: Optional[np.ndarray] = None
+        self._table: Optional[DecisionTable] = None
 
     def get_params(self) -> dict:
         """Constructor parameters, for model-selection clones."""
@@ -346,9 +433,23 @@ class DecisionTreeClassifier:
         return best
 
     # -- inference ---------------------------------------------------------
+    @property
+    def table(self) -> "DecisionTable":
+        """The fitted tree as a :class:`DecisionTable`.
+
+        Built on first use and rebuilt whenever ``root_`` is replaced
+        (a refit, a model-file load); the table keeps the root it was
+        built from, so identity, not an ``id()``, tracks the tree.
+        """
+        table = self._table
+        if table is None or table.root is not self.root_:
+            root = self._check_fitted()
+            table = self._table = DecisionTable(root, self.classes_)
+        return table
+
     def predict_proba(self, features) -> np.ndarray:
         """Class-probability estimates, one row per sample."""
-        root = self._check_fitted()
+        table = self.table
         features = np.asarray(features, dtype=np.float64)
         if features.ndim == 1:
             features = features.reshape(1, -1)
@@ -356,19 +457,9 @@ class DecisionTreeClassifier:
             raise ModelError(
                 f"expected {self.n_features_} features, got {features.shape[1]}"
             )
-        out = np.empty((features.shape[0], root.value.size))
-        stack = [(root, np.arange(features.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.value
-                continue
-            go_left = features[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-        return out
+        leaf = table.leaf
+        leaves = [leaf(row) for row in features.tolist()]
+        return table.value[np.array(leaves, dtype=np.intp)]
 
     def predict(self, features) -> np.ndarray:
         """Predicted class labels."""
@@ -397,30 +488,35 @@ class DecisionTreeClassifier:
         the winning class and the runner-up (1.0 for a single-class
         leaf).
         """
-        node = self._check_fitted()
+        table = self.table
         sample = np.asarray(features, dtype=np.float64).reshape(-1)
         if sample.size != self.n_features_:
             raise ModelError(
                 f"expected {self.n_features_} features, got {sample.size}"
             )
+        row = sample.tolist()
+        leaf = table.leaf(row)
+        ancestors = []
+        node = leaf
+        while node:
+            node = table.parent[node]
+            ancestors.append(node)
         steps = []
-        depth = 0
-        while not node.is_leaf:
-            observed = float(sample[node.feature])
-            go_left = observed <= node.threshold
+        for depth, node in enumerate(reversed(ancestors)):
+            feature = table.feature[node]
+            threshold = table.threshold[node]
+            observed = row[feature]
             steps.append(
                 {
                     "depth": depth,
-                    "feature": int(node.feature),
-                    "threshold": float(node.threshold),
+                    "feature": feature,
+                    "threshold": threshold,
                     "value": observed,
-                    "direction": "le" if go_left else "gt",
+                    "direction": "le" if observed <= threshold else "gt",
                 }
             )
-            node = node.left if go_left else node.right
-            depth += 1
-        probabilities = node.value
-        best = int(np.argmax(probabilities))
+        probabilities = table.value[leaf]
+        best = table.leaf_class[leaf]
         prediction = self.classes_[best]
         item = getattr(prediction, "item", None)
         if probabilities.size > 1:
@@ -428,14 +524,16 @@ class DecisionTreeClassifier:
             margin = float(probabilities[best] - others.max())
         else:
             margin = 1.0
-        leaf = {
-            "depth": depth,
-            "n_samples": int(node.n_samples),
-            "value": [float(v) for v in probabilities],
-            "prediction": item() if callable(item) else prediction,
-            "margin": margin,
+        return {
+            "steps": steps,
+            "leaf": {
+                "depth": len(steps),
+                "n_samples": table.n_samples[leaf],
+                "value": probabilities.tolist(),
+                "prediction": item() if callable(item) else prediction,
+                "margin": margin,
+            },
         }
-        return {"steps": steps, "leaf": leaf}
 
     # -- introspection -------------------------------------------------------
     def depth(self) -> int:

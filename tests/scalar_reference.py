@@ -1,6 +1,6 @@
 """Scalar reference copies of the batched code, for differential tests.
 
-Production has one code path: the vectorized epoch grid, the compiled
+Production has one code path: the vectorized epoch grid, the flat
 decision tables and the pure-function memos. This module keeps the
 scalar code each of them replaced, and :func:`scalar_path` patches it
 in for the duration of a ``with`` block, so a test can run the same
@@ -11,8 +11,11 @@ campaign both ways and compare the results byte for byte:
   search and ProfileAdapt simulate their (workload, config) pairs one
   at a time, in pair order (``EpochGrid`` and its paired form);
 * ``ideal_static`` scores a full schedule per configuration;
-* ``SparseAdaptModel.predict`` walks each estimator itself instead of
-  its compiled table;
+* ``DecisionTreeClassifier.predict_proba`` and ``decision_path`` walk
+  the linked ``TreeNode``s instead of the flat table, and
+  ``SparseAdaptModel.predict`` decodes each tree through them, so the
+  predictions and the traced provenance (``SparseAdaptModel.explain``)
+  both come from the linked walk;
 * the controller's decision memo, the seeded-sample memo and the
   transition-cost memo never store, so every call recomputes;
 * ``EpochAccumulator`` takes one task per ``add`` call and closes each
@@ -86,6 +89,8 @@ from repro.transmuter.workload import (
 __all__ = [
     "scalar_path",
     "code_path",
+    "predict_proba",
+    "decision_path",
     "ScalarEpochAccumulator",
     "trace_spmspm",
     "trace_spmspv",
@@ -178,7 +183,8 @@ def ideal_static(table, mode):
 
 
 def predict(self, counters, current):
-    """``SparseAdaptModel.predict`` through the estimators' own walk."""
+    """``SparseAdaptModel.predict`` through ``DecisionTreeClassifier.predict``
+    (the linked-node ``predict_proba`` under :func:`scalar_path`)."""
     if current.l1_type != self.l1_type:
         raise ModelError(
             f"model trained for l1_type={self.l1_type!r}, "
@@ -193,6 +199,74 @@ def predict(self, counters, current):
         if self.l1_type == "spm":
             values["l1_kb"] = SPM_FIXED_L1_KB
         return HardwareConfig(l1_type=self.l1_type, **values)
+
+
+def predict_proba(self, features) -> np.ndarray:
+    """``DecisionTreeClassifier.predict_proba`` over the linked nodes."""
+    root = self._check_fitted()
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim == 1:
+        features = features.reshape(1, -1)
+    if features.shape[1] != self.n_features_:
+        raise ModelError(
+            f"expected {self.n_features_} features, got {features.shape[1]}"
+        )
+    out = np.empty((features.shape[0], root.value.size))
+    stack = [(root, np.arange(features.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if node.is_leaf:
+            out[idx] = node.value
+            continue
+        go_left = features[idx, node.feature] <= node.threshold
+        stack.append((node.left, idx[go_left]))
+        stack.append((node.right, idx[~go_left]))
+    return out
+
+
+def decision_path(self, features) -> dict:
+    """``DecisionTreeClassifier.decision_path`` over the linked nodes."""
+    node = self._check_fitted()
+    sample = np.asarray(features, dtype=np.float64).reshape(-1)
+    if sample.size != self.n_features_:
+        raise ModelError(
+            f"expected {self.n_features_} features, got {sample.size}"
+        )
+    steps = []
+    depth = 0
+    while not node.is_leaf:
+        observed = float(sample[node.feature])
+        go_left = observed <= node.threshold
+        steps.append(
+            {
+                "depth": depth,
+                "feature": int(node.feature),
+                "threshold": float(node.threshold),
+                "value": observed,
+                "direction": "le" if go_left else "gt",
+            }
+        )
+        node = node.left if go_left else node.right
+        depth += 1
+    probabilities = node.value
+    best = int(np.argmax(probabilities))
+    prediction = self.classes_[best]
+    item = getattr(prediction, "item", None)
+    if probabilities.size > 1:
+        others = np.delete(probabilities, best)
+        margin = float(probabilities[best] - others.max())
+    else:
+        margin = 1.0
+    leaf = {
+        "depth": depth,
+        "n_samples": int(node.n_samples),
+        "value": [float(v) for v in probabilities],
+        "prediction": item() if callable(item) else prediction,
+        "margin": margin,
+    }
+    return {"steps": steps, "leaf": leaf}
 
 
 class ScalarEpochAccumulator:
@@ -887,6 +961,8 @@ def scalar_path() -> Iterator[None]:
         (dataset, "EpochGrid", ScalarGrid),
         (profileadapt, "EpochGrid", ScalarGrid),
         (SparseAdaptModel, "predict", predict),
+        (DecisionTreeClassifier, "predict_proba", predict_proba),
+        (DecisionTreeClassifier, "decision_path", decision_path),
         (SparseAdaptController, "_decision_memo", _NO_DECISION_MEMO),
         (transmuter_config, "_SAMPLE_MEMO", _FORGETFUL),
         (reconfig, "_COST_MEMO", _FORGETFUL),

@@ -9,6 +9,7 @@ from repro.core.policies import (
     ConservativePolicy,
     HybridPolicy,
     PolicyVerdict,
+    parse_policy,
     policy_from_name,
 )
 from repro.errors import ConfigError
@@ -28,6 +29,13 @@ MIXED = BASE.with_value("clock_mhz", 500.0).with_value("l2_kb", 4)
 BANDWIDTH = 1.0
 
 
+def _explained(policy, **kwargs):
+    """``filter`` with a verdict list: (applied config, verdicts)."""
+    verdicts = []
+    applied = policy.filter(**kwargs, verdicts=verdicts)
+    return applied, verdicts
+
+
 def _kwargs(power, last_epoch_time_s=1e-4):
     return dict(
         current=BASE,
@@ -42,21 +50,17 @@ class TestAggressive:
     def test_always_applies_everything(self, power):
         policy = AggressivePolicy()
         assert policy.filter(**_kwargs(power)) == MIXED
-        applied, verdicts = policy.filter_with_verdicts(**_kwargs(power))
+        applied, verdicts = _explained(policy, **_kwargs(power))
         assert applied == MIXED
         assert all(v.accepted for v in verdicts)
         assert {v.code for v in verdicts} == {"always_apply"}
 
     def test_one_verdict_per_changed_parameter(self, power):
-        _, verdicts = AggressivePolicy().filter_with_verdicts(
-            **_kwargs(power)
-        )
+        _, verdicts = _explained(AggressivePolicy(), **_kwargs(power))
         assert {v.parameter for v in verdicts} == {"clock_mhz", "l2_kb"}
 
     def test_reason_carries_cost(self, power):
-        _, verdicts = AggressivePolicy().filter_with_verdicts(
-            **_kwargs(power)
-        )
+        _, verdicts = _explained(AggressivePolicy(), **_kwargs(power))
         for verdict in verdicts:
             assert "aggressive policy always follows" in verdict.reason
             assert f"{verdict.cost_time_s:.3e}" in verdict.reason
@@ -75,7 +79,7 @@ class TestConservative:
             BASE, MIXED, "l2_kb", power, BANDWIDTH
         )
         policy = ConservativePolicy(max_cost_s=cost.time_s)
-        applied, verdicts = policy.filter_with_verdicts(**_kwargs(power))
+        applied, verdicts = _explained(policy, **_kwargs(power))
         assert applied.l2_kb == 4  # cost == budget passes the <= test
         l2 = next(v for v in verdicts if v.parameter == "l2_kb")
         assert l2.accepted
@@ -83,13 +87,13 @@ class TestConservative:
 
     def test_zero_budget_rejects_all_costed_changes(self, power):
         policy = ConservativePolicy(max_cost_s=0.0)
-        applied, verdicts = policy.filter_with_verdicts(**_kwargs(power))
+        applied, verdicts = _explained(policy, **_kwargs(power))
         for verdict in verdicts:
             assert verdict.accepted == (verdict.cost_time_s <= 0.0)
 
     def test_verdict_codes_and_reasons(self, power):
         policy = ConservativePolicy(max_cost_s=5e-6)
-        applied, verdicts = policy.filter_with_verdicts(**_kwargs(power))
+        applied, verdicts = _explained(policy, **_kwargs(power))
         by_param = {v.parameter: v for v in verdicts}
         clock = by_param["clock_mhz"]
         assert clock.accepted and clock.code == "within_max_cost"
@@ -119,8 +123,9 @@ class TestHybrid:
         assert short_epoch.l2_kb == BASE.l2_kb
 
     def test_first_epoch_has_infinite_payback(self, power):
-        _, verdicts = HybridPolicy(tolerance=0.40).filter_with_verdicts(
-            **_kwargs(power, last_epoch_time_s=0.0)
+        _, verdicts = _explained(
+            HybridPolicy(tolerance=0.40),
+            **_kwargs(power, last_epoch_time_s=0.0),
         )
         for verdict in verdicts:
             assert not verdict.accepted  # zero budget blocks everything
@@ -134,24 +139,25 @@ class TestHybrid:
         )
         tolerance = 0.40
         epoch = cost.time_s / tolerance
-        applied, verdicts = HybridPolicy(
-            tolerance=tolerance
-        ).filter_with_verdicts(**_kwargs(power, last_epoch_time_s=epoch))
+        applied, verdicts = _explained(
+            HybridPolicy(tolerance=tolerance),
+            **_kwargs(power, last_epoch_time_s=epoch),
+        )
         l2 = next(v for v in verdicts if v.parameter == "l2_kb")
         assert l2.accepted
         assert l2.payback_epochs == pytest.approx(tolerance)
         # An epoch even slightly shorter flips the decision.
-        applied, verdicts = HybridPolicy(
-            tolerance=tolerance
-        ).filter_with_verdicts(
-            **_kwargs(power, last_epoch_time_s=epoch * 0.999)
+        applied, verdicts = _explained(
+            HybridPolicy(tolerance=tolerance),
+            **_kwargs(power, last_epoch_time_s=epoch * 0.999),
         )
         l2 = next(v for v in verdicts if v.parameter == "l2_kb")
         assert not l2.accepted
 
     def test_verdict_reason_carries_budget_arithmetic(self, power):
-        _, verdicts = HybridPolicy(tolerance=0.40).filter_with_verdicts(
-            **_kwargs(power, last_epoch_time_s=1e-4)
+        _, verdicts = _explained(
+            HybridPolicy(tolerance=0.40),
+            **_kwargs(power, last_epoch_time_s=1e-4),
         )
         budget = 0.40 * 1e-4
         for verdict in verdicts:
@@ -166,8 +172,35 @@ class TestHybrid:
             HybridPolicy(tolerance=-0.1)
 
 
+class TestBudgetValidation:
+    """A budget that is NaN or infinite would make every ``cost <=
+    budget`` test false (NaN) or turn the first epoch's hybrid budget
+    into ``inf * 0.0 = nan``; both are refused up front."""
+
+    @pytest.mark.parametrize("text", ["hybrid:nan", "hybrid:inf",
+                                      "hybrid:-inf", "hybrid:-0.1"])
+    def test_parse_policy_rejects(self, text):
+        with pytest.raises(ConfigError):
+            parse_policy(text)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_hybrid_rejects(self, value):
+        with pytest.raises(ConfigError):
+            HybridPolicy(tolerance=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_conservative_rejects(self, value):
+        with pytest.raises(ConfigError):
+            ConservativePolicy(max_cost_s=value)
+
+    def test_finite_budgets_still_load(self):
+        assert parse_policy("hybrid:0").tolerance == 0.0
+        assert parse_policy("hybrid:1.5").tolerance == 1.5
+        assert ConservativePolicy(max_cost_s=0.0).max_cost_s == 0.0
+
+
 class TestVerdictConsistency:
-    """filter and filter_with_verdicts can never disagree."""
+    """filter with and without a verdict list can never disagree."""
 
     @pytest.mark.parametrize(
         "policy",
@@ -184,7 +217,7 @@ class TestVerdictConsistency:
     def test_same_config_both_paths(self, power, policy, epoch_time):
         kwargs = _kwargs(power, last_epoch_time_s=epoch_time)
         plain = policy.filter(**kwargs)
-        explained, verdicts = policy.filter_with_verdicts(**kwargs)
+        explained, verdicts = _explained(policy, **kwargs)
         assert explained == plain
         # Accepted verdicts describe exactly the applied changes.
         accepted = {v.parameter for v in verdicts if v.accepted}
@@ -199,7 +232,8 @@ class TestVerdictConsistency:
     def test_no_change_means_no_verdicts(self, power):
         for policy in (AggressivePolicy(), ConservativePolicy(),
                        HybridPolicy()):
-            applied, verdicts = policy.filter_with_verdicts(
+            applied, verdicts = _explained(
+                policy,
                 current=BASE,
                 predicted=BASE,
                 last_epoch_time_s=1e-4,
@@ -212,9 +246,7 @@ class TestVerdictConsistency:
 
 class TestVerdictRecord:
     def test_as_dict_round_trip(self, power):
-        _, verdicts = ConservativePolicy().filter_with_verdicts(
-            **_kwargs(power)
-        )
+        _, verdicts = _explained(ConservativePolicy(), **_kwargs(power))
         for verdict in verdicts:
             payload = verdict.as_dict()
             assert payload["parameter"] == verdict.parameter
@@ -225,9 +257,7 @@ class TestVerdictRecord:
             assert payload["budget_s"] == verdict.budget_s
 
     def test_frozen(self, power):
-        _, verdicts = ConservativePolicy().filter_with_verdicts(
-            **_kwargs(power)
-        )
+        _, verdicts = _explained(ConservativePolicy(), **_kwargs(power))
         with pytest.raises(Exception):
             verdicts[0].accepted = False
 

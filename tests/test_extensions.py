@@ -85,9 +85,9 @@ class TestPersistence:
                 assert loaded.predict(counters, config) == model_ee.predict(
                     counters, config
                 )
-                assert loaded.predict_with_provenance(
+                assert loaded.explain(counters, config) == model_ee.explain(
                     counters, config
-                ) == model_ee.predict_with_provenance(counters, config)
+                )
 
     def test_subsampled_tree_rejected(self, model_ee):
         with pytest.raises(ModelError):

@@ -1,7 +1,7 @@
 """Differential suite: the fast path must be bit-identical to the
 scalar reference.
 
-Every fast-path component (compiled decision tables, the vectorized
+Every fast-path component (flat decision tables, the vectorized
 epoch grid, the controller decision memo, the pure-function memos) is
 run against the scalar code it replaces on the same inputs, and the
 outputs are compared with ``==`` — not ``pytest.approx``. The promise
@@ -28,6 +28,7 @@ from repro.baselines.table import EpochTable
 from repro.core.controller import SparseAdaptController
 from repro.core.modes import OptimizationMode
 from repro.core.schedule import EpochRecord, ScheduleResult
+from repro.core.telemetry import build_features
 from repro.core.training import train_default_model
 from repro.errors import ConfigError
 from repro.experiments.harness import (
@@ -36,7 +37,6 @@ from repro.experiments.harness import (
     evaluate_schemes,
 )
 from repro.faults.spec import FaultSchedule, FaultSpec
-from repro.fastpath.tables import compile_forest, compile_tree
 from repro.ml.decision_tree import DecisionTreeClassifier, TreeNode
 from repro.transmuter.config import HardwareConfig, sample_configs
 from repro.transmuter.machine import TransmuterModel
@@ -45,6 +45,8 @@ from repro.transmuter.reconfig import (
     transition_matrices,
 )
 from tests.scalar_reference import code_path, scalar_path
+from tests.scalar_reference import decision_path as reference_path
+from tests.scalar_reference import predict_proba as reference_proba
 
 SEEDS = (0, 1, 2)
 
@@ -108,8 +110,41 @@ def _schedule_tuple(schedule):
     )
 
 
+def _walks_agree(tree, queries):
+    """The flat table against the linked ``TreeNode`` walkers: every
+    prediction, probability row and decision path, exactly."""
+    queries = np.asarray(queries, dtype=np.float64)
+    reference = reference_proba(tree, queries)
+    decoded = tree.classes_[np.argmax(reference, axis=1)].tolist()
+    assert np.array_equal(tree.predict_proba(queries), reference)
+    assert tree.predict(queries).tolist() == decoded
+    assert [tree.table.predict_row(q) for q in queries.tolist()] == decoded
+    for query in queries:
+        assert tree.decision_path(query) == reference_path(tree, query)
+
+
+def _rows_reaching_every_leaf(tree, base):
+    """One row per leaf: ``base`` with each split on the way set to its
+    threshold (left) or the next float above it (right)."""
+    rows = []
+
+    def visit(node, row):
+        if node.is_leaf:
+            rows.append(row)
+            return
+        left = list(row)
+        left[node.feature] = node.threshold
+        right = list(row)
+        right[node.feature] = float(np.nextafter(node.threshold, np.inf))
+        visit(node.left, left)
+        visit(node.right, right)
+
+    visit(tree.root_, list(base))
+    return rows
+
+
 class TestCompiledTables:
-    """Flat decision tables vs. the recursive estimator walkers."""
+    """Flat decision tables vs. the linked ``TreeNode`` walkers."""
 
     def _dataset(self, seed: int, n: int = 200, features: int = 7):
         rng = np.random.default_rng(seed)
@@ -124,17 +159,16 @@ class TestCompiledTables:
     def test_tree_predictions_identical(self, seed):
         rows, labels = self._dataset(seed)
         tree = DecisionTreeClassifier(max_depth=6).fit(rows, labels)
-        table = compile_tree(tree)
         queries = np.random.default_rng(seed + 100).normal(
             size=(64, rows.shape[1])
         )
-        assert [
-            table.predict_row(q) for q in queries.tolist()
-        ] == tree.predict(queries).tolist()
+        _walks_agree(tree, queries)
+        _walks_agree(tree, _rows_reaching_every_leaf(tree, queries[0]))
 
     def test_compiled_model_matches_scalar_and_provenance(self):
-        """model.predict (compiled) == model.predict (scalar) ==
-        predict_with_provenance, per decision, over real telemetry."""
+        """model.predict (flat tables) == model.predict (linked nodes),
+        and model.explain agrees with both, per decision, over real
+        telemetry."""
         mode = OptimizationMode.ENERGY_EFFICIENT
         model = train_default_model(mode, kernel="spmspv")
         machine = TransmuterModel()
@@ -144,20 +178,81 @@ class TestCompiledTables:
             for workload in trace.epochs[:6]:
                 counters = machine.simulate_epoch(workload, config).counters
                 compiled = model.predict(counters, config)
+                provenance = model.explain(counters, config)
                 with scalar_path():
                     scalar = model.predict(counters, config)
-                    traced, provenance = model.predict_with_provenance(
-                        counters, config
-                    )
-                assert compiled == scalar == traced
+                    reference = model.explain(counters, config)
+                assert compiled == scalar
+                assert provenance == reference
+                assert set(provenance) == set(model.predicted_parameters())
                 for name, record in provenance.items():
                     assert record["predicted"] == compiled.get(name)
 
-    def test_compile_forest_covers_all_parameters(self):
-        mode = OptimizationMode.ENERGY_EFFICIENT
-        model = train_default_model(mode, kernel="spmspv")
-        tables = compile_forest(model)
-        assert set(tables) == set(model.predicted_parameters())
+    @pytest.mark.parametrize("mode", list(OptimizationMode))
+    @pytest.mark.parametrize("l1_type", ["cache", "spm"])
+    @pytest.mark.parametrize("kernel", ["spmspv", "spmspm"])
+    def test_stock_trees_every_leaf(self, kernel, l1_type, mode):
+        model = train_default_model(mode, kernel=kernel, l1_type=l1_type)
+        config = sample_configs(1, l1_type=l1_type, seed=0)[0]
+        workload = build_trace(kernel, "R09", scale=0.15).epochs[0]
+        counters = TransmuterModel().simulate_epoch(workload, config).counters
+        base = build_features(counters, config)
+        for name in model.predicted_parameters():
+            tree = model.trees[name]
+            rows = _rows_reaching_every_leaf(tree, base)
+            table = tree.table
+            assert {table.leaf(row) for row in rows} == {
+                node for node, feature in enumerate(table.feature)
+                if feature < 0
+            }, name
+            _walks_agree(tree, rows)
+
+    @pytest.mark.parametrize("labels", [[3] * 6, [0, 1, 1, 0, 1, 1]])
+    def test_single_leaf_tree(self, labels):
+        rows = np.arange(12, dtype=np.float64).reshape(6, 2)
+        tree = DecisionTreeClassifier(min_samples_split=50).fit(rows, labels)
+        assert tree.root_.is_leaf
+        assert tree.table.feature == [-1]
+        _walks_agree(tree, rows + 0.5)
+
+    def test_refit_decodes_new_root(self):
+        rows, labels = self._dataset(0)
+        tree = DecisionTreeClassifier(max_depth=4).fit(rows, labels)
+        tree.predict(rows)
+        rows, labels = self._dataset(1)
+        tree.fit(rows, labels)
+        fresh = DecisionTreeClassifier(max_depth=4).fit(rows, labels)
+        assert tree.table.root is tree.root_
+        assert tree.predict(rows).tolist() == fresh.predict(rows).tolist()
+        _walks_agree(tree, rows)
+
+    def test_loaded_tree_decodes_new_root(self, tmp_path):
+        from repro.core.persistence import load_model, save_model
+
+        rows, labels = self._dataset(1)
+        tree = DecisionTreeClassifier(max_depth=5).fit(rows, labels)
+        other = DecisionTreeClassifier(max_depth=2).fit(rows, labels == 0)
+        tree.predict(rows)
+        tree.root_, tree.classes_ = other.root_, other.classes_
+        assert tree.predict(rows).tolist() == other.predict(rows).tolist()
+        _walks_agree(tree, rows)
+
+        model = train_default_model(
+            OptimizationMode.ENERGY_EFFICIENT, kernel="spmspv"
+        )
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        config = HardwareConfig()
+        workload = build_trace("spmspv", "R09", scale=0.15).epochs[0]
+        counters = TransmuterModel().simulate_epoch(workload, config).counters
+        assert loaded.predict(counters, config) == model.predict(
+            counters, config
+        )
+        assert loaded.explain(counters, config) == model.explain(
+            counters, config
+        )
+        for name in loaded.predicted_parameters():
+            assert loaded.trees[name].table.root is loaded.trees[name].root_
 
 
 class TestEpochGrid:
@@ -1047,3 +1142,36 @@ class TestTracedRuns:
         assert traced == untraced
         assert records == scalar_records
         assert any(name == "machine.epoch" for _, name, _ in records)
+
+    def test_traced_run_counts_the_untraced_memo(self):
+        """A recorder adds records, not a second decision path: the
+        traced run hits and misses the decision memo exactly as the
+        untraced one does."""
+        from repro import obs
+
+        mode = OptimizationMode.ENERGY_EFFICIENT
+        model = train_default_model(mode, kernel="spmspm")
+        trace = build_trace("spmspm", "R04", scale=0.15)
+
+        def memo_counts(traced: bool):
+            context = EvaluationContext(
+                trace=trace, machine=TransmuterModel(), mode=mode, model=model
+            )
+            obs.metrics.reset()
+            try:
+                if traced:
+                    with obs.recording(None):
+                        evaluate_schemes(context, ALL_SCHEMES)
+                else:
+                    evaluate_schemes(context, ALL_SCHEMES)
+                snapshot = obs.metrics.snapshot()
+            finally:
+                obs.metrics.reset()
+            return {
+                name: snapshot.get(name, {}).get("series")
+                for name in ("fastpath.memo_hits", "fastpath.memo_misses")
+            }
+
+        untraced = memo_counts(traced=False)
+        assert untraced["fastpath.memo_hits"][""] > 0
+        assert memo_counts(traced=True) == untraced

@@ -387,9 +387,9 @@ class TestProvenanceRecords:
     def test_provenance_emission_does_not_change_results(
         self, runtime, matrix, vector
     ):
-        # The traced path goes through predict_with_provenance and
-        # filter_with_verdicts; results must still be byte-identical
-        # to the untraced predict/filter path.
+        # A traced run also explains each decision and collects the
+        # policy verdicts; results must still be byte-identical to the
+        # untraced run.
         with obs.recording(None) as recorder:
             traced = runtime.spmspv(matrix, vector)
         assert any(
@@ -409,10 +409,11 @@ class TestFastpathTraceParity:
     the reproduction record, so the production path and the scalar
     reference copies must emit identical ones.
 
-    (Traced decisions deliberately route through
-    ``predict_with_provenance``/``filter_with_verdicts`` rather than
-    the compiled tables and the decision memo — this diff is the
-    assertion that keeps that contract honest.)
+    (Traced decisions take the same memo, flat decision tables and
+    policy filter as untraced ones; the scalar reference reads the
+    provenance off the linked ``TreeNode`` walk and recomputes every
+    decision, so this diff checks the flat tables' paths and the
+    memoized decisions record for record.)
     """
 
     def _traced_run(self, runtime, matrix, vector, fast):
