@@ -11,13 +11,11 @@ Commands
     Train a SparseAdapt model on the Table-3 sweep and save it as JSON.
 ``run``
     Evaluate control schemes for one kernel/matrix and print the gains
-    (``--json`` for machine-readable output).
+    (``--json`` for machine-readable output; ``--trace-out`` also
+    records the evaluated schemes as a JSONL trace).
 ``experiment``
     Run one of the paper's figure/table drivers and print its report
     (``--json`` for machine-readable output).
-``trace``
-    Run SparseAdapt over one kernel/matrix with structured tracing
-    enabled and write the trace as JSONL.
 ``trace-report``
     Summarize a recorded trace: epoch timeline, reconfiguration counts
     by parameter, decision-latency histogram, most expensive epochs.
@@ -83,10 +81,10 @@ Commands
     per-component self-time table, span tree, or the collapsed-stack
     flamegraph text (``--collapsed``).
 
-``run``, ``trace``, and ``experiment`` execute under the suite
-runner's watchdog, so ``--deadline SECONDS`` bounds any single
-invocation; ``run`` and ``suite-run`` accept ``--profile`` to print a
-wall-clock attribution report (see ``docs/profiling.md``).
+``run`` and ``experiment`` execute under the suite runner's watchdog,
+so ``--deadline SECONDS`` bounds any single invocation; ``run`` and
+``suite-run`` accept ``--profile`` to print a wall-clock attribution
+report (see ``docs/profiling.md``).
 
 Every library failure (bad arguments, malformed spec files, unknown
 fault kinds, ...) exits 1 with a one-line ``error: ...`` on stderr —
@@ -213,6 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also save the profile as JSON for `repro profile-report`",
     )
     run.add_argument(
+        "--trace-out",
+        help="record the evaluated schemes as a JSONL trace here "
+        "(for `repro trace-report`, `explain` and `diff`)",
+    )
+    run.add_argument(
         "--json",
         action="store_true",
         help="emit machine-readable JSON instead of the gain table",
@@ -236,60 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the driver's result dict as JSON",
     )
 
-    trace = commands.add_parser(
-        "trace", help="record a SparseAdapt run as a JSONL trace"
-    )
-    trace.add_argument(
-        "--kernel",
-        choices=("spmspm", "spmspv", "bfs", "sssp"),
-        default="spmspv",
-    )
-    trace.add_argument("--matrix", default="R03", help="Table-5 id (e.g. R03)")
-    trace.add_argument("--scale", type=float, default=0.3)
-    trace.add_argument("--mode", choices=sorted(_MODES), default="ee")
-    trace.add_argument("--model", help="trained model JSON (default: stock)")
-    trace.add_argument(
-        "--bandwidth", type=float, default=1.0, help="off-chip GB/s"
-    )
-    trace.add_argument(
-        "--noise",
-        type=float,
-        default=0.0,
-        help="telemetry noise sigma (robustness runs)",
-    )
-    trace.add_argument(
-        "--noise-seed",
-        dest="noise_stream_seed",
-        type=int,
-        default=0,
-        help="RNG seed of the telemetry noise stream (recorded in the trace)",
-    )
-    trace.add_argument(
-        "--faults",
-        help="fault schedule JSON (see docs/robustness.md); the "
-        "injected and detected faults are recorded in the trace",
-    )
-    trace.add_argument(
-        "--no-hardening",
-        action="store_true",
-        help="run the fault-injected controller without the hardened "
-        "sanitize/read-back/safe-mode layer",
-    )
-    trace.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="wall-clock deadline in seconds (the recorded run "
-        "executes under the suite runner's watchdog)",
-    )
-    trace.add_argument(
-        "--trace-out", required=True, help="output JSONL trace path"
-    )
-
     report = commands.add_parser(
         "trace-report", help="summarize a recorded JSONL trace"
     )
-    report.add_argument("path", help="trace file written by `repro trace`")
+    report.add_argument(
+        "path", help="trace file written by `repro run --trace-out`"
+    )
     report.add_argument(
         "--top",
         type=int,
@@ -307,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="explain the recorded reconfiguration decisions of a trace",
     )
-    explain.add_argument("path", help="trace file written by `repro trace`")
+    explain.add_argument(
+        "path", help="trace file written by `repro run --trace-out`"
+    )
     explain.add_argument(
         "--epoch",
         type=int,
@@ -725,12 +682,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _fault_setup(args):
     """Resolve the shared ``--noise``/``--faults`` arguments.
 
-    Returns ``(faults, hardening)`` for the controller, or raises
+    Returns the ``(faults, hardening)`` fields of a
+    :class:`~repro.runner.plan.JobSpec`, or raises
     :class:`~repro.errors.FaultError` (one-line error, exit 1) for
     negative rates, conflicting flags, and unreadable/malformed spec
     files — the CLI boundary validates before any model is trained.
     """
-    from repro.core.hardening import HardeningConfig
     from repro.errors import FaultError
     from repro.faults import FaultSchedule, noise_schedule
 
@@ -741,17 +698,11 @@ def _fault_setup(args):
         raise FaultError("pass either --noise or --faults, not both")
     if args.faults:
         schedule = FaultSchedule.from_file(args.faults)
-        hardening = (
-            HardeningConfig.disabled() if args.no_hardening else None
-        )
-        return schedule, hardening
+        return schedule.as_dict(), (False if args.no_hardening else None)
     if noise > 0:
         # --noise is shorthand for a one-spec counter_noise schedule,
         # run unhardened.
-        return (
-            noise_schedule(noise, args.noise_stream_seed),
-            HardeningConfig.disabled(),
-        )
+        return noise_schedule(noise, args.noise_stream_seed).as_dict(), False
     return None, None
 
 
@@ -843,113 +794,146 @@ def _command_run(args) -> int:
     return code
 
 
+def _single_job(label: str, deadline_s):
+    """A one-job campaign: returns ``run(key, fn)``, which runs ``fn``
+    once under the suite runner and returns its result.
+
+    The suite runner supplies the ``--deadline`` watchdog (inline, zero
+    threads, when no deadline is set) and nothing is retried. The
+    deadline goes through :class:`SupervisorConfig`, so one that is not
+    positive is rejected here, before anything runs; a failed job
+    raises its one-line error.
+    """
+    from repro.errors import ReproError
+    from repro.runner import Job, SuiteRunner, SupervisorConfig
+
+    runner = SuiteRunner(
+        config=SupervisorConfig(deadline_s=deadline_s, max_retries=0)
+    )
+
+    def run(key: str, fn):
+        job = Job(key=key, label=label, fn=fn, index=0)
+        row = runner.run([job], name=label.replace("/", "-")).rows[0]
+        if row["status"] != "ok":
+            raise ReproError(row["failure"]["error"])
+        return row["result"]
+
+    return run
+
+
 def _run_single(args) -> int:
-    from repro.core import load_model
+    import contextlib
+
+    from repro import obs
     from repro.experiments.harness import (
         STANDARD_SCHEMES,
         UPPER_BOUND_SCHEMES,
-        EvaluationContext,
         build_trace,
-        default_policy_for,
         evaluate_schemes,
         gains_over,
+        job_context,
     )
     from repro.experiments.reporting import format_gain_table
-    from repro.runner import Job, SuiteRunner, SupervisorConfig, job_key
-    from repro.transmuter import TransmuterModel
+    from repro.runner import JobSpec
 
     faults, hardening = _fault_setup(args)
-    trace = build_trace(args.kernel, args.matrix, scale=args.scale)
-    if not args.json:
-        print(f"trace: {trace.name} ({trace.n_epochs} epochs)")
-    schemes = (
-        UPPER_BOUND_SCHEMES + ("Best Avg", "Max Cfg")
-        if args.upper_bounds
-        else STANDARD_SCHEMES
+    spec = JobSpec(
+        kernel=args.kernel,
+        matrix=args.matrix,
+        scale=args.scale,
+        mode=args.mode,
+        schemes=(
+            UPPER_BOUND_SCHEMES + ("Best Avg", "Max Cfg")
+            if args.upper_bounds
+            else STANDARD_SCHEMES
+        ),
+        bandwidth_gbps=args.bandwidth,
+        hardening=hardening,
+        faults=faults,
+        model=args.model,
     )
+
+    run_job = _single_job(f"run/{args.kernel}/{args.matrix}", args.deadline)
+    # Named before the job resolves the model, so a run whose --model
+    # fails to load still prints which input it traced.
+    if not args.json:
+        trace = build_trace(spec.kernel, spec.matrix, scale=spec.scale)
+        print(f"trace: {trace.name} ({trace.n_epochs} epochs)")
 
     def evaluate() -> dict:
-        model = load_model(args.model) if args.model else None
-        context = EvaluationContext(
-            trace=trace,
-            machine=TransmuterModel(bandwidth_gbps=args.bandwidth),
-            mode=_mode(args.mode),
-            model=model,
-            policy=default_policy_for(
-                "spmspm" if args.kernel == "spmspm" else "spmspv"
-            ),
-            faults=faults,
-            hardening=hardening,
+        context = job_context(spec)
+        # The recorder sees the schemes only: the input was traced and
+        # the model resolved before it is installed.
+        recording = (
+            obs.recording(args.trace_out)
+            if args.trace_out
+            else contextlib.nullcontext()
         )
-        results = evaluate_schemes(context, schemes)
-        return {"results": results, "gains": gains_over(results)}
+        with recording as recorder:
+            results = evaluate_schemes(context, spec.schemes)
+        return {
+            "context": context,
+            "results": results,
+            "gains": gains_over(results),
+            "emitted": recorder.n_emitted if recorder else 0,
+        }
 
-    # A single evaluation = a single-job campaign: the suite runner
-    # supplies the --deadline watchdog (inline, zero threads, when no
-    # deadline is set) and turns failures into structured rows.
-    job = Job(
-        key=job_key(
-            {
-                "type": "run",
-                "kernel": args.kernel,
-                "matrix": args.matrix,
-                "scale": args.scale,
-                "mode": args.mode,
-            }
-        ),
-        label=f"run/{args.kernel}/{args.matrix}",
-        fn=evaluate,
-        index=0,
-        deadline_s=args.deadline,
-    )
-    runner = SuiteRunner(config=SupervisorConfig(max_retries=0))
-    report = runner.run([job], name=f"run-{args.kernel}-{args.matrix}")
-    row = report.rows[0]
-    if row["status"] != "ok":
-        print(f"error: {row['failure']['error']}", file=sys.stderr)
-        return 1
-    results = row["result"]["results"]
-    gains = row["result"]["gains"]
+    outcome = run_job(spec.key(), evaluate)
+    context = outcome["context"]
+    gains = outcome["gains"]
     if args.json:
         payload = {
             "kernel": args.kernel,
             "matrix": args.matrix,
             "scale": args.scale,
-            "mode": _mode(args.mode).value,
+            "mode": context.mode.value,
             "bandwidth_gbps": args.bandwidth,
-            "trace": {"name": trace.name, "n_epochs": trace.n_epochs},
+            "trace": {
+                "name": context.trace.name,
+                "n_epochs": context.trace.n_epochs,
+            },
             "schemes": {
-                name: result.as_dict() for name, result in results.items()
+                name: result.as_dict()
+                for name, result in outcome["results"].items()
             },
             "gains_over_baseline": gains,
         }
-        if faults is not None:
+        if context.faults is not None:
             payload["faults"] = {
-                "seed": faults.seed,
-                "kinds": sorted(faults.kinds()),
-                "n_specs": len(faults),
-                "hardened": hardening is None or hardening.enabled,
+                "seed": context.faults.seed,
+                "kinds": sorted(context.faults.kinds()),
+                "n_specs": len(context.faults),
+                "hardened": (
+                    context.hardening is None or context.hardening.enabled
+                ),
             }
         print(json.dumps(_to_jsonable(payload), indent=2))
-        return 0
-    rows = {
-        name: {
-            "GFLOPS": values["gflops"],
-            "GFLOPS/W": values["gflops_per_watt"],
-            "perf x": values["perf_gain"],
-            "eff x": values["efficiency_gain"],
+    else:
+        rows = {
+            name: {
+                "GFLOPS": values["gflops"],
+                "GFLOPS/W": values["gflops_per_watt"],
+                "perf x": values["perf_gain"],
+                "eff x": values["efficiency_gain"],
+            }
+            for name, values in gains.items()
         }
-        for name, values in gains.items()
-    }
-    print(
-        format_gain_table(
-            f"{args.kernel} on {args.matrix} "
-            f"({_mode(args.mode).value} mode, {args.bandwidth:g} GB/s)",
-            rows,
-            ("GFLOPS", "GFLOPS/W", "perf x", "eff x"),
-            value_format="{:8.4f}",
+        print(
+            format_gain_table(
+                f"{args.kernel} on {args.matrix} "
+                f"({context.mode.value} mode, {args.bandwidth:g} GB/s)",
+                rows,
+                ("GFLOPS", "GFLOPS/W", "perf x", "eff x"),
+                value_format="{:8.4f}",
+            )
         )
-    )
+    if args.trace_out:
+        # With --json stdout must stay machine-parseable.
+        print(
+            f"trace: {outcome['emitted']} records -> {args.trace_out} "
+            f"(inspect with: repro trace-report {args.trace_out})",
+            file=sys.stderr if args.json else sys.stdout,
+        )
     return 0
 
 
@@ -969,104 +953,17 @@ def _command_experiment(args) -> int:
             return 1
         kwargs["scale"] = args.scale
 
-    # One driver run = a single-job campaign: the suite runner supplies
-    # the deadline watchdog and turns a failure into a structured row
-    # (drivers are deterministic, so there is nothing to retry).
-    from repro.runner import Job, SuiteRunner, SupervisorConfig, job_key
+    from repro.runner import job_key
 
-    job = Job(
-        key=job_key({"type": "experiment", "name": args.name, **kwargs}),
-        label=f"experiment/{args.name}",
-        fn=lambda: driver(**kwargs),
-        index=0,
-        deadline_s=getattr(args, "deadline", None),
+    run_job = _single_job(f"experiment/{args.name}", args.deadline)
+    result = run_job(
+        job_key({"type": "experiment", "name": args.name, **kwargs}),
+        lambda: driver(**kwargs),
     )
-    runner = SuiteRunner(config=SupervisorConfig(max_retries=0))
-    report = runner.run([job], name=f"experiment-{args.name}")
-    row = report.rows[0]
-    if row["status"] != "ok":
-        print(f"error: {row['failure']['error']}", file=sys.stderr)
-        return 1
-    result = row["result"]
     if getattr(args, "json", False):
         print(json.dumps(_to_jsonable(result), indent=2))
     else:
         _pretty_print(result)
-    return 0
-
-
-def _command_trace(args) -> int:
-    from repro import obs
-    from repro.core import load_model
-    from repro.core.controller import SparseAdaptController
-    from repro.core.training import train_default_model
-    from repro.experiments.harness import build_trace, default_policy_for
-    from repro.transmuter import TransmuterModel
-
-    trace = build_trace(args.kernel, args.matrix, scale=args.scale)
-    mode = _mode(args.mode)
-    model_kernel = "spmspm" if args.kernel == "spmspm" else "spmspv"
-    faults, hardening = _fault_setup(args)
-
-    def record() -> dict:
-        model = (
-            load_model(args.model)
-            if args.model
-            else train_default_model(
-                mode, kernel=model_kernel, l1_type="cache"
-            )
-        )
-        controller = SparseAdaptController(
-            model=model,
-            machine=TransmuterModel(bandwidth_gbps=args.bandwidth),
-            mode=mode,
-            policy=default_policy_for(model_kernel),
-            faults=faults,
-            hardening=hardening,
-        )
-        with obs.recording(args.trace_out) as recorder:
-            schedule = controller.run(trace)
-            emitted = recorder.n_emitted
-        return {"schedule": schedule, "emitted": emitted}
-
-    # Route the recorded run through the suite runner so --deadline
-    # bounds it; every print below already happens after the run, so
-    # the output is unchanged when no deadline is set.
-    from repro.runner import Job, SuiteRunner, SupervisorConfig, job_key
-
-    job = Job(
-        key=job_key(
-            {
-                "type": "trace",
-                "kernel": args.kernel,
-                "matrix": args.matrix,
-                "scale": args.scale,
-                "mode": args.mode,
-            }
-        ),
-        label=f"trace/{args.kernel}/{args.matrix}",
-        fn=record,
-        index=0,
-        deadline_s=args.deadline,
-    )
-    runner = SuiteRunner(config=SupervisorConfig(max_retries=0))
-    report = runner.run([job], name=f"trace-{args.kernel}-{args.matrix}")
-    row = report.rows[0]
-    if row["status"] != "ok":
-        print(f"error: {row['failure']['error']}", file=sys.stderr)
-        return 1
-    schedule = row["result"]["schedule"]
-    emitted = row["result"]["emitted"]
-    print(
-        f"trace: {trace.name} ({trace.n_epochs} epochs) -> "
-        f"{args.trace_out} ({emitted} records)"
-    )
-    for key, value in schedule.summary().items():
-        if isinstance(value, float):
-            print(f"  {key}: {value:.4g}")
-        else:
-            print(f"  {key}: {value}")
-    print(f"inspect with: repro trace-report {args.trace_out}")
     return 0
 
 
@@ -1775,7 +1672,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "train": lambda: _command_train(args),
         "run": lambda: _command_run(args),
         "experiment": lambda: _command_experiment(args),
-        "trace": lambda: _command_trace(args),
         "trace-report": lambda: _command_trace_report(args),
         "explain": lambda: _command_explain(args),
         "diff": lambda: _command_diff(args),

@@ -9,6 +9,11 @@ Every figure/table driver composes the same three steps:
    :class:`~repro.baselines.table.EpochTable`;
 3. :func:`gains_over` — normalize metrics to a reference scheme, the
    way every figure in the paper reports "gains over Baseline".
+
+A run described as data — a :class:`~repro.runner.plan.JobSpec`, as
+``suite-run`` jobs, ``repro run`` and ``compare --drill-down`` describe
+theirs — becomes its :class:`EvaluationContext` in one place,
+:func:`job_context`.
 """
 
 from __future__ import annotations
@@ -38,10 +43,12 @@ from repro.core.controller import SparseAdaptController
 from repro.core.hardening import HardeningConfig
 from repro.core.model import SparseAdaptModel
 from repro.core.modes import OptimizationMode
+from repro.core.persistence import load_model
 from repro.core.policies import (
     ConservativePolicy,
     HybridPolicy,
     ReconfigurationPolicy,
+    parse_policy,
 )
 from repro.core.schedule import ScheduleResult
 from repro.core.training import train_default_model
@@ -65,6 +72,7 @@ __all__ = [
     "STANDARD_SCHEMES",
     "UPPER_BOUND_SCHEMES",
     "build_trace",
+    "job_context",
     "evaluate_schemes",
     "gains_over",
     "default_policy_for",
@@ -219,6 +227,57 @@ class EvaluationContext:
         }
 
 
+def job_context(spec) -> EvaluationContext:
+    """Decode one :class:`~repro.runner.plan.JobSpec` into its context.
+
+    The one place a run description becomes a run: ``"ee"``/``"pp"``
+    to a mode, the traced input, the machine, the policy (the paper
+    default unless the spec names one), the model, and the fault
+    schedule with its hardening switch. The stock model is resolved
+    here, before any scheme runs, and only when the job evaluates
+    SparseAdapt, so a statics-only job trains nothing and a recorder
+    installed around :func:`evaluate_schemes` sees no training.
+    """
+    mode = (
+        OptimizationMode.ENERGY_EFFICIENT
+        if spec.mode == "ee"
+        else OptimizationMode.POWER_PERFORMANCE
+    )
+    trace = build_trace(
+        spec.kernel, spec.matrix, scale=spec.scale, seed=spec.seed
+    )
+    model_kernel = "spmspm" if spec.kernel == "spmspm" else "spmspv"
+    machine = TransmuterModel(bandwidth_gbps=spec.bandwidth_gbps)
+    model = None
+    if spec.model is not None:
+        model = load_model(spec.model)
+    elif "SparseAdapt" in spec.schemes:
+        model = train_default_model(
+            mode, kernel=model_kernel, l1_type=spec.l1_type
+        )
+    return EvaluationContext(
+        trace=trace,
+        machine=machine,
+        mode=mode,
+        l1_type=spec.l1_type,
+        model=model,
+        policy=(
+            parse_policy(spec.policy)
+            if spec.policy is not None
+            else default_policy_for(model_kernel)
+        ),
+        seed=spec.seed,
+        faults=(
+            FaultSchedule.from_dict(spec.faults)
+            if spec.faults is not None
+            else None
+        ),
+        hardening=(
+            HardeningConfig.disabled() if spec.hardening is False else None
+        ),
+    )
+
+
 def evaluate_schemes(
     context: EvaluationContext,
     schemes: Sequence[str] = STANDARD_SCHEMES,
@@ -237,11 +296,20 @@ def evaluate_schemes(
     same table as the upper bounds. The Ideal Greedy schedule is
     computed once per table and reused as ProfileAdapt's base sequence;
     every scheme still returns its own :class:`ScheduleResult`.
+
+    SparseAdapt runs the context's ``model``; :func:`job_context` is the
+    one place a stock model is chosen, so a context without one cannot
+    evaluate SparseAdapt.
     """
     if context.trace.n_epochs == 0:
         raise ConfigError(
             f"cannot evaluate schemes over the empty trace "
             f"{context.trace.name!r} (0 epochs)"
+        )
+    if "SparseAdapt" in schemes and context.model is None:
+        raise ConfigError(
+            f"SparseAdapt needs a model: build the context with "
+            f"job_context() or pass model= ({context.trace.name!r})"
         )
     statics = context.static_points()
 
@@ -279,13 +347,8 @@ def evaluate_schemes(
                 context.machine, context.trace, statics[name], name
             )
         if name == "SparseAdapt":
-            model = context.model or train_default_model(
-                context.mode,
-                kernel="spmspm" if "spmspm" in context.trace.name else "spmspv",
-                l1_type=context.l1_type,
-            )
             controller = SparseAdaptController(
-                model=model,
+                model=context.model,
                 machine=context.machine,
                 mode=context.mode,
                 policy=context.policy,

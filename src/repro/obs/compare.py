@@ -26,7 +26,7 @@ yesterday's table-5 ledger shows Baseline vs Best Avg vs SparseAdapt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -690,92 +690,42 @@ def drill_down(
 
     Both the candidate and the reference (default: the spec's baseline
     candidate) must be adaptive (scheme ``SparseAdapt``) — static
-    schemes make no epoch decisions to diff. The runs are recorded
-    in-memory and compared with :func:`repro.obs.diff.diff_traces`, so
-    the answer is the exact epoch where the two controllers' applied
-    configurations first split, and what they observed there.
+    schemes make no epoch decisions to diff. Each run is the candidate's
+    job from :func:`~repro.experiments.spec.compile_plan` with its seed
+    replaced; only its SparseAdapt scheme is recorded, in-memory, and
+    the two recordings are compared with
+    :func:`repro.obs.diff.diff_traces`, so the answer is the exact epoch
+    where the two controllers' applied configurations first split, and
+    what they observed there.
     """
     from repro import obs
-    from repro.core import load_model
-    from repro.core.hardening import HardeningConfig
-    from repro.core.modes import OptimizationMode
-    from repro.core.policies import parse_policy
-    from repro.experiments.harness import (
-        EvaluationContext,
-        build_trace,
-        default_policy_for,
-        evaluate_schemes,
-    )
-    from repro.faults.spec import FaultSchedule
+    from repro.experiments.harness import evaluate_schemes, job_context
+    from repro.experiments.spec import compile_plan
     from repro.obs.diff import diff_traces
-    from repro.transmuter.machine import TransmuterModel
 
     reference = reference if reference is not None else spec.baseline
     by_name = {entry.name: entry for entry in spec.candidates}
-    selected = []
     for name in (reference, candidate):
         if name not in by_name:
             raise ConfigError(f"unknown candidate {name!r}")
-        entry = by_name[name]
-        if entry.scheme != "SparseAdapt":
+        if by_name[name].scheme != "SparseAdapt":
             raise ConfigError(
                 f"candidate {name!r} runs the static scheme "
-                f"{entry.scheme!r}; drill-down needs two adaptive "
+                f"{by_name[name].scheme!r}; drill-down needs two adaptive "
                 f"(SparseAdapt) candidates"
             )
-        selected.append(entry)
-    workloads = {entry.name: entry for entry in spec.workloads}
-    if workload not in workloads:
+    if workload not in spec.workload_names():
         raise ConfigError(f"unknown workload {workload!r}")
-    load = workloads[workload]
-    mode = (
-        OptimizationMode.ENERGY_EFFICIENT
-        if load.mode == "ee"
-        else OptimizationMode.POWER_PERFORMANCE
-    )
+    jobs: Dict[tuple, object] = {}
+    for job in compile_plan(spec).jobs:
+        jobs.setdefault((job.candidate, job.workload), job)
 
     traces: List[List[dict]] = []
-    for entry in selected:
+    for name in (reference, candidate):
+        context = job_context(replace(jobs[name, workload], seed=seed))
         sink = obs.MemorySink()
-        previous = obs.install(obs.TraceRecorder(sink))
-        try:
-            trace = build_trace(
-                load.kernel, load.matrix, scale=load.scale, seed=seed
-            )
-            context = EvaluationContext(
-                trace=trace,
-                machine=TransmuterModel(
-                    bandwidth_gbps=load.bandwidth_gbps
-                ),
-                mode=mode,
-                l1_type=load.l1_type,
-                model=(
-                    load_model(entry.model)
-                    if entry.model is not None
-                    else None
-                ),
-                policy=(
-                    parse_policy(entry.policy)
-                    if entry.policy is not None
-                    else default_policy_for(
-                        "spmspm" if load.kernel == "spmspm" else "spmspv"
-                    )
-                ),
-                seed=seed,
-                faults=(
-                    FaultSchedule.from_dict(entry.faults)
-                    if entry.faults is not None
-                    else None
-                ),
-                hardening=(
-                    HardeningConfig.disabled()
-                    if entry.hardening is False
-                    else None
-                ),
-            )
+        with obs.recording(sink):
             evaluate_schemes(context, ("SparseAdapt",))
-        finally:
-            obs.install(previous)
         traces.append(sink.records())
 
     return diff_traces(

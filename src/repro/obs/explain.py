@@ -76,7 +76,7 @@ def explain(
         raise ValueError(
             "trace contains no provenance records (recorded by an older "
             "build, or with tracing disabled); re-record it with "
-            "'repro trace' from this build"
+            "'repro run --trace-out' from this build"
         )
     selected = _provenance_records(records, epoch, parameter)
     if not selected:

@@ -1,7 +1,8 @@
 """Trace analysis: summarize a recorded JSONL trace for humans.
 
-``repro trace`` records a run; this module turns the resulting record
-stream back into the views the paper's methodology cares about:
+``repro run --trace-out`` records a run; this module turns the
+resulting record stream back into the views the paper's methodology
+cares about:
 
 * the per-epoch timeline (phase, configuration, modeled time/energy,
   reconfiguration markers);
@@ -44,7 +45,7 @@ SUPPORTED_SCHEMA_VERSIONS = (1, SCHEMA_VERSION)
 
 
 def load_trace(path: Union[str, Path]) -> List[Dict]:
-    """Load a JSONL trace recorded by ``repro trace``."""
+    """Load a JSONL trace recorded by ``repro run --trace-out``."""
     return read_jsonl(path)
 
 

@@ -30,9 +30,10 @@ This package is the host-side execution layer that guarantees it:
   store trees and ledgers (torn records, trailer mismatches, orphan
   tmp files, dead leases, missing result groups).
 
-``repro run``, ``repro trace`` and ``repro experiment`` route their
-work through the same :class:`SuiteRunner`, so supervision, retries,
-and ledgers behave identically everywhere. See ``docs/robustness.md``.
+``repro run`` (also when it records a trace with ``--trace-out``) and
+``repro experiment`` route their work through the same
+:class:`SuiteRunner`, so supervision, retries, and ledgers behave
+identically everywhere. See ``docs/robustness.md``.
 """
 
 from repro.runner.executor import (

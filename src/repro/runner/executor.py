@@ -33,10 +33,10 @@ levels); everything else in a row is replayed from the ledger verbatim
 on resume.
 
 ``repro suite-run`` fronts :func:`run_plan` (fault-rate sweeps are
-specs it runs); ``repro run``, ``repro trace`` and ``repro experiment``
-submit their single jobs through the same :class:`SuiteRunner`, so
-every path in the repository shares one supervision/retry/ledger code
-path.
+specs it runs); ``repro run`` (with or without ``--trace-out``) and
+``repro experiment`` submit their single jobs through the same
+:class:`SuiteRunner`, so every path in the repository shares one
+supervision/retry/ledger code path.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from repro.errors import (
     RetryableError,
 )
 from repro.faults.spec import HOST_FAULTS, FaultSchedule
-from repro.runner.ledger import RunLedger, local_store_path
+from repro.runner.ledger import RunLedger, local_store_path, strip_volatile
 from repro.runner.plan import CampaignPlan
 from repro.runner.store import ExperimentStore, run_store_worker
 from repro.runner.supervisor import (
@@ -80,10 +80,6 @@ __all__ = [
     "run_local_worker",
     "format_suite_table",
 ]
-
-#: Row/report keys carrying wall-clock values; stripped by the stable view.
-_VOLATILE_KEYS = ("duration_s",)
-
 
 class CampaignInterrupted(KeyboardInterrupt):
     """SIGINT during a campaign, after the ledger was checkpointed.
@@ -181,21 +177,9 @@ class SuiteReport:
         payload = {
             "name": self.name,
             "counts": self.counts(),
-            "rows": _strip_volatile(self.rows),
+            "rows": strip_volatile(self.rows),
         }
         return payload
-
-
-def _strip_volatile(value):
-    if isinstance(value, dict):
-        return {
-            key: _strip_volatile(nested)
-            for key, nested in value.items()
-            if key not in _VOLATILE_KEYS
-        }
-    if isinstance(value, list):
-        return [_strip_volatile(item) for item in value]
-    return value
 
 
 class SuiteRunner:

@@ -68,6 +68,7 @@ __all__ = [
     "list_shards",
     "local_store_path",
     "read_ledger_records",
+    "strip_volatile",
     "compact_ledger",
     "verify_trailer",
 ]
@@ -82,7 +83,24 @@ TERMINAL_TYPES = ("done", "quarantined")
 #: ``trailer`` is the checksum line :func:`compact_ledger` appends.
 VOLATILE_TYPES = ("merge", "heartbeat", "trailer")
 
+#: Row/report keys carrying wall-clock values: the stable report view
+#: and ledger diffs strip them.
+_VOLATILE_KEYS = ("duration_s",)
+
 _SHARD_SUFFIX = re.compile(r"\.w(\d+)$")
+
+
+def strip_volatile(value):
+    """``value`` with every wall-clock field removed, at any depth."""
+    if isinstance(value, dict):
+        return {
+            key: strip_volatile(nested)
+            for key, nested in value.items()
+            if key not in _VOLATILE_KEYS
+        }
+    if isinstance(value, list):
+        return [strip_volatile(item) for item in value]
+    return value
 
 
 def shard_path(base: Union[str, Path], worker: int) -> Path:

@@ -24,6 +24,7 @@ from repro.errors import ConfigError
 from repro.runner.ledger import (
     TERMINAL_TYPES,
     read_ledger_records,
+    strip_volatile,
 )
 
 __all__ = [
@@ -32,22 +33,6 @@ __all__ = [
     "format_ledger_summary",
     "format_ledger_diff",
 ]
-
-#: Row keys carrying wall-clock values; excluded from diff comparison.
-_VOLATILE_KEYS = ("duration_s",)
-
-
-def _strip_volatile(value):
-    if isinstance(value, dict):
-        return {
-            key: _strip_volatile(nested)
-            for key, nested in value.items()
-            if key not in _VOLATILE_KEYS
-        }
-    if isinstance(value, list):
-        return [_strip_volatile(item) for item in value]
-    return value
-
 
 def _load(path: Union[str, Path]) -> List[dict]:
     path = Path(path)
@@ -164,7 +149,7 @@ def diff_ledgers(
             if record.get("type") in TERMINAL_TYPES:
                 key = record.get("key")
                 if isinstance(key, str) and key not in rows:
-                    rows[key] = _strip_volatile(record.get("row") or {})
+                    rows[key] = strip_volatile(record.get("row") or {})
         return rows
 
     rows_a = terminal_rows(path_a)

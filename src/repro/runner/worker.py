@@ -78,73 +78,27 @@ class PortableJob:
 
 # ---------------------------------------------------------------------------
 def _evaluate_fn(payload: dict) -> Callable[[], dict]:
-    """The job body of one plan entry: build trace, evaluate, report
-    gains. Identical to what the serial runner executes — the payload
-    is a :class:`JobSpec` dict, revalidated on the worker side."""
+    """The job body of one plan entry: decode the :class:`JobSpec`
+    payload (revalidated on the worker side) into its evaluation
+    context, evaluate, and summarize each scheme as one row entry.
+    Identical to what the serial runner executes."""
 
     def fn() -> dict:
-        from repro.core import load_model
-        from repro.core.hardening import HardeningConfig
-        from repro.core.modes import OptimizationMode
-        from repro.core.policies import parse_policy
         from repro.experiments.harness import (
-            EvaluationContext,
-            build_trace,
-            default_policy_for,
             evaluate_schemes,
             gains_over,
+            job_context,
             oracle_regret,
         )
-        from repro.faults.spec import FaultSchedule
         from repro.obs import profile as obs_profile
         from repro.runner.plan import JobSpec
-        from repro.transmuter.machine import TransmuterModel
 
         spec = JobSpec.from_dict(payload)
-        mode = (
-            OptimizationMode.ENERGY_EFFICIENT
-            if spec.mode == "ee"
-            else OptimizationMode.POWER_PERFORMANCE
-        )
         # One root frame per evaluate job, so every instrumented
         # component below (trace building, schemes, kernel sim, ...)
         # nests under it in the campaign flamegraph.
         with obs_profile.span("evaluate_job"):
-            trace = build_trace(
-                spec.kernel, spec.matrix, scale=spec.scale, seed=spec.seed
-            )
-            policy = (
-                parse_policy(spec.policy)
-                if spec.policy is not None
-                else default_policy_for(
-                    "spmspm" if spec.kernel == "spmspm" else "spmspv"
-                )
-            )
-            context = EvaluationContext(
-                trace=trace,
-                machine=TransmuterModel(
-                    bandwidth_gbps=spec.bandwidth_gbps
-                ),
-                mode=mode,
-                l1_type=spec.l1_type,
-                model=(
-                    load_model(spec.model)
-                    if spec.model is not None
-                    else None
-                ),
-                policy=policy,
-                seed=spec.seed,
-                faults=(
-                    FaultSchedule.from_dict(spec.faults)
-                    if spec.faults is not None
-                    else None
-                ),
-                hardening=(
-                    HardeningConfig.disabled()
-                    if spec.hardening is False
-                    else None
-                ),
-            )
+            context = job_context(spec)
             results = evaluate_schemes(context, spec.schemes)
             gains = gains_over(results)
             table = None
@@ -154,10 +108,10 @@ def _evaluate_fn(payload: dict) -> Callable[[], dict]:
                 with obs_profile.span("epoch_table"):
                     table = EpochTable(
                         context.machine,
-                        trace,
+                        context.trace,
                         n_samples=context.n_samples,
-                        l1_type=spec.l1_type,
-                        seed=spec.seed,
+                        l1_type=context.l1_type,
+                        seed=context.seed,
                         include=list(context.static_points().values()),
                     )
         schemes: Dict[str, dict] = {}
@@ -175,11 +129,10 @@ def _evaluate_fn(payload: dict) -> Callable[[], dict]:
             if schedule.fault_stats is not None:
                 entry["fault_stats"] = dict(schedule.fault_stats)
             if table is not None:
-                entry["oracle_regret_pct"] = float(
-                    oracle_regret(schedule, table, mode)["regret_pct"]
-                )
+                regret = oracle_regret(schedule, table, context.mode)
+                entry["oracle_regret_pct"] = float(regret["regret_pct"])
             schemes[name] = entry
-        return {"n_epochs": int(trace.n_epochs), "schemes": schemes}
+        return {"n_epochs": int(context.trace.n_epochs), "schemes": schemes}
 
     return fn
 

@@ -8,6 +8,7 @@ representative (Section 5.2) and sweeps it for Figure 11 (right).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
@@ -37,8 +38,11 @@ class MemorySystem:
         latency_s: float = params.DRAM_LATENCY_S,
         energy_per_byte: float = params.E_DRAM_BYTE,
     ) -> None:
-        if bandwidth_gbps <= 0:
-            raise SimulationError("bandwidth must be positive")
+        if not (math.isfinite(bandwidth_gbps) and bandwidth_gbps > 0):
+            raise SimulationError(
+                "bandwidth must be finite and positive, "
+                f"got {bandwidth_gbps!r}"
+            )
         if latency_s < 0 or energy_per_byte < 0:
             raise SimulationError("latency/energy must be non-negative")
         self.bandwidth_bytes_per_s = bandwidth_gbps * 1e9

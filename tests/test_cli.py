@@ -1,11 +1,42 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
 from repro.cli import build_parser, main
+from tests.test_fastpath_equivalence import _record_content
+
+RUN_P1 = ["run", "--kernel", "spmspv", "--matrix", "P1", "--scale", "0.15"]
+
+
+def _read_trace(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _sparseadapt_slice(records):
+    """The header and the SparseAdapt scheme's records of a ``run``
+    trace: each scheme's records precede its ``harness.scheme`` span."""
+    out, pending = [], []
+    for record in records:
+        if record["type"] == "header":
+            out.append(record)
+        elif record["name"] == "harness.scheme":
+            if record["attrs"]["scheme"] == "SparseAdapt":
+                out.extend(pending)
+            pending = []
+        else:
+            pending.append(record)
+    return out
+
+
+def _content_sha256(records):
+    content = [list(_record_content(record)) for record in records]
+    return hashlib.sha256(
+        json.dumps(content, sort_keys=True).encode()
+    ).hexdigest()
 
 
 class TestParser:
@@ -172,14 +203,14 @@ class TestCommands:
 class TestTraceCommands:
     def test_trace_requires_out_path(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["trace"])
+            build_parser().parse_args(["run", "--trace-out"])
 
     def test_trace_then_report(self, tmp_path, capsys):
         trace_path = tmp_path / "run.jsonl"
         assert (
             main(
                 [
-                    "trace",
+                    "run",
                     "--kernel",
                     "spmspv",
                     "--matrix",
@@ -208,11 +239,23 @@ class TestTraceCommands:
         assert "host decision latency" in report_out
         assert "determinism: faults=null" in report_out
 
+    def test_json_stdout_stays_parseable_with_trace_out(
+        self, tmp_path, capsys
+    ):
+        trace_path = tmp_path / "run.jsonl"
+        assert main(RUN_P1 + ["--json", "--trace-out", str(trace_path)]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert "gains_over_baseline" in payload
+        n_records = len(trace_path.read_text().splitlines())
+        assert f"trace: {n_records} records -> {trace_path}" in captured.err
+        assert "records ->" not in captured.out
+
     def test_trace_report_top_flag(self, tmp_path, capsys):
         trace_path = tmp_path / "run.jsonl"
         main(
             [
-                "trace",
+                "run",
                 "--kernel",
                 "spmspv",
                 "--matrix",
@@ -232,7 +275,7 @@ class TestTraceCommands:
 
         main(
             [
-                "trace",
+                "run",
                 "--kernel",
                 "spmspv",
                 "--matrix",
@@ -245,6 +288,52 @@ class TestTraceCommands:
         )
         assert get_recorder().enabled is False
 
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            (
+                [],
+                "236b2daa7cbbaf174257213eba760710"
+                "d3b3298a34fb7093e04c1baa5c0bb98d",
+            ),
+            (
+                ["--noise", "0.15", "--noise-seed", "7"],
+                "0c9ff0ffeda62ceb3a459060290d9790"
+                "4cd4782d4c4c0282095107401e75b12f",
+            ),
+        ],
+        ids=["clean", "noise"],
+    )
+    def test_sparseadapt_records_are_pinned(
+        self, tmp_path, capsys, extra, digest
+    ):
+        """The SparseAdapt slice of a ``run --trace-out`` recording
+        hashes to the content the SparseAdapt-only ``trace`` verb
+        recorded for the same run before ``--trace-out`` moved here."""
+        path = tmp_path / "run.jsonl"
+        assert main(RUN_P1 + extra + ["--trace-out", str(path)]) == 0
+        records = _read_trace(path)
+        schemes = [
+            record["attrs"]["scheme"]
+            for record in records
+            if record["name"] == "harness.scheme"
+        ]
+        assert schemes == ["Baseline", "Best Avg", "Max Cfg", "SparseAdapt"]
+        assert _content_sha256(_sparseadapt_slice(records)) == digest
+
+    def test_cold_model_cache_records_the_same_content(self, tmp_path):
+        """The stock model is resolved before the recorder is installed,
+        so training on a cold cache adds no records."""
+        from repro.core.training import clear_model_cache
+
+        cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
+        clear_model_cache()
+        assert main(RUN_P1 + ["--trace-out", str(cold)]) == 0
+        assert main(RUN_P1 + ["--trace-out", str(warm)]) == 0
+        assert list(map(_record_content, _read_trace(cold))) == list(
+            map(_record_content, _read_trace(warm))
+        )
+
 
 class TestExplainAndDiffCommands:
     @pytest.fixture(scope="class")
@@ -253,7 +342,7 @@ class TestExplainAndDiffCommands:
         clean = base / "clean.jsonl"
         noisy = base / "noisy.jsonl"
         common = [
-            "trace", "--kernel", "spmspv", "--matrix", "P1",
+            "run", "--kernel", "spmspv", "--matrix", "P1",
             "--scale", "0.15",
         ]
         assert main(common + ["--trace-out", str(clean)]) == 0
@@ -592,7 +681,7 @@ class TestRunFaultArguments:
 
         trace_path = tmp_path / "noisy.jsonl"
         argv = [
-            "trace", "--kernel", "spmspv", "--matrix", "P1",
+            "run", "--kernel", "spmspv", "--matrix", "P1",
             "--scale", "0.15", "--noise", "0.2", "--noise-seed", "7",
             "--trace-out", str(trace_path),
         ]
@@ -617,7 +706,7 @@ class TestRunFaultArguments:
         assert (
             main(
                 [
-                    "trace", "--kernel", "spmspv", "--matrix", "P1",
+                    "run", "--kernel", "spmspv", "--matrix", "P1",
                     "--scale", "0.15", "--faults", str(spec),
                     "--trace-out", str(trace_path),
                 ]
@@ -636,8 +725,47 @@ class TestRunFaultArguments:
         assert "controller.start" in names
 
 
+class TestRunJobSpec:
+    """``repro run`` evaluates the :class:`JobSpec` its flags describe
+    through the same decoder as a ``suite-run`` job."""
+
+    @pytest.mark.parametrize(
+        "kernel, matrix", [("spmspv", "P1"), ("spmspm", "R04")]
+    )
+    def test_gains_equal_suite_run_row(
+        self, tmp_path, capsys, kernel, matrix
+    ):
+        from repro.experiments.harness import STANDARD_SCHEMES
+
+        argv = ["run", "--kernel", kernel, "--matrix", matrix]
+        assert main(argv + ["--scale", "0.12", "--json"]) == 0
+        gains = json.loads(capsys.readouterr().out)["gains_over_baseline"]
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "name": "one",
+            "jobs": [{
+                "kernel": kernel, "matrix": matrix, "scale": 0.12,
+                "schemes": list(STANDARD_SCHEMES),
+            }],
+        }))
+        ledger = tmp_path / "run.jsonl"
+        assert main(["suite-run", str(plan), "--ledger", str(ledger)]) == 0
+        capsys.readouterr()
+        records = map(json.loads, ledger.read_text().splitlines())
+        (row,) = [r["row"] for r in records if r.get("type") == "done"]
+        schemes = row["result"]["schemes"]
+        assert list(schemes) == list(gains)
+        for name, values in gains.items():
+            assert {key: schemes[name][key] for key in values} == values
+
+    def test_non_finite_bandwidth_is_one_line_error(self, capsys):
+        err = _assert_one_line_error(capsys, RUN_P1 + ["--bandwidth", "nan"])
+        assert "bandwidth must be finite and positive" in err
+
+
 class TestProfilingAndDeadlineCli:
-    RUN = ["run", "--kernel", "spmspv", "--matrix", "P1", "--scale", "0.15"]
+    RUN = RUN_P1
 
     def test_new_flags_and_verbs_parse(self):
         parser = build_parser()
@@ -666,6 +794,32 @@ class TestProfilingAndDeadlineCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "deadline" in captured.err
+
+    @pytest.mark.parametrize("deadline", ["-1", "0"])
+    def test_single_job_verbs_reject_non_positive_deadline(
+        self, monkeypatch, capsys, deadline
+    ):
+        """``run`` and ``experiment`` check the deadline the way
+        ``suite-run`` does, before their job starts."""
+        from repro.experiments import figures, harness
+
+        calls = []
+        for owner, name in (
+            (harness, "build_trace"),
+            (harness, "job_context"),
+            (figures, "section7_regular_kernels"),
+        ):
+            monkeypatch.setattr(
+                owner, name, lambda *a, _n=name, **k: calls.append(_n)
+            )
+        for argv in (self.RUN, ["experiment", "sec7"]):
+            assert main(argv + ["--deadline", deadline]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: deadline must be positive, got {float(deadline)!r}\n"
+            )
+            assert captured.out == ""
+        assert calls == []
 
     def test_run_profile_report_and_saved_profile(self, tmp_path, capsys):
         profile_path = tmp_path / "run.profile.json"

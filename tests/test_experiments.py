@@ -14,6 +14,7 @@ from repro.experiments import (
     gains_over,
 )
 from repro.experiments import harness
+from repro.experiments.harness import job_context
 from repro.experiments.reporting import (
     append_geomean,
     format_gain_table,
@@ -150,6 +151,27 @@ class TestHarnessErrorPaths:
         with pytest.raises(ConfigError, match="empty trace 'hollow'"):
             evaluate_schemes(context, ("Baseline",))
 
+    def test_sparseadapt_without_model_rejected(self, monkeypatch):
+        """``job_context`` is the one place a stock model is chosen; a
+        bare context asking for SparseAdapt fails before any scheme
+        runs and trains nothing."""
+        import repro.experiments.harness as harness_module
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("evaluate_schemes trained a model")
+
+        monkeypatch.setattr(harness_module, "train_default_model", no_training)
+        monkeypatch.setattr(
+            harness_module, "run_static", lambda *a, **k: no_training()
+        )
+        context = EvaluationContext(
+            trace=build_trace("spmspv", "P1", scale=0.12),
+            machine=TransmuterModel(),
+            mode=EE,
+        )
+        with pytest.raises(ConfigError, match="SparseAdapt needs a model"):
+            evaluate_schemes(context, ("Baseline", "SparseAdapt"))
+
     def test_unknown_matrix_rejected(self):
         from repro.errors import ReproError
 
@@ -175,6 +197,64 @@ class TestHarnessErrorPaths:
 
         for name in STANDARD_SCHEMES + UPPER_BOUND_SCHEMES:
             assert name in KNOWN_SCHEMES
+
+
+class TestJobContext:
+    """``job_context`` is the one decoder from a JobSpec to the context
+    its schemes run in."""
+
+    @staticmethod
+    def _spec(**fields):
+        from repro.runner import JobSpec
+
+        return JobSpec(
+            **{"kernel": "spmspv", "matrix": "P1", "scale": 0.12, **fields}
+        )
+
+    def test_statics_only_job_trains_nothing(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a statics-only job trained a model")
+
+        monkeypatch.setattr(harness, "train_default_model", no_training)
+        context = job_context(
+            self._spec(schemes=("Baseline", "Best Avg", "Max Cfg"))
+        )
+        assert context.model is None
+        assert context.mode is EE
+
+    def test_sparseadapt_job_resolves_the_stock_model(self):
+        from repro.core.training import train_default_model
+
+        context = job_context(self._spec(mode="pp", l1_type="spm"))
+        assert context.mode is OptimizationMode.POWER_PERFORMANCE
+        assert context.model is train_default_model(
+            OptimizationMode.POWER_PERFORMANCE, kernel="spmspv", l1_type="spm"
+        )
+
+    def test_fields_decode(self):
+        from repro.core.hardening import HardeningConfig
+        from repro.faults import noise_schedule
+
+        faults = noise_schedule(0.1, seed=3)
+        context = job_context(
+            self._spec(
+                schemes=("Baseline",),
+                bandwidth_gbps=2.0,
+                seed=4,
+                policy="conservative",
+                faults=faults.as_dict(),
+                hardening=False,
+            )
+        )
+        assert context.trace is build_trace("spmspv", "P1", 0.12, seed=4)
+        assert context.machine.describe() == "2x8 @ 2 GB/s"
+        assert context.seed == 4
+        assert isinstance(context.policy, ConservativePolicy)
+        assert context.faults == faults
+        assert context.hardening == HardeningConfig.disabled()
+        default = job_context(self._spec(schemes=("Baseline",)))
+        assert isinstance(default.policy, HybridPolicy)
+        assert default.faults is None and default.hardening is None
 
 
 class TestPolicyDefaults:

@@ -101,10 +101,26 @@ class TestLegacyNoiseShim:
 
     def test_shim_matches_explicit_schedule_bit_exactly(self):
         from repro.cli import _fault_setup
+        from repro.experiments.harness import job_context
+        from repro.runner import JobSpec
 
+        # The shim yields JobSpec fields; the decoded job runs the
+        # explicit schedule, unhardened.
         faults, hardening = _fault_setup(self._args(0.2, seed=7))
-        assert faults == noise_schedule(0.2, seed=7)
-        assert hardening == HardeningConfig.disabled()
+        assert faults == noise_schedule(0.2, seed=7).as_dict()
+        assert hardening is False
+        context = job_context(
+            JobSpec(
+                kernel="spmspv",
+                matrix="P1",
+                scale=0.15,
+                schemes=("Baseline",),
+                faults=faults,
+                hardening=hardening,
+            )
+        )
+        assert context.faults == noise_schedule(0.2, seed=7)
+        assert context.hardening == HardeningConfig.disabled()
         assert _fault_setup(self._args(0.0)) == (None, None)
 
     def test_noise_cannot_combine_with_faults(self, tmp_path):

@@ -170,5 +170,12 @@ class TestMachineModel:
         with pytest.raises(SimulationError):
             TransmuterModel(0, 4)
 
+    @pytest.mark.parametrize(
+        "bandwidth", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        with pytest.raises(SimulationError, match="finite and positive"):
+            TransmuterModel(bandwidth_gbps=bandwidth)
+
     def test_describe(self, machine):
         assert machine.describe() == "2x8 @ 1 GB/s"
