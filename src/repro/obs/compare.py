@@ -104,33 +104,17 @@ METRICS: Dict[str, MetricDef] = {
 # Scraping
 # ---------------------------------------------------------------------------
 def ledger_terminal_rows(path: Union[str, Path]) -> Tuple[dict, List[dict]]:
-    """A ledger's header and terminal rows, first-terminal-wins.
-
-    Reads the way resume does (torn-line tolerant); rows come back in
+    """A ledger's header and terminal rows, folded the way resume folds
+    it (:func:`repro.runner.ledger.fold_ledger`); rows come back in
     first-appearance order, which for a merged canonical ledger is plan
     order — the report ordering downstream relies on that.
     """
-    from repro.runner.ledger import TERMINAL_TYPES, read_ledger_records
+    from repro.runner.ledger import fold_ledger
 
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"no such ledger: {path}")
-    records, _ = read_ledger_records(path)
-    header: dict = {}
-    rows: List[dict] = []
-    seen: set = set()
-    for record in records:
-        kind = record.get("type")
-        if kind == "header" and not header:
-            header = dict(record)
-        elif kind in TERMINAL_TYPES:
-            key = record.get("key")
-            if isinstance(key, str) and key not in seen:
-                seen.add(key)
-                rows.append(dict(record.get("row") or {}))
-    if not header:
-        raise ConfigError(f"{path} is not a run ledger (missing header)")
-    return header, rows
+    state = fold_ledger(path)
+    return dict(state.header), [
+        dict(record["row"]) for record in state.terminal.values()
+    ]
 
 
 def _metric_value(

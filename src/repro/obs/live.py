@@ -93,6 +93,8 @@ class CampaignStatus:
     throughput_jobs_s: float = 0.0
     eta_s: float = float("nan")
     now: float = 0.0
+    #: Damaged lines skipped while reading the canonical ledger.
+    torn_lines: int = 0
 
     @property
     def remaining(self) -> int:
@@ -107,7 +109,7 @@ class CampaignStatus:
         return [w for w in self.workers if w.straggler]
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "ledger": self.ledger_path,
             "plan_name": self.plan_name,
             "campaign": self.campaign,
@@ -135,6 +137,9 @@ class CampaignStatus:
                 for w in self.workers
             ],
         }
+        if self.torn_lines:
+            out["torn_lines"] = self.torn_lines
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,44 +208,29 @@ def read_live(
     """
     import time as _time
 
-    from repro.runner.ledger import (
-        TERMINAL_TYPES,
-        list_shards,
-        local_store_path,
-        read_ledger_records,
-    )
+    from repro.runner.ledger import fold_ledger, list_shards, local_store_path
 
     ledger_path = Path(ledger_path)
     if not ledger_path.exists():
         raise ConfigError(f"no ledger at {ledger_path}")
     now = _time.time() if now is None else now
 
-    records, _ = read_ledger_records(ledger_path)
-    plan_name = "campaign"
-    plan_key = None
-    header_jobs: Optional[int] = None
-    for record in records:
-        if record.get("type") == "header":
-            plan_name = record.get("plan_name", plan_name)
-            plan_key = record.get("plan_key")
-            # Experiment-store ledgers declare the grid size up front:
-            # store workers claim jobs dynamically, so their per-shard
-            # heartbeat totals describe the whole grid (not a disjoint
-            # shard) and cannot be summed for the campaign total.
-            if isinstance(record.get("jobs"), int):
-                header_jobs = int(record["jobs"])
-            break
-    else:
-        raise ConfigError(
-            f"{ledger_path} is not a run ledger (missing header)"
-        )
+    state = fold_ledger(ledger_path)
+    header = state.header
+    plan_name = header.get("plan_name", "campaign")
+    plan_key = header.get("plan_key")
+    # Experiment-store ledgers declare the grid size up front: store
+    # workers claim jobs dynamically, so their per-shard heartbeat
+    # totals describe the whole grid (not a disjoint shard) and cannot
+    # be summed for the campaign total.
+    header_jobs = header.get("jobs")
+    if not isinstance(header_jobs, int):
+        header_jobs = None
     if plan_name == "campaign" or plan_key is None:
         # Older headers (or hand-rolled ledgers) may lack identity; the
         # heartbeats themselves carry it since they label multi-campaign
         # hosts.
-        for record in records:
-            if record.get("type") != "heartbeat":
-                continue
+        for record in state.heartbeats:
             if plan_name == "campaign" and record.get("plan"):
                 plan_name = str(record["plan"])
             if plan_key is None and record.get("campaign"):
@@ -253,35 +243,31 @@ def read_live(
         plan_name=plan_name,
         campaign=plan_key,
         now=now,
+        torn_lines=state.n_skipped,
     )
+
+    serial_beats = [
+        beat for beat in state.heartbeats if beat.get("worker") is None
+    ]
+
+    def _count(terminal: Dict[str, dict]) -> Tuple[int, int]:
+        """``(done, failed)`` over terminal records; failures are also
+        tallied by kind into the campaign's quarantine taxonomy."""
+        failed = 0
+        for record in terminal.values():
+            row = record["row"]
+            if record["type"] == "quarantined" or row.get("status") in (
+                "failed",
+                "quarantined",
+            ):
+                failed += 1
+                kind = str((row.get("failure") or {}).get("kind", "unknown"))
+                status.quarantined[kind] = status.quarantined.get(kind, 0) + 1
+        return len(terminal) - failed, failed
 
     # Canonical terminal rows: done/failed/quarantined jobs already
     # settled (serial progress, resumed work, merged shards).
-    terminal: Dict[str, dict] = {}
-    serial_beats: List[dict] = []
-    for record in records:
-        kind = record.get("type")
-        if kind in TERMINAL_TYPES:
-            terminal.setdefault(str(record.get("key")), record)
-        elif kind == "heartbeat" and record.get("worker") is None:
-            serial_beats.append(record)
-    def _is_failed(record: dict) -> bool:
-        row = record.get("row", {})
-        failed = record.get("type") == "quarantined" or row.get(
-            "status"
-        ) in ("failed", "quarantined")
-        if failed:
-            failure = row.get("failure") or {}
-            kind = str(failure.get("kind", "unknown"))
-            status.quarantined[kind] = status.quarantined.get(kind, 0) + 1
-        return failed
-
-    canonical_done = canonical_failed = 0
-    for record in terminal.values():
-        if _is_failed(record):
-            canonical_failed += 1
-        else:
-            canonical_done += 1
+    canonical_done, canonical_failed = _count(state.terminal)
     status.done = canonical_done
     status.failed = canonical_failed
 
@@ -289,36 +275,30 @@ def read_live(
     # worker fsynced that the parent has not merged yet.
     shard_total = 0
     for path in list_shards(ledger_path):
-        shard_records, _ = read_ledger_records(path)
-        worker: Optional[int] = None
-        beats: List[dict] = []
-        shard_terminal: Dict[str, dict] = {}
-        foreign = False
-        for record in shard_records:
-            kind = record.get("type")
-            if kind == "header":
-                if plan_key is not None and record.get("plan_key") not in (
-                    None,
-                    plan_key,
-                ):
-                    foreign = True
-                    break
-                worker = record.get("worker", worker)
-            elif kind == "heartbeat":
-                if worker is None:
-                    worker = record.get("worker")
-                beats.append(record)
-            elif kind in TERMINAL_TYPES:
-                shard_terminal.setdefault(str(record.get("key")), record)
-        if foreign:
+        try:
+            shard = fold_ledger(path, require_header=False)
+        except ConfigError:
+            continue  # swept by a finishing worker
+        shard_header = shard.header or {}
+        if plan_key is not None and shard_header.get("plan_key") not in (
+            None,
+            plan_key,
+        ):
             continue
-        wstat = _worker_from_heartbeats(worker, beats, now)
+        worker = shard_header.get("worker")
+        if worker is None:
+            worker = next(
+                (
+                    beat["worker"]
+                    for beat in shard.heartbeats
+                    if beat.get("worker") is not None
+                ),
+                None,
+            )
+        wstat = _worker_from_heartbeats(worker, shard.heartbeats, now)
         # Trust fsynced terminal rows over the (possibly older) last
         # heartbeat counters.
-        n_failed = sum(
-            1 for r in shard_terminal.values() if _is_failed(r)
-        )
-        n_done = len(shard_terminal) - n_failed
+        n_done, n_failed = _count(shard.terminal)
         wstat.done = max(wstat.done, n_done)
         wstat.failed = max(wstat.failed, n_failed)
         wstat.finished = (
@@ -360,9 +340,9 @@ def read_live(
         status.done = wstat.done
         status.failed = wstat.failed
     elif status.workers:
-        status.total = len(terminal) + shard_total
+        status.total = len(state.terminal) + shard_total
     else:
-        status.total = len(terminal)
+        status.total = len(state.terminal)
     if header_jobs is not None:
         status.total = header_jobs
 
@@ -432,6 +412,8 @@ def render_top(status: CampaignStatus) -> str:
             f"{kind}={n}" for kind, n in sorted(status.quarantined.items())
         )
         lines.append(f"  quarantine: {kinds}")
+    if status.torn_lines:
+        lines.append(f"  torn lines: {status.torn_lines} skipped on load")
     lines.append(
         "  throughput: {:.2f} job/s — ETA {}".format(
             status.throughput_jobs_s,

@@ -41,10 +41,11 @@ from typing import Dict, List, Optional, Union
 from repro.errors import ConfigError, StorageError
 from repro.runner.ledger import (
     LEDGER_VERSION,
-    TERMINAL_TYPES,
+    LedgerState,
     RunLedger,
     compact_ledger,
-    read_ledger_records,
+    fold_ledger,
+    fold_records,
     verify_trailer,
 )
 
@@ -167,31 +168,25 @@ def _scan_ledger_file(
     report: FsckReport,
     path: Path,
     expect_plan_key: Optional[str] = None,
-) -> dict:
-    """Scan one ledger file; returns ``{header, records, findings}``.
+) -> LedgerState:
+    """Scan one ledger file and return its fold.
 
     Appends findings to ``report`` but performs no repair — the caller
     owns repair because the right fix differs by mode (a store can
     rebuild a headerless ledger from ``store.json``; a bare ledger
     cannot).
     """
-    out: dict = {"header": None, "records": [], "torn": 0}
     try:
-        records, torn = read_ledger_records(path)
+        state = fold_ledger(path, require_header=False)
     except ConfigError as exc:
         report.add(
             "ledger_unreadable", path, str(exc), repairable=False
         )
-        return out
-    out["records"] = records
-    out["torn"] = torn
-    report.checked["ledger_records"] = (
-        report.checked.get("ledger_records", 0) + len(records)
-    )
-    header = next(
-        (r for r in records if r.get("type") == "header"), None
-    )
-    out["header"] = header
+        return LedgerState()
+    report.checked["ledger_records"] = report.checked.get(
+        "ledger_records", 0
+    ) + sum(state.counts.values())
+    header = state.header
     if header is None:
         report.add(
             "ledger_headerless",
@@ -201,7 +196,7 @@ def _scan_ledger_file(
             # store.json; a bare ledger has no source of truth left.
             repairable=expect_plan_key is not None,
         )
-        return out
+        return state
     if header.get("version") != LEDGER_VERSION:
         report.add(
             "ledger_version",
@@ -219,11 +214,11 @@ def _scan_ledger_file(
             "header plan_key does not match the store registration",
             repairable=False,
         )
-    if torn:
+    if state.n_skipped:
         report.add(
             "ledger_torn",
             path,
-            f"{torn} damaged line(s) skipped on load",
+            f"{state.n_skipped} damaged line(s) skipped on load",
             repairable=True,
         )
     trailer = verify_trailer(path)
@@ -234,7 +229,7 @@ def _scan_ledger_file(
             "checksum trailer does not match the preceding bytes",
             repairable=True,
         )
-    return out
+    return state
 
 
 def _repair_ledger(
@@ -362,12 +357,7 @@ def _scan_store(report: FsckReport, root: Path) -> None:
                     "group_corrupt", path, str(exc), repairable=True
                 )
             else:
-                terminal = any(
-                    r.get("type") in TERMINAL_TYPES
-                    and r.get("key") == key
-                    for r in records or ()
-                )
-                if terminal:
+                if key in fold_records(records or ()).terminal:
                     continue
                 finding = report.add(
                     "group_no_terminal",
@@ -449,22 +439,15 @@ def _scan_store(report: FsckReport, root: Path) -> None:
             ).close()
             finding.repaired = True
             finding.action = "header rebuilt from store.json"
-        ledger_records: List[dict] = []
+        terminals: Dict[str, dict] = {}
     else:
-        scanned = _scan_ledger_file(
+        terminals = _scan_ledger_file(
             report, ledger_path, expect_plan_key=store.plan_key
-        )
-        ledger_records = scanned["records"]
+        ).terminal
         if report.repair:
             _repair_ledger(report, ledger_path, store=store)
 
     # -- ledger <-> results cross-reference -------------------------------
-    terminals: Dict[str, dict] = {}
-    for record in ledger_records:
-        if record.get("type") in TERMINAL_TYPES:
-            key = record.get("key")
-            if isinstance(key, str):
-                terminals.setdefault(key, record)
     for key, record in sorted(terminals.items()):
         if key not in store.jobs or store.has_result(key):
             continue

@@ -5,9 +5,12 @@ every job in a campaign: ``start`` when an attempt begins, ``retry``
 when a retryable failure schedules another attempt, and a terminal
 ``done`` (with the full result row) or ``quarantined`` (with the
 structured failure). Every append is flushed and fsynced, so the ledger
-survives a killed process up to the last completed write; torn lines
-(the one write a crash can interrupt — or, adversarially, any
-mid-file corruption) are detected, skipped, and counted on load.
+survives a killed process up to the last completed write.
+
+Every reader folds a ledger through :func:`fold_ledger`, which applies
+the read rule stated in docs/robustness.md ("The run ledger and
+``--resume``"). Compacted ledgers and store result groups share one
+checksum trailer (:func:`seal` / :func:`unseal`).
 
 Resume semantics: jobs with a *terminal* row are finished — ``done``
 rows are replayed into the aggregate report byte-for-byte, and
@@ -39,8 +42,9 @@ import json
 import os
 import re
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.obs import profile as obs_profile
@@ -63,11 +67,20 @@ __all__ = [
     "LEDGER_VERSION",
     "TERMINAL_TYPES",
     "VOLATILE_TYPES",
+    "LedgerState",
     "RunLedger",
     "shard_path",
     "list_shards",
     "local_store_path",
     "read_ledger_records",
+    "well_formed",
+    "fold_records",
+    "fold_ledger",
+    "start_record",
+    "retry_record",
+    "terminal_record",
+    "seal",
+    "unseal",
     "strip_volatile",
     "compact_ledger",
     "verify_trailer",
@@ -77,6 +90,9 @@ LEDGER_VERSION = 1
 
 #: Record types that finish a job; everything else is in-flight state.
 TERMINAL_TYPES = ("done", "quarantined")
+
+#: Record types that must carry a string ``key``.
+_KEYED_TYPES = ("start", "retry") + TERMINAL_TYPES
 
 #: Volatile record types: provenance/progress only, never job state.
 #: The byte-identical merge drops them and resume ignores them.
@@ -130,21 +146,29 @@ def list_shards(base: Union[str, Path]) -> List[Path]:
     return [path for _, path in sorted(found)]
 
 
+def well_formed(record: object) -> bool:
+    """The ledger's one validity rule (docs/robustness.md, "The run
+    ledger and ``--resume``")."""
+    if not isinstance(record, dict):
+        return False
+    kind = record.get("type")
+    if not isinstance(kind, str):
+        return False
+    if kind in _KEYED_TYPES and not isinstance(record.get("key"), str):
+        return False
+    return kind not in TERMINAL_TYPES or isinstance(record.get("row"), dict)
+
+
 def read_ledger_records(
     path: Union[str, Path]
 ) -> Tuple[List[dict], int]:
-    """Load every intact record of a ledger/shard file.
+    """Every well-formed record of a ledger/shard file, in file order.
 
-    Returns ``(records, n_skipped)``. Undecodable lines — the torn
-    final write of a killed process, or adversarial mid-file damage —
-    are skipped and counted instead of aborting the load: any record
-    that *did* survive intact is still trusted, and a job whose
-    terminal row was lost is simply re-run (safe by construction).
-    Unreadable *files* (a directory, a permission wall) raise
-    :class:`~repro.errors.ConfigError` so CLI callers get the one-line
-    ``error:`` funnel instead of a traceback; invalid UTF-8 inside a
-    line (a torn multi-byte character, binary garbage) degrades to a
-    skipped line like any other damage.
+    Returns ``(records, n_skipped)``: a line that does not decode to a
+    well-formed record — a torn final write, mid-file damage, invalid
+    UTF-8, or intact JSON that breaks the validity rule — is skipped
+    and counted, never fatal. An unreadable *file* raises
+    :class:`~repro.errors.ConfigError`.
     """
     records: List[dict] = []
     skipped = 0
@@ -162,11 +186,155 @@ def read_ledger_records(
             except json.JSONDecodeError:
                 skipped += 1
                 continue
-            if not isinstance(record, dict) or "type" not in record:
+            if well_formed(record):
+                records.append(record)
+            else:
                 skipped += 1
-                continue
-            records.append(record)
     return records, skipped
+
+
+@dataclass
+class LedgerState:
+    """A ledger or shard file folded by :func:`fold_ledger`."""
+
+    #: The first header record (None for a headerless file).
+    header: Optional[dict] = None
+    #: The first terminal record per key, in first-appearance order.
+    terminal: Dict[str, dict] = field(default_factory=dict)
+    #: ``start`` and ``retry`` record counts per key.
+    starts: Dict[str, int] = field(default_factory=dict)
+    retries: Dict[str, int] = field(default_factory=dict)
+    merges: List[dict] = field(default_factory=list)
+    heartbeats: List[dict] = field(default_factory=list)
+    #: Well-formed records by type.
+    counts: Dict[str, int] = field(default_factory=dict)
+    #: Damaged lines skipped on load.
+    n_skipped: int = 0
+
+    @property
+    def in_flight(self) -> List[str]:
+        """Keys started but never settled, in first-start order."""
+        return [key for key in self.starts if key not in self.terminal]
+
+    def stable_rows(self) -> Dict[str, dict]:
+        """Terminal rows by key with wall-clock fields stripped."""
+        return {
+            key: strip_volatile(record["row"])
+            for key, record in self.terminal.items()
+        }
+
+
+def fold_records(records: Sequence[dict], n_skipped: int = 0) -> LedgerState:
+    """Fold well-formed records: first header and first terminal record
+    per key win; everything else is counted or collected."""
+    state = LedgerState(n_skipped=n_skipped)
+    for record in records:
+        kind = record["type"]
+        state.counts[kind] = state.counts.get(kind, 0) + 1
+        if kind == "header":
+            if state.header is None:
+                state.header = record
+        elif kind in TERMINAL_TYPES:
+            state.terminal.setdefault(record["key"], record)
+        elif kind == "start":
+            key = record["key"]
+            state.starts[key] = state.starts.get(key, 0) + 1
+        elif kind == "retry":
+            key = record["key"]
+            state.retries[key] = state.retries.get(key, 0) + 1
+        elif kind == "merge":
+            state.merges.append(record)
+        elif kind == "heartbeat":
+            state.heartbeats.append(record)
+    return state
+
+
+def fold_ledger(
+    path: Union[str, Path], require_header: bool = True
+) -> LedgerState:
+    """Read a ledger or shard file once and fold it.
+
+    Every reader of a ledger — resume, compaction, ``suite-report``,
+    ``compare``, ``repro top``, ``repro fsck`` — goes through here, so
+    they all agree on which jobs are settled and how many lines were
+    damaged. Raises :class:`~repro.errors.ConfigError` for a missing
+    or unreadable file and, with ``require_header``, a headerless one.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"no such ledger: {path}")
+    state = fold_records(*read_ledger_records(path))
+    if require_header and state.header is None:
+        raise ConfigError(f"{path} is not a run ledger (missing header)")
+    return state
+
+
+# ---------------------------------------------------------------------------
+# Record builders
+# ---------------------------------------------------------------------------
+def start_record(key: str, index: int, attempt: int) -> dict:
+    return {"type": "start", "key": key, "index": index, "attempt": attempt}
+
+
+def retry_record(
+    key: str, attempt: int, error: str, backoff_s: float
+) -> dict:
+    return {
+        "type": "retry",
+        "key": key,
+        "attempt": attempt,
+        "error": error,
+        "backoff_s": round(backoff_s, 6),
+    }
+
+
+def terminal_record(kind: str, key: str, row: dict) -> dict:
+    return {"type": kind, "key": key, "row": row}
+
+
+# ---------------------------------------------------------------------------
+# Checksum trailer
+# ---------------------------------------------------------------------------
+def seal(records: Sequence[dict]) -> Tuple[str, dict]:
+    """``(body, trailer)``: the records as JSONL text and the
+    ``trailer`` record carrying the body's record count and SHA-256;
+    the sealed file is ``body`` followed by the trailer's line."""
+    body = "".join(encode_record(record) + "\n" for record in records)
+    return body, {
+        "type": "trailer",
+        "records": len(records),
+        "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+    }
+
+
+def unseal(raw: bytes) -> Tuple[bytes, Optional[dict]]:
+    """Split sealed bytes into ``(body, verdict)``.
+
+    ``body`` is every byte before a final ``trailer`` line and
+    ``verdict`` is ``{"ok", "records", "sha256", "expected"}`` — ``ok``
+    only when the body's SHA-256 and non-blank line count match the
+    trailer. Without a final trailer line, ``(raw, None)``.
+    """
+    lines = raw.splitlines(keepends=True)
+    index = len(lines) - 1
+    while index >= 0 and not lines[index].strip():
+        index -= 1
+    try:
+        last = json.loads(lines[index]) if index >= 0 else None
+    except ValueError:
+        last = None
+    if not isinstance(last, dict) or last.get("type") != "trailer":
+        return raw, None
+    body = b"".join(lines[:index])
+    digest = hashlib.sha256(body).hexdigest()
+    n_records = sum(1 for line in lines[:index] if line.strip())
+    expected = last.get("sha256")
+    return body, {
+        "ok": digest == expected and n_records == last.get("records"),
+        "records": n_records,
+        "sha256": digest,
+        "expected": expected,
+    }
 
 
 class RunLedger:
@@ -241,23 +409,11 @@ class RunLedger:
 
     # ------------------------------------------------------------------
     def _load(self) -> None:
-        records, self.n_skipped = read_ledger_records(self.path)
-        header: Optional[dict] = None
-        started: Dict[str, bool] = {}
-        for record in records:
-            kind = record.get("type")
-            if kind == "header" and header is None:
-                header = record
-            elif kind == "start":
-                started[record["key"]] = True
-            elif kind in TERMINAL_TYPES:
-                # First terminal record wins: a duplicated row (e.g. a
-                # replayed merge) never flips an already-settled job.
-                self.completed.setdefault(record["key"], record)
-        if header is None:
-            raise ConfigError(
-                f"{self.path} is not a run ledger (missing header)"
-            )
+        state = fold_ledger(self.path)
+        header = state.header
+        self.completed = state.terminal
+        self.in_flight = state.in_flight
+        self.n_skipped = state.n_skipped
         if header.get("version") != LEDGER_VERSION:
             raise ConfigError(
                 f"unsupported ledger version {header.get('version')!r} "
@@ -268,9 +424,6 @@ class RunLedger:
                 f"ledger {self.path} belongs to a different plan "
                 f"({header.get('plan_name')!r}); use a fresh ledger path"
             )
-        self.in_flight = [
-            key for key in started if key not in self.completed
-        ]
 
     def _append(self, record: dict) -> None:
         """One durable line: write, flush, fsync.
@@ -293,30 +446,20 @@ class RunLedger:
 
     # ------------------------------------------------------------------
     def job_started(self, key: str, index: int, attempt: int) -> None:
-        self._append(
-            {"type": "start", "key": key, "index": index, "attempt": attempt}
-        )
+        self._append(start_record(key, index, attempt))
 
     def job_retried(
         self, key: str, attempt: int, error: str, backoff_s: float
     ) -> None:
-        self._append(
-            {
-                "type": "retry",
-                "key": key,
-                "attempt": attempt,
-                "error": error,
-                "backoff_s": round(backoff_s, 6),
-            }
-        )
+        self._append(retry_record(key, attempt, error, backoff_s))
 
     def job_done(self, key: str, row: dict) -> None:
-        record = {"type": "done", "key": key, "row": row}
+        record = terminal_record("done", key, row)
         self._append(record)
         self.completed[key] = record
 
     def job_quarantined(self, key: str, row: dict) -> None:
-        record = {"type": "quarantined", "key": key, "row": row}
+        record = terminal_record("quarantined", key, row)
         self._append(record)
         self.completed[key] = record
 
@@ -384,63 +527,40 @@ def compact_ledger(
     every job is settled. Compaction keeps the header and the
     *first* terminal record per key (exactly the rows resume trusts
     and ``suite-report`` summarizes), in original first-appearance
-    order, and appends a ``trailer`` record carrying the SHA-256 of
-    every preceding byte so later readers can detect truncation or
-    bit rot (:func:`verify_trailer`).
+    order, and seals them with a ``trailer`` record carrying the
+    SHA-256 of every preceding byte so later readers can detect
+    truncation or bit rot (:func:`verify_trailer`).
 
-    Before committing, the compacted file is diffed against the
-    original (stable terminal rows, :func:`repro.runner.report.diff_ledgers`)
-    — report byte-identity is an invariant, not a hope. In-place by
-    default; pass ``out`` to write elsewhere and keep the original.
-    Returns a stats dict (records/bytes before and after, dropped
-    record counts by type, the trailer checksum).
+    Before committing, the compacted file is folded again and its
+    stable terminal rows compared with the original's — report
+    byte-identity is an invariant, not a hope. In-place by default;
+    pass ``out`` to write elsewhere and keep the original. Returns a
+    stats dict (records/bytes before and after, dropped record counts
+    by type, the trailer checksum).
     """
     path = Path(path)
     out = path if out is None else Path(out)
-    records, torn = read_ledger_records(path)
-    header: Optional[dict] = None
-    terminals: Dict[str, dict] = {}
-    dropped: Dict[str, int] = {}
-    for record in records:
-        kind = str(record.get("type"))
-        if kind == "header" and header is None:
-            header = record
-            continue
-        if kind in TERMINAL_TYPES:
-            key = record.get("key")
-            if isinstance(key, str) and key not in terminals:
-                terminals[key] = record
-                continue
-        dropped[kind] = dropped.get(kind, 0) + 1
-    if header is None:
-        raise ConfigError(f"{path} is not a run ledger (missing header)")
-    lines = [encode_record(header)]
-    lines.extend(encode_record(record) for record in terminals.values())
-    body = "".join(line + "\n" for line in lines).encode("utf-8")
-    digest = hashlib.sha256(body).hexdigest()
-    trailer = {
-        "type": "trailer",
-        "records": len(lines),
-        "sha256": digest,
-    }
+    state = fold_ledger(path)
+    kept = [state.header, *state.terminal.values()]
+    dropped = dict(state.counts)
+    for record in kept:
+        dropped[record["type"]] -= 1
+    body, trailer = seal(kept)
     bytes_before = path.stat().st_size
     tmp = out.with_name(f"{out.name}.compact{os.getpid()}")
     shim = _io_shim()
     try:
-        with tmp.open("wb") as handle:
+        with tmp.open("w", encoding="utf-8") as handle:
             shim.write(handle, body, site="ledger.compact.write")
             shim.write(
                 handle,
-                (encode_record(trailer) + "\n").encode("utf-8"),
+                encode_record(trailer) + "\n",
                 site="ledger.compact.write",
             )
             handle.flush()
             shim.fsync(handle.fileno(), site="ledger.compact.fsync")
-        from repro.runner.report import diff_ledgers  # circular at module load
-
-        diff = diff_ledgers(path, tmp)
-        if not diff["identical"]:  # pragma: no cover - invariant guard
-            raise ConfigError(
+        if fold_ledger(tmp).stable_rows() != state.stable_rows():
+            raise ConfigError(  # pragma: no cover - invariant guard
                 f"compaction of {path} would change the report; aborting"
             )
         shim.replace(tmp, out, site="ledger.compact.replace")
@@ -454,14 +574,16 @@ def compact_ledger(
     return {
         "path": str(path),
         "out": str(out),
-        "jobs": len(terminals),
-        "records_before": len(records),
-        "records_after": len(lines) + 1,
+        "jobs": len(state.terminal),
+        "records_before": sum(state.counts.values()),
+        "records_after": len(kept) + 1,
         "bytes_before": bytes_before,
         "bytes_after": out.stat().st_size,
-        "torn_lines": torn,
-        "dropped": dict(sorted(dropped.items())),
-        "sha256": digest,
+        "torn_lines": state.n_skipped,
+        "dropped": {
+            kind: count for kind, count in sorted(dropped.items()) if count
+        },
+        "sha256": trailer["sha256"],
     }
 
 
@@ -470,26 +592,18 @@ def verify_trailer(path: Union[str, Path]) -> dict:
 
     Returns ``{"present", "ok", "records", "sha256", "expected"}``:
     ``present`` is False when the final record is not a trailer (the
-    ledger was never compacted, or was appended to since); ``ok`` is
-    True only when the SHA-256 of every byte before the trailer line
-    and the record count both match what the trailer promised.
+    ledger was never compacted, or was appended to since); otherwise
+    the rest is :func:`unseal`'s verdict.
     """
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read ledger {path}: {exc}") from exc
-    lines = raw.splitlines(keepends=True)
-    index = len(lines) - 1
-    while index >= 0 and not lines[index].strip():
-        index -= 1
-    if index < 0:
+    if not raw.strip():
         raise ConfigError(f"{path} is not a run ledger (missing header)")
-    try:
-        last = json.loads(lines[index])
-    except (ValueError, UnicodeDecodeError):
-        last = None
-    if not isinstance(last, dict) or last.get("type") != "trailer":
+    _, verdict = unseal(raw)
+    if verdict is None:
         return {
             "present": False,
             "ok": False,
@@ -497,14 +611,4 @@ def verify_trailer(path: Union[str, Path]) -> dict:
             "sha256": None,
             "expected": None,
         }
-    body = b"".join(lines[:index])
-    digest = hashlib.sha256(body).hexdigest()
-    n_records = sum(1 for line in lines[:index] if line.strip())
-    expected = last.get("sha256")
-    return {
-        "present": True,
-        "ok": digest == expected and n_records == last.get("records"),
-        "records": n_records,
-        "sha256": digest,
-        "expected": expected,
-    }
+    return {"present": True, **verdict}

@@ -3,10 +3,9 @@
 ``repro suite-report`` answers the questions an operator has *after* a
 campaign — how many jobs landed, what was retried, what got
 quarantined and why, how the work spread across workers — without
-re-running anything. Everything here reads the ledger the way the
-resume path does (:func:`repro.runner.ledger.read_ledger_records`:
-tolerant of torn lines, first-terminal-wins), so the numbers reported
-are exactly the state a ``--resume`` would trust.
+re-running anything. Every number here comes from
+:func:`repro.runner.ledger.fold_ledger`, the same fold resume uses, so
+the report shows exactly the state a ``--resume`` would trust.
 
 Diffing compares the *stable* view of two campaigns' terminal rows —
 wall-clock fields stripped, keyed by content-addressed job key — so two
@@ -20,12 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.errors import ConfigError
-from repro.runner.ledger import (
-    TERMINAL_TYPES,
-    read_ledger_records,
-    strip_volatile,
-)
+from repro.runner.ledger import LedgerState, fold_ledger
 
 __all__ = [
     "summarize_ledger",
@@ -34,17 +28,54 @@ __all__ = [
     "format_ledger_diff",
 ]
 
-def _load(path: Union[str, Path]) -> List[dict]:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"no such ledger: {path}")
-    records, skipped = read_ledger_records(path)
-    if not any(r.get("type") == "header" for r in records):
-        raise ConfigError(f"{path} is not a run ledger (missing header)")
-    # Stash the torn-line count on the list via a sentinel record so the
-    # summarizer reports it without re-reading the file.
-    records.append({"type": "_torn", "count": skipped})
-    return records
+
+def _summarize(path: Union[str, Path], state: LedgerState) -> dict:
+    counts = {"ok": 0, "failed": 0}
+    quarantined: Dict[str, int] = {}
+    total_attempts = 0
+    total_duration = 0.0
+    for record in state.terminal.values():
+        row = record["row"]
+        status = "ok" if row.get("status") == "ok" else "failed"
+        counts[status] += 1
+        total_attempts += int(row.get("attempts", 1))
+        total_duration += float(row.get("duration_s", 0.0))
+        if status == "failed":
+            kind = (row.get("failure") or {}).get("kind", "unknown")
+            quarantined[kind] = quarantined.get(kind, 0) + 1
+    in_flight = sorted(state.in_flight)
+
+    by_worker: List[dict] = []
+    workers: Optional[int] = None
+    for merge in state.merges:
+        # Later merge records supersede earlier ones (a resumed parallel
+        # campaign appends one per parallel pass).
+        workers = merge.get("workers", workers)
+        if merge.get("by_worker"):
+            by_worker = list(merge["by_worker"])
+
+    header = state.header
+    return {
+        "path": str(path),
+        "plan_name": header.get("plan_name"),
+        "plan_key": header.get("plan_key"),
+        "worker": header.get("worker"),
+        "jobs": {
+            "total": len(state.terminal),
+            "ok": counts["ok"],
+            "failed": counts["failed"],
+            "in_flight": len(in_flight),
+        },
+        "attempts": total_attempts,
+        "retries": sum(state.retries.values()),
+        "retried_jobs": len(state.retries),
+        "quarantined": dict(sorted(quarantined.items())),
+        "in_flight_keys": in_flight,
+        "torn_lines": state.n_skipped,
+        "duration_s": round(total_duration, 6),
+        "workers": workers,
+        "by_worker": by_worker,
+    }
 
 
 def summarize_ledger(path: Union[str, Path]) -> dict:
@@ -56,79 +87,7 @@ def summarize_ledger(path: Union[str, Path]) -> dict:
     for parallel campaigns — the per-worker attribution recorded by the
     merge step.
     """
-    records = _load(path)
-    header: dict = {}
-    torn = 0
-    started: Dict[str, int] = {}
-    retries: Dict[str, int] = {}
-    terminal: Dict[str, dict] = {}
-    merges: List[dict] = []
-    for record in records:
-        kind = record.get("type")
-        if kind == "header" and not header:
-            header = record
-        elif kind == "_torn":
-            torn = int(record.get("count", 0))
-        elif kind == "start":
-            key = record.get("key")
-            if isinstance(key, str):
-                started[key] = started.get(key, 0) + 1
-        elif kind == "retry":
-            key = record.get("key")
-            if isinstance(key, str):
-                retries[key] = retries.get(key, 0) + 1
-        elif kind in TERMINAL_TYPES:
-            key = record.get("key")
-            if isinstance(key, str):
-                terminal.setdefault(key, record)
-        elif kind == "merge":
-            merges.append(record)
-
-    counts = {"ok": 0, "failed": 0}
-    quarantined: Dict[str, int] = {}
-    total_attempts = 0
-    total_duration = 0.0
-    for record in terminal.values():
-        row = record.get("row") or {}
-        status = "ok" if row.get("status") == "ok" else "failed"
-        counts[status] += 1
-        total_attempts += int(row.get("attempts", 1))
-        total_duration += float(row.get("duration_s", 0.0))
-        if status == "failed":
-            kind = (row.get("failure") or {}).get("kind", "unknown")
-            quarantined[kind] = quarantined.get(kind, 0) + 1
-    in_flight = sorted(key for key in started if key not in terminal)
-
-    by_worker: List[dict] = []
-    workers: Optional[int] = None
-    for merge in merges:
-        # Later merge records supersede earlier ones (a resumed parallel
-        # campaign appends one per parallel pass).
-        workers = merge.get("workers", workers)
-        if merge.get("by_worker"):
-            by_worker = list(merge["by_worker"])
-
-    return {
-        "path": str(path),
-        "plan_name": header.get("plan_name"),
-        "plan_key": header.get("plan_key"),
-        "worker": header.get("worker"),
-        "jobs": {
-            "total": len(terminal),
-            "ok": counts["ok"],
-            "failed": counts["failed"],
-            "in_flight": len(in_flight),
-        },
-        "attempts": total_attempts,
-        "retries": sum(retries.values()),
-        "retried_jobs": len(retries),
-        "quarantined": dict(sorted(quarantined.items())),
-        "in_flight_keys": in_flight,
-        "torn_lines": torn,
-        "duration_s": round(total_duration, 6),
-        "workers": workers,
-        "by_worker": by_worker,
-    }
+    return _summarize(path, fold_ledger(path))
 
 
 def diff_ledgers(
@@ -142,18 +101,10 @@ def diff_ledgers(
     divergence lists (``only_a``/``only_b``/``changed``) plus the two
     summaries.
     """
-
-    def terminal_rows(path) -> Dict[str, dict]:
-        rows: Dict[str, dict] = {}
-        for record in _load(path):
-            if record.get("type") in TERMINAL_TYPES:
-                key = record.get("key")
-                if isinstance(key, str) and key not in rows:
-                    rows[key] = strip_volatile(record.get("row") or {})
-        return rows
-
-    rows_a = terminal_rows(path_a)
-    rows_b = terminal_rows(path_b)
+    state_a = fold_ledger(path_a)
+    state_b = fold_ledger(path_b)
+    rows_a = state_a.stable_rows()
+    rows_b = state_b.stable_rows()
     only_a = sorted(set(rows_a) - set(rows_b))
     only_b = sorted(set(rows_b) - set(rows_a))
     changed: List[dict] = []
@@ -183,8 +134,8 @@ def diff_ledgers(
         return rows[key].get("label", key)
 
     return {
-        "a": summarize_ledger(path_a),
-        "b": summarize_ledger(path_b),
+        "a": _summarize(path_a, state_a),
+        "b": _summarize(path_b, state_b),
         "identical": not (only_a or only_b or changed),
         "same": same,
         "only_a": [

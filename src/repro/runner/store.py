@@ -53,7 +53,6 @@ or how many workers there were.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -76,9 +75,15 @@ from repro.runner.lease import (
 )
 from repro.runner.ledger import (
     RunLedger,
-    TERMINAL_TYPES,
+    fold_records,
     list_shards,
+    retry_record,
+    seal,
     shard_path,
+    start_record,
+    terminal_record,
+    unseal,
+    well_formed,
 )
 from repro.runner.plan import CampaignPlan, job_key
 from repro.runner.supervisor import HostFaultInjector, SupervisorConfig
@@ -497,8 +502,9 @@ class ExperimentStore:
         """The published record group of one job, or None if open.
 
         Strict by design: a group that exists but is damaged — torn
-        mid-record, missing its final newline, or failing its sha256
-        trailer — raises :class:`~repro.errors.StorageError` instead
+        mid-record, missing its final newline, holding a record the
+        ledger's read rule would skip, or failing its sha256 trailer —
+        raises :class:`~repro.errors.StorageError` instead
         of returning a silently half-read group. ``repro fsck
         --repair`` quarantines such groups back to open. Groups
         published before trailers existed (no trailing ``trailer``
@@ -507,72 +513,57 @@ class ExperimentStore:
         """
         path = self.result_path(key)
         try:
-            text = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except OSError:
             return None
-        if not text.endswith("\n"):
+        if not raw.endswith(b"\n"):
             raise StorageError(
                 f"result group {path} is torn (no trailing newline); "
                 "run `repro fsck --repair` to quarantine it"
             )
-        raw_lines = [
-            line for line in text.splitlines(keepends=True) if line.strip()
-        ]
+        body, verdict = unseal(raw)
+        if verdict is not None and not verdict["ok"]:
+            raise StorageError(
+                f"result group {path} fails its sha256 trailer; "
+                "run `repro fsck --repair` to quarantine it"
+            )
         records: List[dict] = []
-        for raw in raw_lines:
+        for line in body.splitlines():
+            if not line.strip():
+                continue
             try:
-                record = json.loads(raw)
+                record = json.loads(line)
             except ValueError as exc:
                 raise StorageError(
                     f"result group {path} holds an undecodable record "
                     f"({exc}); run `repro fsck --repair` to quarantine it"
                 ) from exc
-            if not isinstance(record, dict):
+            if not well_formed(record):
                 raise StorageError(
-                    f"result group {path} holds a non-record line; "
+                    f"result group {path} holds a malformed record; "
                     "run `repro fsck --repair` to quarantine it"
                 )
             records.append(record)
-        if records and records[-1].get("type") == "trailer":
-            trailer = records.pop()
-            body = "".join(raw_lines[:-1]).encode("utf-8")
-            digest = hashlib.sha256(body).hexdigest()
-            if (
-                trailer.get("sha256") != digest
-                or trailer.get("records") != len(records)
-            ):
-                raise StorageError(
-                    f"result group {path} fails its sha256 trailer; "
-                    "run `repro fsck --repair` to quarantine it"
-                )
         return records
 
     def terminal_row(self, key: str) -> Optional[dict]:
-        records = self.read_result(key)
-        if not records:
-            return None
-        for record in records:
-            if record.get("type") in TERMINAL_TYPES:
-                return record.get("row")
-        return None
+        terminal = fold_records(self.read_result(key) or ()).terminal
+        return terminal[key]["row"] if key in terminal else None
 
     def publish(self, key: str, records: Sequence[dict]) -> bool:
         """Publish one job's whole record group, first writer wins.
 
-        A ``trailer`` record carrying the SHA-256 of the group body is
-        appended so :meth:`read_result` (and ``repro fsck``) can tell
-        a torn or bit-rotted group from an intact one.
+        The group is sealed with a checksum trailer
+        (:func:`~repro.runner.ledger.seal`) so :meth:`read_result` (and
+        ``repro fsck``) can tell a torn or bit-rotted group from an
+        intact one.
         """
         if not records:
             raise ReproError(f"refusing to publish empty group for {key}")
-        body = "".join(encode_record(record) + "\n" for record in records)
-        trailer = {
-            "type": "trailer",
-            "records": len(records),
-            "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
-        }
-        text = body + encode_record(trailer) + "\n"
-        return _publish_file(self.result_path(key), text)
+        body, trailer = seal(records)
+        return _publish_file(
+            self.result_path(key), body + encode_record(trailer) + "\n"
+        )
 
     # -- progress ---------------------------------------------------------
     def open_entries(self) -> List[ScheduleEntry]:
@@ -710,9 +701,7 @@ class ExperimentStore:
                 continue
             if not group:
                 continue
-            terminal = next(
-                (r for r in group if r.get("type") in TERMINAL_TYPES), None
-            )
+            terminal = fold_records(group).terminal.get(key)
             if terminal is None:
                 if key not in ledger.in_flight:
                     ledger.in_flight.append(key)
@@ -806,34 +795,24 @@ class _GroupLedger:
         self._shard = shard
 
     def job_started(self, key: str, index: int, attempt: int) -> None:
-        self.records.append(
-            {"type": "start", "key": key, "index": index, "attempt": attempt}
-        )
+        self.records.append(start_record(key, index, attempt))
         if self._shard is not None:
             self._shard.job_started(key, index, attempt)
 
     def job_retried(
         self, key: str, attempt: int, error: str, backoff_s: float
     ) -> None:
-        self.records.append(
-            {
-                "type": "retry",
-                "key": key,
-                "attempt": attempt,
-                "error": error,
-                "backoff_s": round(backoff_s, 6),
-            }
-        )
+        self.records.append(retry_record(key, attempt, error, backoff_s))
         if self._shard is not None:
             self._shard.job_retried(key, attempt, error, backoff_s)
 
     def job_done(self, key: str, row: dict) -> None:
-        self.records.append({"type": "done", "key": key, "row": row})
+        self.records.append(terminal_record("done", key, row))
         if self._shard is not None:
             self._shard.job_done(key, row)
 
     def job_quarantined(self, key: str, row: dict) -> None:
-        self.records.append({"type": "quarantined", "key": key, "row": row})
+        self.records.append(terminal_record("quarantined", key, row))
         if self._shard is not None:
             self._shard.job_quarantined(key, row)
 

@@ -20,7 +20,9 @@ from repro.runner.fsck import (
     format_fsck_report,
     run_fsck,
 )
+from repro.runner.executor import run_plan
 from repro.runner.ledger import RunLedger, compact_ledger
+from repro.runner.plan import CampaignPlan
 from repro.runner.store import ExperimentStore, run_store_worker
 from repro.runner.supervisor import SupervisorConfig
 from repro.runner.worker import PortableJob
@@ -235,6 +237,23 @@ class TestStoreFsck:
         raw = store.ledger_path.read_text(encoding="utf-8")
         assert raw.endswith("\n")
 
+    def test_malformed_ledger_records_compacted_away(self, tmp_path):
+        """Parseable records that break the validity rule are damaged
+        lines: reported as ``ledger_torn``, compacted away by repair,
+        and a worker pass afterwards converges on the same rows."""
+        store = _complete_store(tmp_path)
+        reference = store.report().stable_dict()
+        with store.ledger_path.open("a", encoding="utf-8") as handle:
+            handle.write('{"type": "done", "row": {"status": "ok"}}\n')
+            handle.write('{"type": "done", "key": "s00", "row": "x"}\n')
+        report = run_fsck(store.root)
+        assert _kinds(report) == ["ledger_torn"]
+        assert report.findings[0].detail.startswith("2 damaged line(s)")
+        assert run_fsck(store.root, repair=True).exit_code() == 0
+        run_store_worker(store, lease_ttl_s=60.0, poll_s=0.01)
+        assert store.report().stable_dict() == reference
+        assert run_fsck(store.root).clean
+
     def test_trailer_mismatch_detected_and_recompacted(self, tmp_path):
         store = _complete_store(tmp_path)
         compact_ledger(store.ledger_path)
@@ -318,6 +337,39 @@ class TestLedgerFsck:
         assert run_fsck(path).exit_code() == 3
         assert run_fsck(path, repair=True).exit_code() == 0
         assert run_fsck(path).clean
+
+    def test_malformed_records_repaired_then_resume_converges(
+        self, tmp_path
+    ):
+        """A keyless ``done`` and a non-dict ``row`` in a campaign
+        ledger: fsck exits 3 with ``ledger_torn``, ``--repair``
+        compacts them away, and ``--resume`` then replays every job to
+        a report byte-identical to an undamaged run's."""
+        plan = CampaignPlan.from_dict(
+            {
+                "name": "tiny",
+                "defaults": {"scale": 0.15, "schemes": ["Baseline"]},
+                "jobs": [
+                    {"kernel": "spmspv", "matrix": "P1"},
+                    {"kernel": "spmspv", "matrix": "U1"},
+                ],
+            }
+        )
+        path = tmp_path / "run.jsonl"
+        reference = run_plan(plan, config=FAST, ledger_path=path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"type": "done", "row": {"status": "ok"}}\n')
+            handle.write('{"type": "done", "key": "k", "row": "oops"}\n')
+        report = run_fsck(path)
+        assert _kinds(report) == ["ledger_torn"]
+        assert report.exit_code() == 3
+        assert run_fsck(path, repair=True).exit_code() == 0
+        assert run_fsck(path).clean
+        resumed = run_plan(plan, config=FAST, ledger_path=path, resume=True)
+        assert resumed.n_resumed == 2
+        assert json.dumps(resumed.stable_dict(), sort_keys=True) == (
+            json.dumps(reference.stable_dict(), sort_keys=True)
+        )
 
     def test_headerless_bare_ledger_unrepairable(self, tmp_path):
         path = tmp_path / "bad.jsonl"

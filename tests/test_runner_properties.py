@@ -1,14 +1,23 @@
-"""Property-based tests (hypothesis-free, seeded ``random.Random``
-streams) for the runner's durability primitives: content-addressed
-job-key stability under plan permutation, ledger round-trips through
-arbitrary JSON-native rows, byte-level truncation robustness, and the
-publish-order insensitivity + idempotence of the store's record-group
-merge (``ExperimentStore.merge_into``)."""
+"""Property-based tests for the runner's durability primitives:
+content-addressed job-key stability under plan permutation, ledger
+round-trips through arbitrary JSON-native rows, byte-level truncation
+robustness, the publish-order insensitivity + idempotence of the
+store's record-group merge (``ExperimentStore.merge_into``) — all on
+seeded ``random.Random`` streams — and, with hypothesis, agreement of
+every ledger reader on ledgers interleaving valid and malformed
+records."""
 
 import json
 import random
 import string
+import tempfile
+from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs.compare import ledger_terminal_rows
+from repro.obs.live import read_live
 from repro.runner import (
     ExperimentStore,
     JobSpec,
@@ -17,6 +26,7 @@ from repro.runner import (
     job_key,
 )
 from repro.runner.ledger import read_ledger_records
+from repro.runner.report import summarize_ledger
 
 N_TRIALS = 25
 
@@ -430,3 +440,124 @@ class TestStorageTruncationProperties:
                 if r.get("type") in ("done", "quarantined")
             }
             assert terminals == survivors
+
+
+# ---------------------------------------------------------------------------
+_KEYS = st.sampled_from(["k0", "k1", "k2", "k3"])
+
+
+def _valid_line(kind, key):
+    if kind == "start":
+        return {"type": "start", "key": key, "index": 0, "attempt": 1}
+    if kind == "retry":
+        return {"type": "retry", "key": key, "attempt": 1, "error": "x",
+                "backoff_s": 0.0}
+    if kind == "done":
+        return {"type": "done", "key": key,
+                "row": {"key": key, "status": "ok"}}
+    return {"type": "quarantined", "key": key,
+            "row": {"key": key, "status": "failed",
+                    "failure": {"kind": "error"}}}
+
+
+#: ``("valid", record)`` lines fold into job state.
+_VALID_LINES = st.one_of(
+    st.builds(
+        _valid_line,
+        st.sampled_from(["start", "retry", "done", "quarantined"]),
+        _KEYS,
+    ),
+    st.just({"type": "merge", "workers": 2, "by_worker": []}),
+    st.just({"type": "header", "version": 1, "plan_key": "other"}),
+).map(lambda record: ("valid", json.dumps(record)))
+
+#: ``("skip", text)`` lines are damage every reader skips and counts.
+_MALFORMED_LINES = st.one_of(
+    st.builds(
+        lambda kind: json.dumps({"type": kind, "row": {"status": "ok"}}),
+        st.sampled_from(["start", "retry", "done", "quarantined"]),
+    ),
+    st.builds(
+        lambda kind, key: json.dumps(
+            {"type": kind, "key": key, "row": {"status": "ok"}}
+        ),
+        st.sampled_from(["start", "done", "quarantined"]),
+        st.one_of(st.integers(), st.none(), st.lists(st.integers())),
+    ),
+    st.builds(
+        lambda kind, key, row: json.dumps(
+            {"type": kind, "key": key, "row": row}
+        ),
+        st.sampled_from(["done", "quarantined"]),
+        _KEYS,
+        st.one_of(st.text(max_size=5), st.none(), st.lists(st.integers())),
+    ),
+    st.sampled_from(
+        ['[1, 2]', '7', '"done"', '{"key": "k0"}', '{"type": 3}',
+         '{"type": "do', '{"type": "done", "key": "k1", "ro']
+    ),
+).map(lambda text: ("skip", text))
+
+
+class TestLedgerReadersAgree:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(_VALID_LINES, _MALFORMED_LINES, st.just(("blank", ""))),
+            max_size=30,
+        )
+    )
+    def test_settled_keys_order_counts_and_skips(self, lines):
+        """Resume, ``suite-report``, ``compare``'s scrape and ``repro
+        top`` fold any mix of valid and malformed records to the same
+        settled keys, order, ok/failed split and skipped count."""
+        settled, started, skipped = {}, {}, 0
+        for kind, text in lines:
+            if kind == "skip":
+                skipped += 1
+            elif kind == "valid":
+                record = json.loads(text)
+                if record["type"] in ("done", "quarantined"):
+                    settled.setdefault(record["key"], record)
+                elif record["type"] == "start":
+                    started.setdefault(record["key"], True)
+        order = list(settled)
+        n_ok = sum(1 for r in settled.values() if r["type"] == "done")
+        n_failed = len(settled) - n_ok
+        in_flight = [key for key in started if key not in settled]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ledger.jsonl"
+            header = {"type": "header", "version": 1, "plan_key": "p",
+                      "plan_name": "prop"}
+            path.write_text(
+                "".join(
+                    text + "\n"
+                    for text in [json.dumps(header)]
+                    + [text for _, text in lines]
+                ),
+                encoding="utf-8",
+            )
+
+            ledger = RunLedger(path, plan_key="p", resume=True)
+            ledger.close()
+            assert list(ledger.completed) == order
+            assert ledger.in_flight == in_flight
+            assert ledger.n_skipped == skipped
+
+            summary = summarize_ledger(path)
+            assert summary["jobs"] == {
+                "total": len(order),
+                "ok": n_ok,
+                "failed": n_failed,
+                "in_flight": len(in_flight),
+            }
+            assert summary["in_flight_keys"] == sorted(in_flight)
+            assert summary["torn_lines"] == skipped
+
+            _, rows = ledger_terminal_rows(path)
+            assert [row["key"] for row in rows] == order
+
+            live = read_live(path, now=0.0)
+            assert (live.done, live.failed) == (n_ok, n_failed)
+            assert live.torn_lines == skipped
