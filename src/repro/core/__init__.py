@@ -8,26 +8,12 @@ Public API::
     )
 """
 
+from repro._lazy import lazy_attributes
 from repro.core.controller import SparseAdaptController
 from repro.core.hardening import (
     CounterSanitizer,
     HardeningConfig,
     SafeModeMachine,
-)
-from repro.core.ablation import train_counters_only_model
-from repro.core.history import HistoryAwareController, quantize_signature
-from repro.core.memorymode import (
-    MemoryModeController,
-    MemoryModeModel,
-    train_memory_mode_model,
-)
-from repro.core.persistence import (
-    load_memory_mode_model,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    save_memory_mode_model,
-    save_model,
 )
 from repro.core.dataset import (
     PhaseSample,
@@ -47,7 +33,6 @@ from repro.core.policies import (
     ReconfigurationPolicy,
     policy_from_name,
 )
-from repro.core.runtime import OffloadOutcome, TransmuterRuntime
 from repro.core.schedule import EpochRecord, ScheduleResult
 from repro.core.telemetry import build_features, feature_groups, feature_names
 from repro.core.training import (
@@ -104,3 +89,31 @@ __all__ = [
     "feature_names",
     "feature_groups",
 ]
+
+# Extensions, model files and the offload runtime, which no suite job
+# runs: imported on first use.
+__getattr__ = lazy_attributes(
+    __name__,
+    globals(),
+    {
+        "ablation": "ablation",
+        "history": "history",
+        "memorymode": "memorymode",
+        "persistence": "persistence",
+        "runtime": "runtime",
+        "train_counters_only_model": "ablation.train_counters_only_model",
+        "HistoryAwareController": "history.HistoryAwareController",
+        "quantize_signature": "history.quantize_signature",
+        "MemoryModeController": "memorymode.MemoryModeController",
+        "MemoryModeModel": "memorymode.MemoryModeModel",
+        "train_memory_mode_model": "memorymode.train_memory_mode_model",
+        "load_memory_mode_model": "persistence.load_memory_mode_model",
+        "load_model": "persistence.load_model",
+        "model_from_dict": "persistence.model_from_dict",
+        "model_to_dict": "persistence.model_to_dict",
+        "save_memory_mode_model": "persistence.save_memory_mode_model",
+        "save_model": "persistence.save_model",
+        "OffloadOutcome": "runtime.OffloadOutcome",
+        "TransmuterRuntime": "runtime.TransmuterRuntime",
+    },
+)

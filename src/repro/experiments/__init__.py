@@ -6,21 +6,8 @@ Public API::
     from repro.experiments.harness import build_trace, evaluate_schemes
 """
 
-from repro.experiments import (
-    characterize,
-    export,
-    figures,
-    harness,
-    reporting,
-    spec,
-)
-from repro.experiments.spec import ExperimentSpec, compile_plan, load_spec
-from repro.experiments.characterize import (
-    PhaseProfile,
-    characterize as characterize_trace,
-    format_characterization,
-)
-from repro.experiments.export import gains_to_csv, schedule_to_csv, write_csv
+from repro._lazy import lazy_attributes
+from repro.experiments import harness
 from repro.experiments.harness import (
     STANDARD_SCHEMES,
     UPPER_BOUND_SCHEMES,
@@ -55,3 +42,25 @@ __all__ = [
     "evaluate_schemes",
     "gains_over",
 ]
+
+# Tooling no job runs: imported on first use.
+__getattr__ = lazy_attributes(
+    __name__,
+    globals(),
+    {
+        "characterize": "characterize",
+        "export": "export",
+        "figures": "figures",
+        "reporting": "reporting",
+        "spec": "spec",
+        "ExperimentSpec": "spec.ExperimentSpec",
+        "compile_plan": "spec.compile_plan",
+        "load_spec": "spec.load_spec",
+        "PhaseProfile": "characterize.PhaseProfile",
+        "characterize_trace": "characterize.characterize",
+        "format_characterization": "characterize.format_characterization",
+        "gains_to_csv": "export.gains_to_csv",
+        "schedule_to_csv": "export.schedule_to_csv",
+        "write_csv": "export.write_csv",
+    },
+)

@@ -43,7 +43,6 @@ from repro.core.controller import SparseAdaptController
 from repro.core.hardening import HardeningConfig
 from repro.core.model import SparseAdaptModel
 from repro.core.modes import OptimizationMode
-from repro.core.persistence import load_model
 from repro.core.policies import (
     ConservativePolicy,
     HybridPolicy,
@@ -54,8 +53,6 @@ from repro.core.schedule import ScheduleResult
 from repro.core.training import train_default_model
 from repro.errors import ConfigError
 from repro.faults.spec import FaultSchedule
-from repro.graph.bfs import bfs
-from repro.graph.sssp import sssp
 from repro.kernels import (
     SPMSPM_EPOCH_FP_OPS,
     SPMSPV_EPOCH_FP_OPS,
@@ -64,6 +61,7 @@ from repro.kernels import (
     trace_spmspv,
 )
 from repro.sparse import generators, suite
+from repro.sparse.coo import COOMatrix
 from repro.transmuter.config import HardwareConfig
 from repro.transmuter.machine import TransmuterModel
 
@@ -106,8 +104,13 @@ KNOWN_SCHEMES = (
 )
 
 _TRACE_CACHE: Dict[tuple, KernelTrace] = {}
-#: The cache is shared with watchdog worker threads (the suite runner
-#: executes deadline-supervised jobs off-thread), so guard it.
+#: Suite matrices by ``(matrix_id, scale)``. An SpMSpV trace is keyed on
+#: its vector seed but its matrix is not, so every seed shares one load.
+#: Only the COO form is kept: each trace converts it (cheaper than a
+#: load, and half the retained bytes of keeping the CSC too).
+_MATRIX_CACHE: Dict[tuple, COOMatrix] = {}
+#: Both caches are shared with watchdog worker threads (the suite runner
+#: executes deadline-supervised jobs off-thread), so guard them.
 _TRACE_CACHE_LOCK = threading.Lock()
 
 
@@ -132,7 +135,9 @@ def build_trace(
     ``kernel`` is one of ``spmspm`` (C = A A^T, the paper's setting),
     ``spmspv`` (y = A x against a ``vector_density``-dense vector),
     ``bfs`` or ``sssp``. Only ``spmspv`` reads ``vector_density`` and
-    ``seed``, so the other kernels share one cached trace across them.
+    ``seed``, so the other kernels share one cached trace across them,
+    and every trace of one matrix shares one loaded matrix.
+    ``use_cache=False`` reads and fills neither cache.
     """
     key = (kernel, matrix_id, scale, epoch_fp_ops)
     if kernel == "spmspv":
@@ -146,8 +151,9 @@ def build_trace(
         "harness.build_trace", kernel=kernel, matrix=matrix_id, scale=scale
     ) as span:
         with obs_profile.span("build_trace"):
+            matrix = _suite_matrix(matrix_id, scale, use_cache)
             trace = _build_trace_uncached(
-                kernel, matrix_id, scale, epoch_fp_ops, vector_density, seed
+                kernel, matrix, matrix_id, epoch_fp_ops, vector_density, seed
             )
         span.set(n_epochs=trace.n_epochs)
     if use_cache:
@@ -156,15 +162,32 @@ def build_trace(
     return trace
 
 
+def _suite_matrix(
+    matrix_id: str, scale: float, use_cache: bool
+) -> COOMatrix:
+    """One suite matrix, loaded once per process unless ``use_cache``
+    is off. The loader is looked up on :mod:`~repro.sparse.suite` at
+    call time, so a wrapper installed there sees every real load."""
+    if not use_cache:
+        return suite.load(matrix_id, scale=scale)
+    key = (matrix_id, scale)
+    with _TRACE_CACHE_LOCK:
+        matrix = _MATRIX_CACHE.get(key)
+    if matrix is None:
+        matrix = suite.load(matrix_id, scale=scale)
+        with _TRACE_CACHE_LOCK:
+            matrix = _MATRIX_CACHE.setdefault(key, matrix)
+    return matrix
+
+
 def _build_trace_uncached(
     kernel: str,
+    matrix: COOMatrix,
     matrix_id: str,
-    scale: float,
     epoch_fp_ops: Optional[float],
     vector_density: float,
     seed: int,
 ) -> KernelTrace:
-    matrix = suite.load(matrix_id, scale=scale)
     if kernel == "spmspm":
         trace = trace_spmspm(
             matrix.to_csc(),
@@ -184,6 +207,9 @@ def _build_trace_uncached(
         )
     elif kernel in ("bfs", "sssp"):
         import numpy as np
+
+        from repro.graph.bfs import bfs
+        from repro.graph.sssp import sssp
 
         csc = matrix.to_csc()
         source = int(np.argmax(csc.col_lengths()))  # hub with out-edges
@@ -250,6 +276,8 @@ def job_context(spec) -> EvaluationContext:
     machine = TransmuterModel(bandwidth_gbps=spec.bandwidth_gbps)
     model = None
     if spec.model is not None:
+        from repro.core.persistence import load_model
+
         model = load_model(spec.model)
     elif "SparseAdapt" in spec.schemes:
         model = train_default_model(

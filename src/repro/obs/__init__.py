@@ -1,8 +1,8 @@
 """Observability: structured tracing, metrics, trace reports.
 
 ``repro.obs`` sits below every other layer (stdlib-only, imports
-nothing from the rest of the repository except the error types) and
-gives the runtime three capabilities:
+nothing from the rest of the repository except the error types and
+the lazy-import helper) and gives the runtime three capabilities:
 
 * **Tracing** — :func:`recording` installs a :class:`TraceRecorder`
   whose :meth:`~repro.obs.trace.TraceRecorder.span` /
@@ -38,7 +38,8 @@ Typical use::
 See ``docs/observability.md`` for the trace schema and naming rules.
 """
 
-from repro.obs import compare, diff, explain, live, metrics, profile, report
+from repro._lazy import lazy_attributes
+from repro.obs import metrics, profile
 from repro.obs.sinks import (
     FileSink,
     MemorySink,
@@ -79,3 +80,13 @@ __all__ = [
     "install",
     "recording",
 ]
+
+# Tooling no job runs: imported on first use.
+__getattr__ = lazy_attributes(
+    __name__,
+    globals(),
+    {
+        name: name
+        for name in ("compare", "diff", "explain", "live", "report")
+    },
+)

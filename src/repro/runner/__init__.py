@@ -36,6 +36,7 @@ This package is the host-side execution layer that guarantees it:
 identically everywhere. See ``docs/robustness.md``.
 """
 
+from repro._lazy import lazy_attributes
 from repro.runner.executor import (
     CampaignInterrupted,
     Job,
@@ -58,12 +59,6 @@ from repro.runner.ledger import (
     read_ledger_records,
     shard_path,
     verify_trailer,
-)
-from repro.runner.fsck import (
-    Finding,
-    FsckReport,
-    format_fsck_report,
-    run_fsck,
 )
 from repro.runner.plan import CampaignPlan, JobSpec, job_key, table5_plan
 from repro.runner.store import (
@@ -120,3 +115,16 @@ __all__ = [
     "table5_plan",
     "verify_trailer",
 ]
+
+# The fsck scanner/repairer, which no job runs: imported on first use.
+__getattr__ = lazy_attributes(
+    __name__,
+    globals(),
+    {
+        "fsck": "fsck",
+        "Finding": "fsck.Finding",
+        "FsckReport": "fsck.FsckReport",
+        "format_fsck_report": "fsck.format_fsck_report",
+        "run_fsck": "fsck.run_fsck",
+    },
+)

@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.obs import profile as obs_profile
@@ -146,6 +147,66 @@ def list_shards(base: Union[str, Path]) -> List[Path]:
     return [path for _, path in sorted(found)]
 
 
+def _number(value: object) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _optional_dict(value: object) -> bool:
+    return value is None or isinstance(value, dict)
+
+
+def _fields_ok(
+    record: dict, rules: Dict[str, Callable[[object], bool]]
+) -> bool:
+    """Each field in ``rules`` is absent or passes its check."""
+    return all(
+        name not in record or check(record[name])
+        for name, check in rules.items()
+    )
+
+
+#: A ``merge`` record's per-worker entries, as ``suite-report`` prints
+#: them.
+_WORKER_ENTRY_FIELDS = {
+    "jobs": _number,
+    "ok": _number,
+    "failed": _number,
+    "duration_s": _number,
+}
+
+
+def _worker_entries(value: object) -> bool:
+    return value is None or (
+        isinstance(value, list)
+        and all(
+            isinstance(entry, dict)
+            and _fields_ok(entry, _WORKER_ENTRY_FIELDS)
+            for entry in value
+        )
+    )
+
+
+#: The fields readers convert, in a terminal record's row and by record
+#: type: each is absent or of the type its writer writes.
+_ROW_FIELDS = {
+    "attempts": _number,
+    "duration_s": _number,
+    "failure": _optional_dict,
+}
+_RECORD_FIELDS = {
+    "heartbeat": {
+        "done": _number,
+        "failed": _number,
+        "total": _number,
+    },
+    "merge": {"by_worker": _worker_entries},
+}
+
+
 def well_formed(record: object) -> bool:
     """The ledger's one validity rule (docs/robustness.md, "The run
     ledger and ``--resume``")."""
@@ -156,7 +217,10 @@ def well_formed(record: object) -> bool:
         return False
     if kind in _KEYED_TYPES and not isinstance(record.get("key"), str):
         return False
-    return kind not in TERMINAL_TYPES or isinstance(record.get("row"), dict)
+    if kind in TERMINAL_TYPES:
+        row = record.get("row")
+        return isinstance(row, dict) and _fields_ok(row, _ROW_FIELDS)
+    return _fields_ok(record, _RECORD_FIELDS.get(kind, {}))
 
 
 def read_ledger_records(

@@ -8,6 +8,7 @@ Public API::
     )
 """
 
+from repro._lazy import lazy_attributes
 from repro.transmuter import params
 from repro.transmuter.cache import SetAssociativeCache, StridePrefetcher
 from repro.transmuter.config import (
@@ -27,11 +28,6 @@ from repro.transmuter.counters import (
     ECHO_COUNTERS,
     PLAUSIBLE_BOUNDS,
     PerformanceCounters,
-)
-from repro.transmuter.detailed import (
-    DetailedResult,
-    simulate_epoch_detailed,
-    synthesize_trace,
 )
 from repro.transmuter.dvfs import (
     OperatingPoint,
@@ -109,3 +105,16 @@ __all__ = [
     "PHASE_GEMM",
     "PHASE_CONV",
 ]
+
+# The line-accurate cross-check model, which no job runs: imported on
+# first use.
+__getattr__ = lazy_attributes(
+    __name__,
+    globals(),
+    {
+        "detailed": "detailed",
+        "DetailedResult": "detailed.DetailedResult",
+        "simulate_epoch_detailed": "detailed.simulate_epoch_detailed",
+        "synthesize_trace": "detailed.synthesize_trace",
+    },
+)

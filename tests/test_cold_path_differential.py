@@ -19,12 +19,18 @@ code it replaced.
 * ``gains_over`` and the job body each read a schedule's totals once,
   so an untraced job walks each schedule's records at most twice per
   total, and an untraced offload reads none once its run is done.
+* ``build_trace`` loads each suite matrix once per process. Traces of
+  the cached matrix must equal traces of a fresh ``suite.load``
+  (``np.array_equal`` on every epoch field), four SpMSpV seeds must
+  cost one load, ``use_cache=False`` must still load, and threads
+  filling the cache at once must all get the one cached matrix.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,7 +40,14 @@ from repro.core.modes import OptimizationMode
 from repro.core.runtime import TransmuterRuntime
 from repro.core.schedule import ScheduleResult
 from repro.errors import SimulationError
+from repro.experiments import harness
 from repro.experiments.harness import KNOWN_SCHEMES, build_trace
+from repro.kernels import (
+    SPMSPM_EPOCH_FP_OPS,
+    SPMSPV_EPOCH_FP_OPS,
+    trace_spmspm,
+    trace_spmspv,
+)
 from repro.fastpath import epochs
 from repro.fastpath.epochs import EpochGrid
 from repro.ml.decision_tree import DecisionTreeClassifier
@@ -509,3 +522,130 @@ class TestTotalsWalks:
         runtime.spmspv(small_powerlaw, small_vector)
         assert len(finished) == 1
         assert reads == []
+
+
+# ---------------------------------------------------------------------------
+# Suite matrix cache
+# ---------------------------------------------------------------------------
+_EPOCH_FIELDS = tuple(
+    field.name
+    for field in dataclasses.fields(EpochWorkload)
+    if field.name != "phase"
+)
+
+
+def _fresh_trace(load, kernel, matrix_id, scale, seed):
+    """The trace ``build_trace`` made before the matrix cache: a fresh
+    load for every trace."""
+    matrix = load(matrix_id, scale=scale)
+    if kernel == "spmspm":
+        return trace_spmspm(
+            matrix.to_csc(),
+            matrix.transpose().to_csr(),
+            SPMSPM_EPOCH_FP_OPS,
+            name=f"spmspm-{matrix_id}",
+        )
+    vector = generators.random_vector(matrix.shape[1], 0.5, seed=seed + 1)
+    return trace_spmspv(
+        matrix.to_csc(),
+        vector,
+        SPMSPV_EPOCH_FP_OPS,
+        name=f"spmspv-{matrix_id}",
+    )
+
+
+def _assert_same_trace_arrays(ours, theirs) -> None:
+    assert ours.name == theirs.name
+    assert ours.info == theirs.info
+    assert [e.phase for e in ours.epochs] == [e.phase for e in theirs.epochs]
+    for name in _EPOCH_FIELDS:
+        a = np.array([getattr(epoch, name) for epoch in ours.epochs])
+        b = np.array([getattr(epoch, name) for epoch in theirs.epochs])
+        assert np.array_equal(a, b), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestSuiteMatrixCache:
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """Empty caches and a counting ``suite.load``; returns
+        ``(calls, the real loader)``."""
+        monkeypatch.setattr(harness, "_TRACE_CACHE", {})
+        monkeypatch.setattr(harness, "_MATRIX_CACHE", {})
+        calls = []
+        original = suite.load
+
+        def counting_load(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(suite, "load", counting_load)
+        return calls, original
+
+    def test_spmspv_seeds_match_fresh_loads(self, loads):
+        calls, load = loads
+        for seed in range(4):
+            cached = build_trace("spmspv", "R09", scale=0.05, seed=seed)
+            _assert_same_trace_arrays(
+                cached, _fresh_trace(load, "spmspv", "R09", 0.05, seed)
+            )
+        assert len(calls) == 1
+
+    def test_spmspm_matches_fresh_load(self, loads):
+        _, load = loads
+        # A second kernel over the same matrix reads the cached one.
+        build_trace("spmspv", "R01", scale=0.05)
+        cached = build_trace("spmspm", "R01", scale=0.05)
+        _assert_same_trace_arrays(
+            cached, _fresh_trace(load, "spmspm", "R01", 0.05, 0)
+        )
+        matrix = harness._MATRIX_CACHE[("R01", 0.05)]
+        _assert_same_arrays(
+            matrix, load("R01", scale=0.05), ("rows", "cols", "vals")
+        )
+
+    def test_four_seeds_one_load(self, loads):
+        calls, _ = loads
+        traces = [
+            build_trace("spmspv", "R12", scale=0.05, seed=seed)
+            for seed in range(4)
+        ]
+        assert len({id(trace) for trace in traces}) == 4
+        assert len(calls) == 1
+        assert list(harness._MATRIX_CACHE) == [("R12", 0.05)]
+
+    def test_use_cache_false_still_loads(self, loads):
+        calls, _ = loads
+        build_trace("spmspv", "R12", scale=0.05, seed=0)
+        for seed in (0, 1):
+            build_trace("spmspv", "R12", scale=0.05, seed=seed, use_cache=False)
+        assert len(calls) == 3
+        build_trace("spmspv", "R13", scale=0.05, use_cache=False)
+        assert len(calls) == 4
+        assert list(harness._MATRIX_CACHE) == [("R12", 0.05)]
+
+    def test_threads_share_one_matrix(self, loads):
+        """Watchdog threads fill the cache concurrently; every caller
+        must end up holding the one cached object."""
+        got = []
+        start = threading.Barrier(4)
+
+        def worker():
+            start.wait(timeout=30)
+            for _ in range(50):
+                got.append(harness._suite_matrix("R14", 0.05, True))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 200
+        cached = harness._MATRIX_CACHE[("R14", 0.05)]
+        assert all(matrix is cached for matrix in got)

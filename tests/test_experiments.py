@@ -61,6 +61,7 @@ class TestBuildTrace:
 
         monkeypatch.setattr(suite, "load", counting_load)
         monkeypatch.setattr(harness, "_TRACE_CACHE", {})
+        monkeypatch.setattr(harness, "_MATRIX_CACHE", {})
         a = build_trace(kernel, "R03", scale=0.07, seed=1)
         b = build_trace(kernel, "R03", scale=0.07, seed=2, vector_density=0.3)
         assert a is b

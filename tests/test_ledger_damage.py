@@ -3,7 +3,10 @@
 Each case damages a copy of one small serial campaign ledger the way a
 crash, a disk or a hand edit can: a keyless ``start``, a keyless
 ``done``, a non-string key, a non-dict ``row``, a duplicated terminal
-record, a lost header, a torn final line. Every reader folds the file
+record, a lost header, a torn final line, and well-shaped records
+whose converted fields hold odd types (a non-numeric heartbeat count,
+a string ``failure`` or ``attempts``, a non-list or odd
+``by_worker``). Every reader folds the file
 through :func:`repro.runner.ledger.fold_ledger`, so resume,
 ``suite-run --resume``, ``suite-report`` (and ``--diff``), ``top``,
 ``compare``, ``ledger-compact`` and ``fsck`` must all agree on the
@@ -38,6 +41,24 @@ APPENDED = {
     "nonstring_key": ['{"type": "done", "key": 7, "row": {"status": "ok"}}\n'],
     "nondict_row": ['{"type": "done", "key": "feedbeef", "row": "oops"}\n'],
     "torn_tail": ['{"type": "done", "ke'],
+    # Well-shaped records whose fields a reader converts hold odd types.
+    "nonnumeric_heartbeat": [
+        '{"type": "heartbeat", "ts": 1.0, "done": "x", "failed": 0,'
+        ' "total": 3}\n'
+    ],
+    "string_failure": [
+        '{"type": "done", "key": "feedbeef",'
+        ' "row": {"status": "failed", "failure": "boom"}}\n'
+    ],
+    "string_attempts": [
+        '{"type": "done", "key": "feedbeef",'
+        ' "row": {"status": "ok", "attempts": "x"}}\n'
+    ],
+    "nonlist_by_worker": ['{"type": "merge", "workers": 2, "by_worker": 5}\n'],
+    "odd_worker_entry": [
+        '{"type": "merge", "workers": 1,'
+        ' "by_worker": [{"worker": 0, "jobs": 1, "duration_s": "x"}]}\n'
+    ],
 }
 SKIPPED = {
     "keyless_start": 1,
@@ -45,6 +66,11 @@ SKIPPED = {
     "nonstring_key": 1,
     "nondict_row": 1,
     "torn_tail": 1,
+    "nonnumeric_heartbeat": 1,
+    "string_failure": 1,
+    "string_attempts": 1,
+    "nonlist_by_worker": 1,
+    "odd_worker_entry": 1,
     "duplicate_terminal": 0,
 }
 CASES = sorted(SKIPPED) + ["headerless"]
@@ -172,3 +198,15 @@ def test_every_verb_agrees(damaged, capsys, tmp_path):
     resumed = json.loads(payload["resume"])
     assert resumed["counts"] == {"ok": 2, "failed": 0}
     assert resumed["n_resumed"] == 2
+
+
+def test_text_views_count_the_line(damaged, capsys):
+    """The text renderings of ``suite-report`` and ``top`` read the
+    same fields as their JSON, plus the merge's per-worker entries."""
+    case, _, _, path = damaged
+    if case == "headerless":
+        return
+    for argv in (["suite-report", str(path)], ["top", str(path), "--once"]):
+        rc, out, _ = _run(capsys, argv)
+        assert rc == 0, argv
+        assert ("torn lines: 1" in out) == bool(SKIPPED[case]), argv
