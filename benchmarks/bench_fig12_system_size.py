@@ -7,33 +7,58 @@ system size because larger systems saturate the link sooner.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures
+from repro.core.modes import OptimizationMode
+from repro.core.policies import ConservativePolicy
+from repro.core.training import train_default_model
+from repro.experiments.harness import (
+    EvaluationContext,
+    build_trace,
+    evaluate_schemes,
+    gains_over,
+)
 from repro.experiments.reporting import append_geomean, format_gain_table
 from repro.ml.metrics import geometric_mean
+from repro.sparse import suite
+from repro.transmuter.machine import TransmuterModel
 
+EE = OptimizationMode.ENERGY_EFFICIENT
 GEOMETRIES = ((1, 8), (2, 8), (2, 16), (4, 16))
 
 
 def test_fig12_system_size(benchmark, emit):
-    result = run_once(
-        benchmark,
-        figures.figure12_system_size,
-        geometries=GEOMETRIES,
-        scale=0.25,
-    )
-    matrices = list(next(iter(result.values())))
-    rows = {
-        geometry: dict(values) for geometry, values in result.items()
-    }
+    def sweep():
+        model = train_default_model(EE, kernel="spmspm")
+        rows = {}
+        for n_tiles, gpes in GEOMETRIES:
+            machine = TransmuterModel(n_tiles=n_tiles, gpes_per_tile=gpes)
+            gains = {}
+            for matrix_id in suite.SPMSPM_IDS:
+                context = EvaluationContext(
+                    trace=build_trace("spmspm", matrix_id, scale=0.25),
+                    machine=machine,
+                    mode=EE,
+                    model=model,
+                    policy=ConservativePolicy(),
+                )
+                results = evaluate_schemes(
+                    context, ("Baseline", "SparseAdapt")
+                )
+                gains[matrix_id] = gains_over(results)["SparseAdapt"][
+                    "efficiency_gain"
+                ]
+            rows[f"{n_tiles}x{gpes}"] = gains
+        return rows
+
+    rows = run_once(benchmark, sweep)
     emit(
         format_gain_table(
             "Figure 12 - EE GFLOPS/W gains over Baseline while scaling"
             " the system (2x8-trained model)",
             append_geomean(rows),
-            matrices,
+            suite.SPMSPM_IDS,
         )
     )
-    for geometry, values in result.items():
-        gm = geometric_mean(list(values.values()))
+    for geometry, gains in rows.items():
+        gm = geometric_mean(list(gains.values()))
         # Gains persist at every geometry without retraining.
         assert gm > 1.1, f"no gain at {geometry}"

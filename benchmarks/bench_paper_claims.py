@@ -1,4 +1,4 @@
-"""Figures 5-8 and Table 6 — the paper's scheme-comparison verdicts.
+"""Figures 5-8, 11 and Table 6 — the paper's scheme-comparison verdicts.
 
 Each panel is a spec under ``experiments/specs/paper/``: the schemes
 are its candidates, the figure's inputs its workloads, and the paper's
@@ -17,6 +17,11 @@ Paper shapes, per panel:
 * Fig. 7 (SpMSpV, R09-R16, PP): 4.3x (cache) / 6.2x (SPM) the
   efficiency of Max Cfg.
 * Fig. 8 (upper bounds): within ~5% of the Oracle's efficiency (EE).
+* Fig. 11 left (policies, PP): hybrid tolerances of 10-40% beat both
+  the conservative and the very permissive extremes.
+* Fig. 11 right (external bandwidth, EE, no retraining): efficiency
+  gains above 3x over Baseline when memory-bound, shrinking toward
+  ~1.1x over Best Avg at the compute-bound end.
 * Table 6 (BFS/SSSP, EE): geomean TEPS/W 1.31 / 1.29 over Baseline,
   ahead of Best Avg; the power-law graphs (R10, R11, R14) gain more
   than the diagonal-local R09.
@@ -76,3 +81,25 @@ def test_paper_claims(benchmark, emit, path):
         }
         power_law = geometric_mean([gain[m] for m in ("R10", "R11", "R14")])
         assert power_law >= gain["R09"] * 0.95
+
+    if spec.name == "fig11_policies":
+        # Per workload, where a gate compares geomeans: every policy
+        # yields a functional controller, and some hybrid tolerance is
+        # at least as good as both extremes.
+        for row in comparison["cells"]["efficiency_gain"].values():
+            policies = {
+                name: gain for name, gain in row.items() if name != "best-avg"
+            }
+            assert all(gain > 0.5 for gain in policies.values()), row
+            best_hybrid = max(
+                gain
+                for name, gain in policies.items()
+                if name.startswith("hybrid-")
+            )
+            assert best_hybrid >= row["conservative"] * 0.98, row
+            assert best_hybrid >= row["aggressive"] * 0.98, row
+
+    if spec.name == "fig11_bandwidth":
+        # The memory-bound end gains more than the compute-bound end.
+        gain = comparison["cells"]["efficiency_gain"]
+        assert gain["0.25GB/s"]["SparseAdapt"] > gain["16GB/s"]["SparseAdapt"]

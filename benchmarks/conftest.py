@@ -1,7 +1,8 @@
 """Shared benchmark utilities.
 
-Each benchmark regenerates one paper table/figure via the drivers in
-:mod:`repro.experiments.figures`, times the run with pytest-benchmark
+Each paper benchmark regenerates one table/figure (the scheme
+comparisons from the specs under ``experiments/specs/paper/``, the
+other studies in their own file), times the run with pytest-benchmark
 (single round — these are experiment replays, not micro-benchmarks),
 prints the same rows/series the paper reports, and writes them to
 ``benchmarks/results/`` so the reproduction record survives pytest's

@@ -13,9 +13,6 @@ Commands
     Evaluate control schemes for one kernel/matrix and print the gains
     (``--json`` for machine-readable output; ``--trace-out`` also
     records the evaluated schemes as a JSONL trace).
-``experiment``
-    Run one of the paper's figure/table drivers and print its report
-    (``--json`` for machine-readable output).
 ``trace-report``
     Summarize a recorded trace: epoch timeline, reconfiguration counts
     by parameter, decision-latency histogram, most expensive epochs.
@@ -81,8 +78,8 @@ Commands
     per-component self-time table, span tree, or the collapsed-stack
     flamegraph text (``--collapsed``).
 
-``run`` and ``experiment`` execute under the suite runner's watchdog,
-so ``--deadline SECONDS`` bounds any single invocation; ``run`` and
+``run`` executes under the suite runner's watchdog, so
+``--deadline SECONDS`` bounds a single invocation; ``run`` and
 ``suite-run`` accept ``--profile`` to print a wall-clock attribution
 report (see ``docs/profiling.md``).
 
@@ -109,21 +106,6 @@ from repro import __version__
 __all__ = ["main", "build_parser"]
 
 _MODES = {"ee": "energy-efficient", "pp": "power-performance"}
-
-#: ``repro experiment`` name -> driver function name in
-#: :mod:`repro.experiments.figures` (names, so building the parser does
-#: not import the drivers).
-_EXPERIMENTS = {
-    "fig1": "figure1_motivation",
-    "fig9": "figure9_model_complexity",
-    "fig10": "figure10_feature_importance",
-    "fig11-policies": "figure11_policy_sweep",
-    "fig11-bandwidth": "figure11_bandwidth_sweep",
-    "fig12": "figure12_system_size",
-    "sec64": "section64_profileadapt",
-    "sec7": "section7_regular_kernels",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -219,24 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit machine-readable JSON instead of the gain table",
-    )
-
-    experiment = commands.add_parser(
-        "experiment", help="run a figure/table driver"
-    )
-    experiment.add_argument("name", choices=_EXPERIMENTS)
-    experiment.add_argument("--scale", type=float, default=None)
-    experiment.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="wall-clock deadline in seconds (the driver runs under "
-        "the suite runner's watchdog)",
-    )
-    experiment.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the driver's result dict as JSON",
     )
 
     report = commands.add_parser(
@@ -794,33 +758,6 @@ def _command_run(args) -> int:
     return code
 
 
-def _single_job(label: str, deadline_s):
-    """A one-job campaign: returns ``run(key, fn)``, which runs ``fn``
-    once under the suite runner and returns its result.
-
-    The suite runner supplies the ``--deadline`` watchdog (inline, zero
-    threads, when no deadline is set) and nothing is retried. The
-    deadline goes through :class:`SupervisorConfig`, so one that is not
-    positive is rejected here, before anything runs; a failed job
-    raises its one-line error.
-    """
-    from repro.errors import ReproError
-    from repro.runner import Job, SuiteRunner, SupervisorConfig
-
-    runner = SuiteRunner(
-        config=SupervisorConfig(deadline_s=deadline_s, max_retries=0)
-    )
-
-    def run(key: str, fn):
-        job = Job(key=key, label=label, fn=fn, index=0)
-        row = runner.run([job], name=label.replace("/", "-")).rows[0]
-        if row["status"] != "ok":
-            raise ReproError(row["failure"]["error"])
-        return row["result"]
-
-    return run
-
-
 def _run_single(args) -> int:
     import contextlib
 
@@ -833,8 +770,9 @@ def _run_single(args) -> int:
         gains_over,
         job_context,
     )
+    from repro.errors import ReproError
     from repro.experiments.reporting import format_gain_table
-    from repro.runner import JobSpec
+    from repro.runner import Job, JobSpec, SuiteRunner, SupervisorConfig
 
     faults, hardening = _fault_setup(args)
     spec = JobSpec(
@@ -853,7 +791,14 @@ def _run_single(args) -> int:
         model=args.model,
     )
 
-    run_job = _single_job(f"run/{args.kernel}/{args.matrix}", args.deadline)
+    # A one-job campaign: the suite runner supplies the --deadline
+    # watchdog (inline, zero threads, when no deadline is set) and
+    # nothing is retried. The deadline goes through SupervisorConfig,
+    # so one that is not positive is rejected here, before anything
+    # runs.
+    runner = SuiteRunner(
+        config=SupervisorConfig(deadline_s=args.deadline, max_retries=0)
+    )
     # Named before the job resolves the model, so a run whose --model
     # fails to load still prints which input it traced.
     if not args.json:
@@ -878,7 +823,12 @@ def _run_single(args) -> int:
             "emitted": recorder.n_emitted if recorder else 0,
         }
 
-    outcome = run_job(spec.key(), evaluate)
+    label = f"run/{args.kernel}/{args.matrix}"
+    job = Job(key=spec.key(), label=label, fn=evaluate, index=0)
+    row = runner.run([job], name=label.replace("/", "-")).rows[0]
+    if row["status"] != "ok":
+        raise ReproError(row["failure"]["error"])
+    outcome = row["result"]
     context = outcome["context"]
     gains = outcome["gains"]
     if args.json:
@@ -934,36 +884,6 @@ def _run_single(args) -> int:
             f"(inspect with: repro trace-report {args.trace_out})",
             file=sys.stderr if args.json else sys.stdout,
         )
-    return 0
-
-
-def _command_experiment(args) -> int:
-    import inspect
-
-    from repro.experiments import figures
-
-    driver = getattr(figures, _EXPERIMENTS[args.name])
-    kwargs = {}
-    if args.scale is not None:
-        if "scale" not in inspect.signature(driver).parameters:
-            print(
-                f"error: experiment {args.name} takes no --scale",
-                file=sys.stderr,
-            )
-            return 1
-        kwargs["scale"] = args.scale
-
-    from repro.runner import job_key
-
-    run_job = _single_job(f"experiment/{args.name}", args.deadline)
-    result = run_job(
-        job_key({"type": "experiment", "name": args.name, **kwargs}),
-        lambda: driver(**kwargs),
-    )
-    if getattr(args, "json", False):
-        print(json.dumps(_to_jsonable(result), indent=2))
-    else:
-        _pretty_print(result)
     return 0
 
 
@@ -1628,23 +1548,6 @@ def _to_jsonable(value):
     return str(value)
 
 
-def _pretty_print(value, indent: int = 0) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        for key, nested in value.items():
-            if isinstance(nested, dict):
-                print(f"{pad}{key}:")
-                _pretty_print(nested, indent + 1)
-            elif isinstance(nested, float):
-                print(f"{pad}{key}: {nested:.4g}")
-            elif isinstance(nested, list) and len(nested) > 8:
-                print(f"{pad}{key}: [{len(nested)} values]")
-            else:
-                print(f"{pad}{key}: {nested}")
-    else:
-        print(f"{pad}{value}")
-
-
 def _flush_trace_sinks() -> None:
     """Best-effort close of a recorder left installed by an interrupted
     command, so the trace on disk ends on a complete record. (The
@@ -1671,7 +1574,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "suite": lambda: _command_suite(),
         "train": lambda: _command_train(args),
         "run": lambda: _command_run(args),
-        "experiment": lambda: _command_experiment(args),
         "trace-report": lambda: _command_trace_report(args),
         "explain": lambda: _command_explain(args),
         "diff": lambda: _command_diff(args),

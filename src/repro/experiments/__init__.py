@@ -1,8 +1,8 @@
-"""Experiment harness and per-figure drivers.
+"""Experiment harness, declarative specs and report formatting.
 
 Public API::
 
-    from repro.experiments import harness, figures, reporting
+    from repro.experiments import harness, reporting, spec
     from repro.experiments.harness import build_trace, evaluate_schemes
 """
 
@@ -19,7 +19,6 @@ from repro.experiments.harness import (
 )
 
 __all__ = [
-    "figures",
     "harness",
     "reporting",
     "characterize",
@@ -50,7 +49,6 @@ __getattr__ = lazy_attributes(
     {
         "characterize": "characterize",
         "export": "export",
-        "figures": "figures",
         "reporting": "reporting",
         "spec": "spec",
         "ExperimentSpec": "spec.ExperimentSpec",

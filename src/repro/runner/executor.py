@@ -33,10 +33,9 @@ levels); everything else in a row is replayed from the ledger verbatim
 on resume.
 
 ``repro suite-run`` fronts :func:`run_plan` (fault-rate sweeps are
-specs it runs); ``repro run`` (with or without ``--trace-out``) and
-``repro experiment`` submit their single jobs through the same
-:class:`SuiteRunner`, so every path in the repository shares one
-supervision/retry/ledger code path.
+specs it runs); ``repro run`` (with or without ``--trace-out``)
+submits its single job through the same :class:`SuiteRunner`, so every
+path in the repository shares one supervision/retry/ledger code path.
 """
 
 from __future__ import annotations

@@ -148,11 +148,13 @@ def list_shards(base: Union[str, Path]) -> List[Path]:
 
 
 def _number(value: object) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    """An int or float (not a bool) that is finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _optional_dict(value: object) -> bool:
@@ -190,10 +192,24 @@ def _worker_entries(value: object) -> bool:
     )
 
 
+def _string(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The fields every terminal row carries (the executor writes them on
+#: each job) and readers index directly.
+_ROW_REQUIRED = {
+    "status": _string,
+    "label": _string,
+    "attempts": _count,
+}
 #: The fields readers convert, in a terminal record's row and by record
 #: type: each is absent or of the type its writer writes.
 _ROW_FIELDS = {
-    "attempts": _number,
     "duration_s": _number,
     "failure": _optional_dict,
 }
@@ -219,7 +235,14 @@ def well_formed(record: object) -> bool:
         return False
     if kind in TERMINAL_TYPES:
         row = record.get("row")
-        return isinstance(row, dict) and _fields_ok(row, _ROW_FIELDS)
+        return (
+            isinstance(row, dict)
+            and all(
+                name in row and check(row[name])
+                for name, check in _ROW_REQUIRED.items()
+            )
+            and _fields_ok(row, _ROW_FIELDS)
+        )
     return _fields_ok(record, _RECORD_FIELDS.get(kind, {}))
 
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
+from repro.runner.ledger import _number
 
 __all__ = [
     "KNOWN_KERNELS",
@@ -130,8 +131,14 @@ class JobSpec:
             )
         if self.matrix not in suite.SUITE:
             raise ConfigError(f"unknown suite matrix {self.matrix!r}")
-        if not 0.0 < float(self.scale) <= 1.0:
+        # Checked, not converted: the job key hashes the value as written.
+        if not _number(self.scale) or not 0.0 < self.scale <= 1.0:
             raise ConfigError(f"scale must be in (0, 1], got {self.scale!r}")
+        if not _number(self.bandwidth_gbps) or self.bandwidth_gbps <= 0:
+            raise ConfigError(
+                "bandwidth must be finite and positive, "
+                f"got {self.bandwidth_gbps!r}"
+            )
         if self.mode not in _KNOWN_MODES:
             raise ConfigError(
                 f"mode must be one of {_KNOWN_MODES}, got {self.mode!r}"

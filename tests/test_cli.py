@@ -56,8 +56,10 @@ class TestParser:
         assert args.mode == "ee"
 
     def test_experiment_names_validated(self):
+        """There is no ``experiment`` verb: the paper's verdicts are
+        specs under ``experiments/specs/paper/`` and benchmarks."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "fig99"])
+            build_parser().parse_args(["experiment", "sec7"])
 
 
 class TestCommands:
@@ -133,12 +135,6 @@ class TestCommands:
         assert "Max Cfg" in out
         assert "GFLOPS/W" in out
 
-    def test_experiment_sec7(self, capsys):
-        assert main(["experiment", "sec7"]) == 0
-        out = capsys.readouterr().out
-        assert "gemm" in out
-        assert "conv" in out
-
     def test_run_json(self, capsys):
         assert (
             main(
@@ -162,43 +158,6 @@ class TestCommands:
         sparseadapt = payload["schemes"]["SparseAdapt"]
         assert sparseadapt["gflops"] > 0
         assert "energy_breakdown_j" in sparseadapt
-
-    def test_experiment_json(self, capsys):
-        assert main(["experiment", "sec7", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "gemm" in payload
-        assert "conv" in payload
-
-    def test_experiment_table_resolves_drivers(self):
-        from repro.cli import _EXPERIMENTS
-        from repro.experiments import figures
-
-        for function in _EXPERIMENTS.values():
-            assert callable(getattr(figures, function))
-        # Spec files under experiments/specs/paper/ replace these.
-        assert not {"fig5", "fig6", "fig7", "fig8", "tab6"} & set(_EXPERIMENTS)
-
-    def test_experiment_scale_reaches_driver(self, monkeypatch, capsys):
-        from repro.experiments import figures
-
-        seen = {}
-
-        def sweep(matrix_id="P3", scale=0.25):
-            seen["scale"] = scale
-            return {"scale": scale}
-
-        monkeypatch.setattr(figures, "figure11_bandwidth_sweep", sweep)
-        argv = ["experiment", "fig11-bandwidth", "--scale", "0.1", "--json"]
-        assert main(argv) == 0
-        assert seen == {"scale": 0.1}
-        assert json.loads(capsys.readouterr().out) == {"scale": 0.1}
-
-    @pytest.mark.parametrize("name", ["fig1", "fig10", "sec7"])
-    def test_experiment_scale_rejected_without_parameter(self, name, capsys):
-        assert main(["experiment", name, "--scale", "0.1"]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: experiment {name} takes no --scale\n"
-
 
 class TestTraceCommands:
     def test_trace_requires_out_path(self):
@@ -799,26 +758,21 @@ class TestProfilingAndDeadlineCli:
     def test_single_job_verbs_reject_non_positive_deadline(
         self, monkeypatch, capsys, deadline
     ):
-        """``run`` and ``experiment`` check the deadline the way
-        ``suite-run`` does, before their job starts."""
-        from repro.experiments import figures, harness
+        """``run`` checks the deadline the way ``suite-run`` does,
+        before its job starts."""
+        from repro.experiments import harness
 
         calls = []
-        for owner, name in (
-            (harness, "build_trace"),
-            (harness, "job_context"),
-            (figures, "section7_regular_kernels"),
-        ):
+        for name in ("build_trace", "job_context"):
             monkeypatch.setattr(
-                owner, name, lambda *a, _n=name, **k: calls.append(_n)
+                harness, name, lambda *a, _n=name, **k: calls.append(_n)
             )
-        for argv in (self.RUN, ["experiment", "sec7"]):
-            assert main(argv + ["--deadline", deadline]) == 1
-            captured = capsys.readouterr()
-            assert captured.err == (
-                f"error: deadline must be positive, got {float(deadline)!r}\n"
-            )
-            assert captured.out == ""
+        assert main(self.RUN + ["--deadline", deadline]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: deadline must be positive, got {float(deadline)!r}\n"
+        )
+        assert captured.out == ""
         assert calls == []
 
     def test_run_profile_report_and_saved_profile(self, tmp_path, capsys):

@@ -315,7 +315,8 @@ def test_shipped_policies_spec_loads():
         pathlib.Path(__file__).parent.parent
         / "experiments"
         / "specs"
-        / "policies_vs_baselines.json"
+        / "paper"
+        / "fig11_policies.json"
     )
     assert spec.baseline == "conservative"
     assert "best-avg" in spec.candidate_names()

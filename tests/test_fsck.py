@@ -320,7 +320,11 @@ class TestLedgerFsck:
     def _ledger(self, tmp_path):
         path = tmp_path / "run.jsonl"
         ledger = RunLedger(path, plan_key="k", plan_name="bare")
-        ledger.job_done("a", {"index": 0, "key": "a", "status": "ok"})
+        ledger.job_done(
+            "a",
+            {"index": 0, "key": "a", "label": "a", "status": "ok",
+             "attempts": 1},
+        )
         ledger.close()
         return path
 

@@ -1,7 +1,7 @@
 """A job process imports no tooling.
 
 Suite jobs trace inputs, evaluate schemes and drive the runner.
-Comparison, trace reports, exports, figures, experiment specs, model
+Comparison, trace reports, exports, experiment specs, model
 files, the offload runtime, the graph kernels, the line-accurate
 simulator and fsck are tooling: the package ``__init__``s load them on
 first use (PEP 562), so a cold worker process does not compile them.
@@ -27,7 +27,6 @@ TOOLING = (
     "repro.obs.report",
     "repro.experiments.characterize",
     "repro.experiments.export",
-    "repro.experiments.figures",
     "repro.experiments.reporting",
     "repro.experiments.spec",
     "repro.core.ablation",

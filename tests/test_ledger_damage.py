@@ -4,13 +4,14 @@ Each case damages a copy of one small serial campaign ledger the way a
 crash, a disk or a hand edit can: a keyless ``start``, a keyless
 ``done``, a non-string key, a non-dict ``row``, a duplicated terminal
 record, a lost header, a torn final line, and well-shaped records
-whose converted fields hold odd types (a non-numeric heartbeat count,
-a string ``failure`` or ``attempts``, a non-list or odd
-``by_worker``). Every reader folds the file
-through :func:`repro.runner.ledger.fold_ledger`, so resume,
-``suite-run --resume``, ``suite-report`` (and ``--diff``), ``top``,
-``compare``, ``ledger-compact`` and ``fsck`` must all agree on the
-settled job count and the skipped-line count, exit per the CLI
+whose converted fields hold odd types (a non-numeric or huge heartbeat
+count, a string ``failure`` or ``attempts``, a non-list or odd
+``by_worker``), or whose row lacks a field every terminal row carries
+(a string ``status`` and ``label``, an integer ``attempts``). Every
+reader folds the file through :func:`repro.runner.ledger.fold_ledger`,
+so resume, ``suite-run --resume``, ``suite-report`` (and ``--diff``),
+``top``, ``compare``, ``ledger-compact`` and ``fsck`` must all agree on
+the settled job count and the skipped-line count, exit per the CLI
 contract, and never raise a traceback (docs/robustness.md, "The run
 ledger and ``--resume``").
 """
@@ -46,6 +47,11 @@ APPENDED = {
         '{"type": "heartbeat", "ts": 1.0, "done": "x", "failed": 0,'
         ' "total": 3}\n'
     ],
+    # An integer no float can hold.
+    "huge_heartbeat_count": [
+        '{"type": "heartbeat", "ts": 1.0, "done": 1' + "0" * 400 + ','
+        ' "failed": 0, "total": 3}\n'
+    ],
     "string_failure": [
         '{"type": "done", "key": "feedbeef",'
         ' "row": {"status": "failed", "failure": "boom"}}\n'
@@ -53,6 +59,19 @@ APPENDED = {
     "string_attempts": [
         '{"type": "done", "key": "feedbeef",'
         ' "row": {"status": "ok", "attempts": "x"}}\n'
+    ],
+    # Terminal rows missing a field the executor always writes.
+    "statusless_row": [
+        '{"type": "done", "key": "feedbeef",'
+        ' "row": {"label": "x", "attempts": 1}}\n'
+    ],
+    "labelless_row": [
+        '{"type": "done", "key": "feedbeef",'
+        ' "row": {"status": "ok", "attempts": 1}}\n'
+    ],
+    "fractional_attempts": [
+        '{"type": "done", "key": "feedbeef",'
+        ' "row": {"status": "ok", "label": "x", "attempts": 1.5}}\n'
     ],
     "nonlist_by_worker": ['{"type": "merge", "workers": 2, "by_worker": 5}\n'],
     "odd_worker_entry": [
@@ -67,8 +86,12 @@ SKIPPED = {
     "nondict_row": 1,
     "torn_tail": 1,
     "nonnumeric_heartbeat": 1,
+    "huge_heartbeat_count": 1,
     "string_failure": 1,
     "string_attempts": 1,
+    "statusless_row": 1,
+    "labelless_row": 1,
+    "fractional_attempts": 1,
     "nonlist_by_worker": 1,
     "odd_worker_entry": 1,
     "duplicate_terminal": 0,
@@ -210,3 +233,44 @@ def test_text_views_count_the_line(damaged, capsys):
         rc, out, _ = _run(capsys, argv)
         assert rc == 0, argv
         assert ("torn lines: 1" in out) == bool(SKIPPED[case]), argv
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {},
+        {"label": "x", "attempts": 1},
+        {"status": "ok", "attempts": 1},
+        {"status": "ok", "label": "x", "attempts": 1.5},
+        {"status": "ok", "label": "x", "attempts": True},
+    ],
+    ids=["empty", "no_status", "no_label", "float_attempts", "bool_attempts"],
+)
+def test_odd_terminal_row_of_a_pending_job_reruns(
+    intact, tmp_path, capsys, row
+):
+    """A terminal record that stands in for a job's only result but
+    lacks a row field is a damaged line: resume re-runs the job, and
+    the line counts as torn, never as a result."""
+    plan, source = intact
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    last = max(i for i, line in enumerate(lines) if '"type":"done"' in line)
+    key = json.loads(lines[last])["key"]
+    lines[last] = json.dumps({"type": "done", "key": key, "row": row}) + "\n"
+    path = tmp_path / "run.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+
+    rc, out, _ = _run(capsys, ["suite-report", str(path), "--json"])
+    assert rc == 0
+    summary = json.loads(out)
+    assert summary["torn_lines"] == 1
+    assert summary["jobs"]["total"] == 1
+
+    rc, out, _ = _run(
+        capsys,
+        ["suite-run", str(plan), "--ledger", str(path), "--resume", "--json"],
+    )
+    assert rc == 0
+    resumed = json.loads(out)
+    assert resumed["counts"] == {"ok": 2, "failed": 0}
+    assert resumed["n_resumed"] == 1

@@ -50,6 +50,13 @@ def _write_ledger(path, records):
             handle.write(json.dumps(record) + "\n")
 
 
+def _row(key, status="ok", **fields):
+    """A terminal row with the fields the executor writes."""
+    return {
+        "key": key, "label": key, "status": status, "attempts": 1, **fields
+    }
+
+
 def _header(plan_key="live", worker=None, plan_name="live-plan"):
     record = {
         "type": "header",
@@ -110,7 +117,7 @@ class TestHeartbeatLedgerContract:
         path = tmp_path / "resume.jsonl"
         ledger = RunLedger(path, plan_key="rs")
         ledger.heartbeat(done=0, failed=0, total=2, job="sleep/0")
-        ledger.job_done("s00", {"status": "ok", "key": "s00"})
+        ledger.job_done("s00", _row("s00"))
         ledger.heartbeat(done=1, failed=0, total=2)
         ledger.close()
         resumed = RunLedger(path, plan_key="rs", resume=True)
@@ -129,7 +136,7 @@ class TestHeartbeatLedgerContract:
                 {
                     "type": "done",
                     "key": "s00",
-                    "row": {"status": "ok", "key": "s00"},
+                    "row": _row("s00"),
                 },
                 _beat(2.0, 1, worker=0),
             ],
@@ -161,7 +168,7 @@ class TestHeartbeatLedgerContract:
                 {
                     "type": "done",
                     "key": "s00",
-                    "row": {"status": "ok", "key": "s00"},
+                    "row": _row("s00"),
                 },
             ],
         )
@@ -277,16 +284,16 @@ class TestReadLive:
                 {
                     "type": "done",
                     "key": "a",
-                    "row": {"status": "ok", "key": "a"},
+                    "row": _row("a"),
                 },
                 {
                     "type": "quarantined",
                     "key": "b",
-                    "row": {
-                        "status": "quarantined",
-                        "key": "b",
-                        "failure": {"kind": "oom", "error": "boom"},
-                    },
+                    "row": _row(
+                        "b",
+                        status="quarantined",
+                        failure={"kind": "oom", "error": "boom"},
+                    ),
                 },
             ],
         )
@@ -314,7 +321,7 @@ class TestReadLive:
         ``<ledger>.store/``: their shards count, and the store header
         sizes the pending grid on top of the resumed rows."""
         base = tmp_path / "camp.jsonl"
-        done = {"type": "done", "key": "a", "row": {"status": "ok"}}
+        done = {"type": "done", "key": "a", "row": _row("a")}
         _write_ledger(base, [_header(), done])
         store = tmp_path / "camp.jsonl.store"
         store.mkdir()
@@ -346,7 +353,7 @@ class TestReadLive:
                 {
                     "type": "done",
                     "key": "a",
-                    "row": {"status": "ok", "key": "a"},
+                    "row": _row("a"),
                 },
                 _beat(2.0, 1, total=3, job="b"),
             ],
@@ -462,7 +469,7 @@ class TestRendering:
                 {
                     "type": "done",
                     "key": "a",
-                    "row": {"status": "ok", "key": "a"},
+                    "row": _row("a"),
                 },
             ],
         )

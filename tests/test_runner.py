@@ -92,11 +92,50 @@ class TestJobSpec:
             # Baseline is the gains reference; every job must carry it.
             {"kernel": "spmspv", "matrix": "R01", "schemes": ("SparseAdapt",)},
             {"kernel": "spmspv", "matrix": "R01", "deadline_s": 0},
+            # Numeric fields: a finite real number, not a bool or a
+            # string; the bandwidth strictly positive.
+            {"kernel": "spmspv", "matrix": "R01", "scale": "0.05"},
+            {"kernel": "spmspv", "matrix": "R01", "scale": True},
+            {"kernel": "spmspv", "matrix": "R01", "scale": float("nan")},
+            {"kernel": "spmspv", "matrix": "R01", "bandwidth_gbps": 0},
+            {"kernel": "spmspv", "matrix": "R01", "bandwidth_gbps": -1},
+            {"kernel": "spmspv", "matrix": "R01", "bandwidth_gbps": "x"},
+            {"kernel": "spmspv", "matrix": "R01", "bandwidth_gbps": True},
+            {"kernel": "spmspv", "matrix": "R01", "bandwidth_gbps": 1e400},
+            {
+                "kernel": "spmspv",
+                "matrix": "R01",
+                "bandwidth_gbps": float("nan"),
+            },
+            {"kernel": "spmspv", "matrix": "R01", "bandwidth_gbps": 10**400},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             JobSpec(**kwargs)
+
+    def test_numeric_fields_kept_as_written(self):
+        """Validation does not convert: the key hashes the value as the
+        plan wrote it."""
+        spec = JobSpec(
+            kernel="spmspv", matrix="R01", scale=1, bandwidth_gbps=2
+        )
+        assert type(spec.scale) is int and type(spec.bandwidth_gbps) is int
+
+    @pytest.mark.parametrize(
+        "text", ['"bandwidth_gbps": 0', '"bandwidth_gbps": 1e400',
+                 '"scale": "0.05"']
+    )
+    def test_plan_with_bad_number_fails_at_load(self, tmp_path, capsys, text):
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            '{"name": "p", "jobs": [{"kernel": "spmspv", "matrix": "P1", '
+            + text + "}]}",
+            encoding="utf-8",
+        )
+        assert main(["suite-run", str(plan)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_round_trip(self):
         spec = JobSpec(
@@ -202,10 +241,15 @@ class TestRunLedger:
         path = tmp_path / "run.jsonl"
         with RunLedger(path, plan_key="k") as ledger:
             ledger.job_started("a", 0, 1)
-            ledger.job_done("a", {"key": "a", "status": "ok", "result": 7})
+            ledger.job_done(
+                "a",
+                {"key": "a", "label": "a", "status": "ok", "attempts": 1,
+                 "result": 7},
+            )
             ledger.job_started("b", 1, 1)
             ledger.job_quarantined(
-                "b", {"key": "b", "status": "failed"}
+                "b",
+                {"key": "b", "label": "b", "status": "failed", "attempts": 1},
             )
             ledger.job_started("c", 2, 1)  # in flight: no terminal row
         reopened = RunLedger(path, plan_key="k", resume=True)
@@ -217,7 +261,9 @@ class TestRunLedger:
     def test_torn_final_line_tolerated(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with RunLedger(path, plan_key="k") as ledger:
-            ledger.job_done("a", {"key": "a", "status": "ok"})
+            ledger.job_done(
+                "a", {"key": "a", "label": "a", "status": "ok", "attempts": 1}
+            )
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"type": "done", "key": "b", "row"')  # killed write
         reopened = RunLedger(path, plan_key="k", resume=True)

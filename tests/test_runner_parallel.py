@@ -60,6 +60,18 @@ def _sleep_job(index, seconds=0.0, key=None):
     )
 
 
+def _row(key, status="ok", index=0, **fields):
+    """A terminal row with the fields the executor writes."""
+    return {
+        "index": index,
+        "key": key,
+        "label": key,
+        "status": status,
+        "attempts": 1,
+        **fields,
+    }
+
+
 def _statics_plan():
     """The built-in Table-5 plan, statics-only (no model training)."""
     return table5_plan(scale=0.15, schemes=("Baseline", "Best Avg"))
@@ -445,7 +457,11 @@ class TestShardAdversarial:
         path = shard_path(tmp_path / "camp.jsonl", 0)
         shard = RunLedger(path, plan_key="plan", worker=0)
         shard.job_started("a", 0, 1)
-        shard.job_done("a", {"index": 0, "key": "a", "status": "ok"})
+        shard.job_done(
+            "a",
+            {"index": 0, "key": "a", "label": "a", "status": "ok",
+             "attempts": 1},
+        )
         shard.close()
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"type": "done", "key": "b", "row": {"ind')
@@ -460,7 +476,7 @@ class TestShardAdversarial:
         store = self._store_with(
             tmp_path,
             {
-                "a": self._group("a", {"index": 0, "key": "a"}),
+                "a": self._group("a", _row("a")),
                 "b": self._group("b"),
             },
         )
@@ -481,8 +497,8 @@ class TestShardAdversarial:
             {
                 "a": self._group(
                     "a",
-                    {"index": 0, "key": "a", "status": "ok", "v": 1},
-                    {"index": 0, "key": "a", "status": "failed", "v": 2},
+                    _row("a", v=1),
+                    _row("a", status="failed", v=2),
                 )
             },
         )
@@ -498,7 +514,7 @@ class TestShardAdversarial:
     def test_merge_is_idempotent(self, tmp_path):
         """Merging the same store twice adds nothing the second time."""
         store = self._store_with(
-            tmp_path, {"a": self._group("a", {"index": 0, "key": "a"})}
+            tmp_path, {"a": self._group("a", _row("a"))}
         )
         ledger = RunLedger(tmp_path / "m.jsonl", plan_key="plan")
         first = store.merge_into(ledger, ["a"])
@@ -564,7 +580,7 @@ class TestShardAdversarial:
         camp = tmp_path / "camp.jsonl"
         run_plan(plan, config=FAST, ledger_path=camp, max_jobs=1)
         foreign = _sleep_job(0, key="x")
-        row = {"index": 0, "key": "x", "status": "ok"}
+        row = _row("x")
         done = {"type": "done", "key": "x", "row": row}
         stale = self._stale_store(camp, [foreign], records=[done])
         resumed = run_plan(plan, config=FAST, ledger_path=camp, resume=True)
@@ -583,7 +599,7 @@ class TestShardAdversarial:
         camp = tmp_path / "camp.jsonl"
         run_plan(plan, config=FAST, ledger_path=camp, max_jobs=1)
         pending = plan_portable_jobs(plan)[1:]
-        row = {"index": 1, "key": pending[0].key, "status": "ok"}
+        row = _row(pending[0].key, index=1)
         done = {"type": "done", "key": pending[0].key, "row": row}
         stale = self._stale_store(camp, pending, records=[done])
         group = stale / "results" / f"{pending[0].key}.jsonl"

@@ -347,7 +347,13 @@ class TestStorageTruncationProperties:
                 {
                     "type": "done",
                     "key": "s00",
-                    "row": {"index": 0, "key": "s00", "status": "ok"},
+                    "row": {
+                        "index": 0,
+                        "key": "s00",
+                        "label": "s00",
+                        "status": "ok",
+                        "attempts": 1,
+                    },
                 },
             ],
         )
@@ -454,10 +460,11 @@ def _valid_line(kind, key):
                 "backoff_s": 0.0}
     if kind == "done":
         return {"type": "done", "key": key,
-                "row": {"key": key, "status": "ok"}}
+                "row": {"key": key, "label": key, "status": "ok",
+                        "attempts": 1}}
     return {"type": "quarantined", "key": key,
-            "row": {"key": key, "status": "failed",
-                    "failure": {"kind": "error"}}}
+            "row": {"key": key, "label": key, "status": "failed",
+                    "attempts": 1, "failure": {"kind": "error"}}}
 
 
 #: ``("valid", record)`` lines fold into job state.

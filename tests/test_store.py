@@ -58,6 +58,14 @@ def _fail_job(index, retryable=True, fail_attempts=99):
     )
 
 
+def _row(**fields):
+    """A terminal row of job ``s00`` with the fields the executor
+    writes."""
+    return {
+        "key": "s00", "label": "s00", "status": "ok", "attempts": 1, **fields
+    }
+
+
 def _grid(n_sleep=4, n_fail=1):
     jobs = [_sleep_job(i) for i in range(n_sleep)]
     jobs += [_fail_job(n_sleep + i) for i in range(n_fail)]
@@ -190,8 +198,8 @@ class TestPublish:
         store = ExperimentStore.create(
             tmp_path / "store", jobs=_grid(), name="g"
         )
-        first = [{"type": "done", "key": "s00", "row": {"v": 1}}]
-        second = [{"type": "done", "key": "s00", "row": {"v": 2}}]
+        first = [{"type": "done", "key": "s00", "row": _row(v=1)}]
+        second = [{"type": "done", "key": "s00", "row": _row(v=2)}]
         assert store.publish("s00", first)
         assert not store.publish("s00", second)
         assert store.read_result("s00") == first
@@ -209,7 +217,7 @@ class TestPublish:
         )
         assert len(store.open_entries()) == 5
         store.publish(
-            "s00", [{"type": "done", "key": "s00", "row": {"status": "ok"}}]
+            "s00", [{"type": "done", "key": "s00", "row": _row()}]
         )
         assert len(store.open_entries()) == 4
         assert not store.is_complete()

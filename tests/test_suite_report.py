@@ -94,7 +94,9 @@ class TestSummarizeLedger:
         ledger = RunLedger(path, plan_key="p")
         ledger.job_started("a", 0, 1)
         ledger.job_done(
-            "a", {"index": 0, "key": "a", "status": "ok", "attempts": 1}
+            "a",
+            {"index": 0, "key": "a", "label": "a", "status": "ok",
+             "attempts": 1},
         )
         ledger.job_started("b", 1, 1)
         ledger.close()
@@ -181,6 +183,7 @@ class TestDiffLedgers:
                 {
                     "index": 0,
                     "key": "x",
+                    "label": "x",
                     "status": "ok",
                     "attempts": 1,
                     "duration_s": duration,
