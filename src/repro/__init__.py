@@ -24,7 +24,8 @@ Subpackages
 ``repro.experiments``
     Harness and drivers that regenerate every table and figure.
 ``repro.obs``
-    Observability: structured JSONL traces, metrics registry, reports.
+    Observability: structured JSONL traces, trace and campaign reports,
+    OpenMetrics exports of a campaign ledger.
 """
 
 __version__ = "1.0.0"

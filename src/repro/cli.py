@@ -1019,6 +1019,8 @@ def _command_compare(args) -> int:
 
 
 def _command_suite_run(args) -> int:
+    from pathlib import Path
+
     from repro.errors import ConfigError
     from repro.faults import FaultSchedule
     from repro.obs.sinks import write_atomic
@@ -1045,6 +1047,20 @@ def _command_suite_run(args) -> int:
         raise ConfigError(
             "--store parallelism comes from attaching more workers "
             "(`repro worker --store DIR`), not --workers; drop --workers"
+        )
+    for flag, given in (
+        ("--profile", args.profile),
+        ("--profile-out", args.profile_out),
+    ):
+        if args.store and given:
+            raise ConfigError(
+                f"--store campaigns are not profiled; drop {flag}"
+            )
+    if args.store and args.metrics_out:
+        raise ConfigError(
+            "--store keeps its ledger in the store directory; export its "
+            f"metrics with `repro top {Path(args.store) / 'ledger.jsonl'} "
+            f"--once --metrics-out {args.metrics_out}` and drop --metrics-out"
         )
     if args.resume and not args.ledger:
         raise ConfigError(
@@ -1143,12 +1159,10 @@ def _command_suite_run(args) -> int:
             ).set(len(report.rows))
             registry.gauge(
                 "campaign.jobs.done", "Jobs finished ok"
-            ).set(counts.get("ok", 0))
+            ).set(counts["ok"])
             registry.gauge(
                 "campaign.jobs.failed", "Jobs failed or quarantined"
-            ).set(
-                counts.get("failed", 0) + counts.get("quarantined", 0)
-            )
+            ).set(counts["failed"])
         write_atomic(args.metrics_out, registry.render_openmetrics())
         if not args.json:
             print(f"metrics written to {args.metrics_out}")

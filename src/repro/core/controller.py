@@ -227,49 +227,8 @@ class SparseAdaptController:
                 )
                 start_payload["safe_config"] = config_dict(self.safe_config)
             recorder.event("controller.start", **start_payload)
-            epoch_counter = obs.metrics.counter(
-                "controller.epochs", "epochs executed under control"
-            )
-            reconfig_counter = obs.metrics.counter(
-                "controller.reconfigs", "applied configuration transitions"
-            )
-            reconfig_by_param = obs.metrics.counter(
-                "controller.reconfigs_by_parameter",
-                "applied parameter changes",
-            )
-            latency_histogram = obs.metrics.histogram(
-                "epoch.decision_latency_s",
-                "host wall time of one telemetry->decision cycle",
-            )
-            verdict_counter = obs.metrics.counter(
-                "controller.policy_verdicts",
-                "hysteresis policy accept/reject outcomes",
-            )
-            if injector is not None:
-                injected_counter = obs.metrics.counter(
-                    "faults.injected", "fault occurrences injected"
-                )
-            if hardened:
-                detected_counter = obs.metrics.counter(
-                    "controller.faults_detected",
-                    "telemetry issues flagged by the counter sanitizer",
-                )
-                safe_mode_counter = obs.metrics.counter(
-                    "controller.safe_mode_transitions",
-                    "safe-mode state machine transitions",
-                )
-                readback_counter = obs.metrics.counter(
-                    "controller.readback_retries",
-                    "reconfiguration command retries after read-back",
-                )
         self._check_memo_token()
         memo = self._decision_memo
-        memo_hits = obs.metrics.counter(
-            "fastpath.memo_hits", "controller decision-memo hits"
-        )
-        memo_misses = obs.metrics.counter(
-            "fastpath.memo_misses", "controller decision-memo misses"
-        )
         for index, workload in enumerate(trace.epochs):
             with recorder.span(
                 "epoch", epoch=index, phase=workload.phase
@@ -311,7 +270,6 @@ class SparseAdaptController:
                             pending_reconfig.time_s if pending_reconfig else 0.0
                         ),
                     )
-                    epoch_counter.inc()
                 last_epoch_time = result.time_s
                 dirty_hint = workload.stores * params.WORD_BYTES
                 # Telemetry -> inference -> policy -> reconfiguration.
@@ -348,9 +306,6 @@ class SparseAdaptController:
                             recorder.event(
                                 "fault.detected", epoch=index, **issue
                             )
-                            detected_counter.labels(
-                                issue=issue["issue"]
-                            ).inc()
                 adapting = True
                 if safe_machine is not None:
                     transition_name = safe_machine.observe(faulty)
@@ -363,9 +318,6 @@ class SparseAdaptController:
                             fault_streak=safe_machine.fault_streak,
                             clean_streak=safe_machine.clean_streak,
                         )
-                        safe_mode_counter.labels(
-                            transition=transition_name
-                        ).inc()
                     adapting = safe_machine.adapting
                 if not adapting:
                     # Safe mode: no inference, hold the safe config.
@@ -379,9 +331,6 @@ class SparseAdaptController:
                     if predicted is None:
                         predicted = self.model.predict(counters, config)
                         memo[memo_key] = predicted
-                        memo_misses.inc()
-                    else:
-                        memo_hits.inc()
                     if traced:
                         t2 = perf_counter()
                     # The policy filter is NOT memoized: its verdicts
@@ -416,8 +365,6 @@ class SparseAdaptController:
                         index, hw_config, applied, dirty_hint, injector
                     )
                     n_readback += retries
-                    if traced and retries:
-                        readback_counter.inc(retries)
                     if hardened:
                         # Echo read-back: the host's belief is corrected
                         # to what the hardware actually reached; an
@@ -440,13 +387,12 @@ class SparseAdaptController:
                         next_host = applied
                 if traced and adapting:
                     t4 = perf_counter()
-                    latency = t4 - t0
                     proposed = config_diff(config, predicted)
                     accepted = config_diff(config, applied)
                     recorder.event(
                         "decision",
                         epoch=index,
-                        latency_s=latency,
+                        latency_s=t4 - t0,
                         counter_read_s=t1 - t0,
                         inference_s=t2 - t1,
                         policy_filter_s=t3 - t2,
@@ -455,7 +401,6 @@ class SparseAdaptController:
                         accepted=accepted,
                         rejected=sorted(set(proposed) - set(accepted)),
                     )
-                    latency_histogram.observe(latency)
                     raw_counters = result.counters.as_dict()
                     observed_counters = (
                         counters.as_dict() if not clean else raw_counters
@@ -481,14 +426,6 @@ class SparseAdaptController:
                                 verdict.as_dict() if verdict else None
                             ),
                         )
-                    for verdict in verdicts:
-                        verdict_counter.labels(
-                            parameter=verdict.parameter,
-                            verdict=(
-                                "accepted" if verdict.accepted else "rejected"
-                            ),
-                            reason=verdict.code,
-                        ).inc()
                 if traced and pending_reconfig is not None:
                     recorder.event(
                         "reconfig",
@@ -502,13 +439,9 @@ class SparseAdaptController:
                         flushed_l1=pending_reconfig.flushed_l1,
                         flushed_l2=pending_reconfig.flushed_l2,
                     )
-                    reconfig_counter.inc()
-                    for parameter in pending_reconfig.changed:
-                        reconfig_by_param.labels(parameter=parameter).inc()
                 if traced and injector is not None:
                     for fault in injector.injected[epoch_faults_start:]:
                         recorder.event("fault.injected", **fault.as_dict())
-                        injected_counter.labels(kind=fault.kind).inc()
                 config = next_host
                 hw_config = next_hw
                 schedule.overhead_time_s += overhead

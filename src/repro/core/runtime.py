@@ -106,8 +106,8 @@ class TransmuterRuntime:
         """Drive the controller over a kernel trace, instrumented.
 
         Each offload is one ``offload`` span (kernel type, trace length,
-        achieved GFLOPS and GFLOPS/W) plus an always-on per-kernel
-        offload counter; the span body is the controlled run itself.
+        achieved GFLOPS and GFLOPS/W) plus a ``runtime.offload`` event;
+        the span body is the controlled run itself.
         """
         recorder = obs.get_recorder()
         with recorder.span(
@@ -120,9 +120,6 @@ class TransmuterRuntime:
                     gflops_per_watt=schedule.gflops_per_watt,
                     reconfigurations=schedule.n_reconfigurations,
                 )
-        obs.metrics.counter(
-            "runtime.offloads", "kernels offloaded to the modeled device"
-        ).labels(kernel=kernel).inc()
         if recorder.enabled:
             recorder.event(
                 "runtime.offload",

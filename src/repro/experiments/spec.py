@@ -163,8 +163,8 @@ class WorkloadSpec:
         merged.update(raw)
         if "kernel" not in merged or "matrix" not in merged:
             raise ConfigError(
-                "workload needs 'kernel' and 'matrix' "
-                "(directly or via spec defaults)"
+                "workload needs 'kernel' and 'matrix' ('matrix' on each "
+                "workload; 'kernel' there or in spec defaults)"
             )
         merged.setdefault("name", merged["matrix"])
         return WorkloadSpec(**merged)

@@ -9,10 +9,11 @@ the lazy-import helper) and gives the runtime three capabilities:
   :meth:`~repro.obs.trace.TraceRecorder.event` calls serialize to JSONL
   through a pluggable sink (ring buffer, file, null). Disabled tracing
   is a no-op fast path.
-* **Metrics** — :mod:`repro.obs.metrics` holds the process-wide
-  registry of counters/gauges/histograms with labeled children,
-  ``snapshot()`` dict export, Prometheus-style ``render()`` and the
-  scraper-facing ``render_openmetrics()``.
+* **Metrics** — :mod:`repro.obs.metrics` holds the gauges the
+  ``--metrics-out`` OpenMetrics exports are built from (read off a
+  campaign ledger) and the bucket histogram behind trace-report's
+  latency quantiles. There is no process-wide registry: what a run did
+  is in its trace, what a campaign did is in its ledger.
 * **Profiling** — :mod:`repro.obs.profile` attributes wall-clock to
   the instrumented components (kernel sim, forest inference, cache/
   power models, reconfig, ledger/sink I/O) via hierarchical spans;
@@ -20,8 +21,9 @@ the lazy-import helper) and gives the runtime three capabilities:
 * **Live campaigns** — :mod:`repro.obs.live` aggregates the runner's
   heartbeat records into progress/ETA/straggler status (``repro top``).
 * **Reports** — :mod:`repro.obs.report` summarizes a recorded trace
-  (epoch timeline, reconfiguration counts, decision-latency
-  histogram), backing the ``repro trace-report`` CLI command.
+  (epoch timeline, reconfiguration counts, policy verdicts,
+  decision-latency histogram), backing the ``repro trace-report`` CLI
+  command.
   :mod:`repro.obs.explain` renders the per-decision provenance records
   (``repro explain``) and :mod:`repro.obs.diff` aligns two traces
   epoch-by-epoch (``repro diff``).
@@ -33,13 +35,13 @@ Typical use::
     with obs.recording("run.jsonl"):
         runtime.spmspv(matrix, vector)
 
-    print(obs.metrics.render())
+    print(obs.report.render(obs.report.summarize(obs.read_jsonl("run.jsonl"))))
 
 See ``docs/observability.md`` for the trace schema and naming rules.
 """
 
 from repro._lazy import lazy_attributes
-from repro.obs import metrics, profile
+from repro.obs import profile
 from repro.obs.sinks import (
     FileSink,
     MemorySink,
@@ -87,6 +89,6 @@ __getattr__ = lazy_attributes(
     globals(),
     {
         name: name
-        for name in ("compare", "diff", "explain", "live", "report")
+        for name in ("compare", "diff", "explain", "live", "metrics", "report")
     },
 )

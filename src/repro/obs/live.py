@@ -455,13 +455,10 @@ def render_top(status: CampaignStatus) -> str:
 
 
 # ---------------------------------------------------------------------------
-def export_campaign_metrics(status: CampaignStatus, registry=None):
-    """Publish the campaign status as gauges in ``registry`` (the
-    process-wide one by default) and return the registry, ready for
-    ``render_openmetrics()``."""
-    from repro.obs import metrics as obs_metrics
-
-    registry = registry if registry is not None else obs_metrics.REGISTRY
+def export_campaign_metrics(status: CampaignStatus, registry):
+    """Publish the campaign status as gauges in ``registry`` (a
+    :class:`~repro.obs.metrics.MetricsRegistry`) and return it, ready
+    for ``render_openmetrics()``."""
     # Identity travels as labels on a constant info gauge (the
     # OpenMetrics convention) so scrapers on multi-campaign hosts can
     # join the unlabeled progress gauges to a plan/campaign pair.

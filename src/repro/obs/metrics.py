@@ -1,23 +1,15 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Metric instruments for the two text exports the CLI writes.
 
-Metrics complement traces: a trace answers "what happened in this
-run", metrics answer "how much, across the process". Instruments are
-created (or fetched — creation is idempotent) through a registry::
+* :class:`MetricsRegistry` holds named :class:`Gauge`\\ s and renders
+  them as OpenMetrics text. ``suite-run --metrics-out`` and
+  ``top --metrics-out`` build a fresh registry from a campaign ledger
+  (:func:`repro.obs.live.export_campaign_metrics`) and write
+  :meth:`MetricsRegistry.render_openmetrics`.
+* :class:`Histogram` estimates quantiles from cumulative buckets; the
+  decision-latency line of ``repro trace-report`` uses it.
 
-    from repro.obs import metrics
-    metrics.counter("controller.reconfigs").inc()
-    metrics.histogram("epoch.decision_latency_s").observe(dt)
-    metrics.counter("runtime.offloads").labels(kernel="spmspv").inc()
-
-Each instrument owns labeled children: ``labels(**kv)`` returns a
-child keyed by the sorted label pairs, so the same labels always hit
-the same child. ``snapshot()`` exports the whole registry as a plain
-dict (deep-copied, so later increments cannot mutate an exported
-snapshot) and ``render()`` emits Prometheus-style text (dots in metric
-names become underscores, the only transformation applied).
-
-Stdlib-only; a single process-wide :data:`REGISTRY` plus module-level
-shortcuts mirror the usual client-library ergonomics.
+There is no process-wide registry: what a run or a campaign did is in
+its trace or its ledger, and these exports are derived from the ledger.
 """
 
 from __future__ import annotations
@@ -28,20 +20,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "REGISTRY",
-    "counter",
-    "gauge",
-    "histogram",
-    "snapshot",
-    "render",
-    "render_openmetrics",
-    "reset",
-]
+__all__ = ["DEFAULT_BUCKETS", "Gauge", "Histogram", "MetricsRegistry"]
 
 LabelPairs = Tuple[Tuple[str, str], ...]
 
@@ -54,90 +33,39 @@ DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
 ) + (1.0,)
 
 
-def _label_key(labels: Dict[str, str]) -> LabelPairs:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-def _format_labels(pairs: LabelPairs, extra: str = "") -> str:
+def _format_labels(pairs: LabelPairs) -> str:
     parts = [f'{name}="{value}"' for name, value in pairs]
-    if extra:
-        parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
-class _Instrument:
-    """Shared child-management machinery for all metric kinds."""
+class Gauge:
+    """A settable value with labeled children.
 
-    kind = "instrument"
+    ``labels(**kv)`` returns a child keyed by the sorted label pairs,
+    so the same labels always hit the same child.
+    """
 
     def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
         self.label_pairs: LabelPairs = ()
-        self._children: Dict[LabelPairs, "_Instrument"] = {}
+        self.value = 0.0
+        self._hits = 0
+        self._children: Dict[LabelPairs, "Gauge"] = {}
         self._lock = threading.Lock()
 
-    def labels(self, **labels) -> "_Instrument":
-        """The child instrument for one label combination (cached)."""
+    def labels(self, **labels) -> "Gauge":
+        """The child gauge for one label combination (cached)."""
         if not labels:
             return self
-        key = _label_key(labels)
+        key = tuple(sorted((str(k), str(v)) for k, v in labels.items()))
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                child = type(self)(self.name, self.help)
+                child = Gauge(self.name, self.help)
                 child.label_pairs = key
                 self._children[key] = child
             return child
-
-    # ------------------------------------------------------------------
-    def _series(self) -> Iterable["_Instrument"]:
-        """This instrument (if touched) followed by its children."""
-        if self._touched():
-            yield self
-        for key in sorted(self._children):
-            yield self._children[key]
-
-    def _touched(self) -> bool:
-        raise NotImplementedError
-
-    def _value_snapshot(self):
-        raise NotImplementedError
-
-
-class Counter(_Instrument):
-    """Monotonically increasing count."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self.value = 0.0
-        self._hits = 0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ConfigError("counters only go up; use a gauge instead")
-        with self._lock:
-            self.value += amount
-            self._hits += 1
-
-    def _touched(self) -> bool:
-        return self._hits > 0 or not self._children
-
-    def _value_snapshot(self):
-        return self.value
-
-
-class Gauge(_Instrument):
-    """A value that can go up and down."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self.value = 0.0
-        self._hits = 0
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -152,25 +80,19 @@ class Gauge(_Instrument):
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
-    def _touched(self) -> bool:
-        return self._hits > 0 or not self._children
+    def _series(self) -> Iterable["Gauge"]:
+        """This gauge (if set, or if it has no children) followed by
+        its children in sorted label order."""
+        if self._hits > 0 or not self._children:
+            yield self
+        for key in sorted(self._children):
+            yield self._children[key]
 
-    def _value_snapshot(self):
-        return self.value
 
-
-class Histogram(_Instrument):
+class Histogram:
     """Cumulative-bucket histogram of observed values."""
 
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Optional[Tuple[float, ...]] = None,
-    ) -> None:
-        super().__init__(name, help)
+    def __init__(self, buckets: Optional[Tuple[float, ...]] = None) -> None:
         if buckets is None:
             buckets = DEFAULT_BUCKETS
         bounds = tuple(sorted(set(buckets)))
@@ -181,29 +103,10 @@ class Histogram(_Instrument):
         self.count = 0
         self.sum = 0.0
 
-    def labels(self, **labels) -> "Histogram":
-        child = super().labels(**labels)
-        child.bounds = self.bounds  # children share the parent's bounds
-        if len(child.bucket_counts) != len(self.bounds) + 1:
-            child.bucket_counts = [0] * (len(self.bounds) + 1)
-        return child  # type: ignore[return-value]
-
     def observe(self, value: float) -> None:
-        with self._lock:
-            self.bucket_counts[bisect_left(self.bounds, value)] += 1
-            self.count += 1
-            self.sum += value
-
-    # ------------------------------------------------------------------
-    def cumulative(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs, +Inf last."""
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for bound, n in zip(self.bounds, self.bucket_counts):
-            running += n
-            out.append((bound, running))
-        out.append((float("inf"), running + self.bucket_counts[-1]))
-        return out
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        self.count += 1
+        self.sum += value
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile from the cumulative buckets.
@@ -239,180 +142,43 @@ class Histogram(_Instrument):
         """Bucket-estimated quantiles for each ``q`` in ``qs``."""
         return [self.quantile(q) for q in qs]
 
-    def _touched(self) -> bool:
-        return self.count > 0 or not self._children
-
-    def _value_snapshot(self):
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "buckets": {
-                ("+Inf" if bound == float("inf") else repr(bound)): n
-                for bound, n in self.cumulative()
-            },
-        }
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
 
 class MetricsRegistry:
-    """Named instruments, created on first use."""
+    """Named gauges, created on first use."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, _Instrument] = {}
+        self._gauges: Dict[str, Gauge] = {}
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    def _get_or_create(self, kind: str, name: str, help: str, **kwargs):
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if existing.kind != kind:
-                    raise ConfigError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind}, requested {kind}"
-                    )
-                return existing
-            metric = _KINDS[kind](name, help, **kwargs)
-            self._metrics[name] = metric
-            return metric
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create("counter", name, help)
-
     def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create("gauge", name, help)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Optional[Tuple[float, ...]] = None,
-    ) -> Histogram:
-        return self._get_or_create("histogram", name, help, buckets=buckets)
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Dict]:
-        """Deep-copied dict export of every registered metric."""
-        out: Dict[str, Dict] = {}
         with self._lock:
-            metrics = dict(self._metrics)
-        for name in sorted(metrics):
-            metric = metrics[name]
-            series = {}
-            for instrument in metric._series():
-                key = ",".join(f"{k}={v}" for k, v in instrument.label_pairs)
-                series[key] = instrument._value_snapshot()
-            out[name] = {
-                "kind": metric.kind,
-                "help": metric.help,
-                "series": series,
-            }
-        return out
-
-    def _ordered_metrics(self) -> List[_Instrument]:
-        """Every metric in deterministic order: sorted by name, and
-        each metric's series sorted by label pairs (``_series()``
-        iterates children in sorted-key order). Both text renderers
-        share this, so two registries holding the same values render
-        byte-identically regardless of creation/update order."""
-        with self._lock:
-            metrics = dict(self._metrics)
-        return [metrics[name] for name in sorted(metrics)]
-
-    def render(self) -> str:
-        """Prometheus text exposition of the registry."""
-        lines: List[str] = []
-        for metric in self._ordered_metrics():
-            prom = metric.name.replace(".", "_").replace("-", "_")
-            if metric.help:
-                lines.append(f"# HELP {prom} {metric.help}")
-            lines.append(f"# TYPE {prom} {metric.kind}")
-            for instrument in metric._series():
-                pairs = instrument.label_pairs
-                if isinstance(instrument, Histogram):
-                    for bound, running in instrument.cumulative():
-                        le = "+Inf" if bound == float("inf") else f"{bound:g}"
-                        labels = _format_labels(pairs, f'le="{le}"')
-                        lines.append(f"{prom}_bucket{labels} {running}")
-                    labels = _format_labels(pairs)
-                    lines.append(f"{prom}_sum{labels} {instrument.sum:g}")
-                    lines.append(f"{prom}_count{labels} {instrument.count}")
-                else:
-                    labels = _format_labels(pairs)
-                    lines.append(f"{prom}{labels} {instrument.value:g}")
-        return "\n".join(lines) + ("\n" if lines else "")
+            gauge = self._gauges.get(name)
+            if gauge is None:
+                gauge = self._gauges[name] = Gauge(name, help)
+            return gauge
 
     def render_openmetrics(self) -> str:
         """OpenMetrics text exposition (what external scrapers pull).
 
-        Differs from :meth:`render` in the details the OpenMetrics
-        spec pins down: counter samples carry the ``_total`` suffix,
-        NaN gauge values render as ``NaN``, and the exposition ends
-        with the mandatory ``# EOF`` terminator. Ordering is the same
-        deterministic name-then-label-pairs order.
+        Gauges are sorted by name and each gauge's series by label
+        pairs, so two registries holding the same values render
+        byte-identically whatever the order they were set in. Dots in
+        names become underscores, NaN values render as ``NaN``, and
+        the exposition ends with the mandatory ``# EOF`` terminator.
         """
         lines: List[str] = []
-        for metric in self._ordered_metrics():
-            om = metric.name.replace(".", "_").replace("-", "_")
-            lines.append(f"# TYPE {om} {metric.kind}")
-            if metric.help:
-                lines.append(f"# HELP {om} {metric.help}")
-            for instrument in metric._series():
-                pairs = instrument.label_pairs
-                if isinstance(instrument, Histogram):
-                    for bound, running in instrument.cumulative():
-                        le = "+Inf" if bound == float("inf") else f"{bound:g}"
-                        labels = _format_labels(pairs, f'le="{le}"')
-                        lines.append(f"{om}_bucket{labels} {running}")
-                    labels = _format_labels(pairs)
-                    lines.append(f"{om}_sum{labels} {instrument.sum:g}")
-                    lines.append(f"{om}_count{labels} {instrument.count}")
-                else:
-                    suffix = "_total" if metric.kind == "counter" else ""
-                    labels = _format_labels(pairs)
-                    value = instrument.value
-                    rendered = "NaN" if value != value else f"{value:g}"
-                    lines.append(f"{om}{suffix}{labels} {rendered}")
+        with self._lock:
+            gauges = dict(self._gauges)
+        for name in sorted(gauges):
+            gauge = gauges[name]
+            om = name.replace(".", "_").replace("-", "_")
+            lines.append(f"# TYPE {om} gauge")
+            if gauge.help:
+                lines.append(f"# HELP {om} {gauge.help}")
+            for series in gauge._series():
+                value = series.value
+                rendered = "NaN" if value != value else f"{value:g}"
+                labels = _format_labels(series.label_pairs)
+                lines.append(f"{om}{labels} {rendered}")
         lines.append("# EOF")
         return "\n".join(lines) + "\n"
-
-    def reset(self) -> None:
-        """Forget every metric (tests and fresh CLI invocations)."""
-        with self._lock:
-            self._metrics.clear()
-
-
-#: The process-wide registry the instrumentation hooks use.
-REGISTRY = MetricsRegistry()
-
-
-def counter(name: str, help: str = "") -> Counter:
-    return REGISTRY.counter(name, help)
-
-
-def gauge(name: str, help: str = "") -> Gauge:
-    return REGISTRY.gauge(name, help)
-
-
-def histogram(
-    name: str, help: str = "", buckets: Optional[Tuple[float, ...]] = None
-) -> Histogram:
-    return REGISTRY.histogram(name, help, buckets=buckets)
-
-
-def snapshot() -> Dict[str, Dict]:
-    return REGISTRY.snapshot()
-
-
-def render() -> str:
-    return REGISTRY.render()
-
-
-def render_openmetrics() -> str:
-    return REGISTRY.render_openmetrics()
-
-
-def reset() -> None:
-    REGISTRY.reset()

@@ -7,6 +7,7 @@ cares about:
 * the per-epoch timeline (phase, configuration, modeled time/energy,
   reconfiguration markers);
 * reconfiguration counts broken down by hardware parameter;
+* policy verdicts counted by parameter, outcome and reason code;
 * the host decision-latency histogram (counter read -> inference ->
   policy filter -> cost computation, per epoch);
 * the top-k most expensive epochs by modeled time.
@@ -24,7 +25,7 @@ from collections import Counter as TallyCounter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
+from repro.obs.metrics import Histogram
 from repro.obs.sinks import read_jsonl
 from repro.obs.trace import SCHEMA_VERSION
 
@@ -126,6 +127,14 @@ def summarize(records: Sequence[Dict]) -> Dict:
     proposed = sum(len(_attrs(d).get("proposed", {})) for d in decisions)
     accepted = sum(len(_attrs(d).get("accepted", {})) for d in decisions)
 
+    verdicts: TallyCounter = TallyCounter()
+    for event in _named(records, "event", "provenance"):
+        verdict = _attrs(event).get("verdict")
+        if verdict:
+            outcome = "accepted" if verdict.get("accepted") else "rejected"
+            parameter, code = verdict.get("parameter"), verdict.get("code")
+            verdicts[(str(parameter), outcome, str(code))] += 1
+
     offloads = [
         dict(_attrs(e)) for e in _named(records, "event", "runtime.offload")
     ]
@@ -142,6 +151,10 @@ def summarize(records: Sequence[Dict]) -> Dict:
             "proposed_changes": proposed,
             "accepted_changes": accepted,
         },
+        "policy_verdicts": [
+            {"parameter": p, "verdict": v, "code": c, "count": n}
+            for (p, v, c), n in sorted(verdicts.items())
+        ],
         "decision_latencies_s": latencies,
         "offloads": offloads,
     }
@@ -272,12 +285,24 @@ def render(summary: Dict, top: int = 5, max_timeline_rows: int = 64) -> str:
     else:
         lines.append("  (none)")
 
+    verdicts = summary.get("policy_verdicts", [])
+    lines.append("")
+    lines.append("--- policy verdicts ---")
+    lines.append(f"  {'parameter':<12} {'verdict':<9} {'code':<16} count")
+    for row in verdicts:
+        lines.append(
+            f"  {row['parameter']:<12} {row['verdict']:<9} "
+            f"{row['code']:<16} {row['count']:>5}"
+        )
+    if not verdicts:
+        lines.append("  (none)")
+
     latencies = summary.get("decision_latencies_s", [])
     lines.append("")
     lines.append(
         f"--- host decision latency ({len(latencies)} decisions) ---"
     )
-    histogram = Histogram("decision_latency", buckets=DEFAULT_BUCKETS)
+    histogram = Histogram()
     for value in latencies:
         histogram.observe(value)
     # An empty histogram's quantiles are NaN; render them as such so

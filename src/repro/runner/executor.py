@@ -187,9 +187,9 @@ class SuiteRunner:
     ``workers=1`` (default) executes sequentially in-process;
     ``workers=N`` runs portable jobs on N local store workers (only
     :meth:`run_portable` can parallelize — :meth:`run` takes live
-    callables, which cannot cross a process boundary). ``worker`` is
-    the rank when this runner *is* a store worker; it is attributed on
-    every ``runner.job.*`` event the runner emits.
+    callables, which cannot cross a process boundary). What happened to
+    each job is recorded in the ledger: start, retry and terminal rows,
+    and a parallel campaign's merge record.
     """
 
     def __init__(
@@ -198,14 +198,12 @@ class SuiteRunner:
         ledger: Optional[RunLedger] = None,
         faults=None,
         workers: int = 1,
-        worker: Optional[int] = None,
     ) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers!r}")
         self.config = config or SupervisorConfig()
         self.ledger = ledger
         self.workers = workers
-        self.worker = worker
         self.faults_schedule = faults
         self.host_faults = (
             HostFaultInjector(faults) if faults is not None else None
@@ -213,15 +211,7 @@ class SuiteRunner:
         self._sleep = time.sleep  # patched in tests
 
     # ------------------------------------------------------------------
-    def _emit(self, recorder, name: str, **attrs) -> None:
-        """Trace event with per-worker attribution in a store worker."""
-        if self.worker is not None:
-            attrs["worker"] = self.worker
-        recorder.event(name, **attrs)
-
-    # ------------------------------------------------------------------
     def run(self, jobs: Sequence[Job], name: str = "campaign") -> SuiteReport:
-        recorder = obs.get_recorder()
         report = SuiteReport(
             name=name,
             ledger_path=str(self.ledger.path) if self.ledger else None,
@@ -246,14 +236,6 @@ class SuiteRunner:
                         n_ok += 1
                     else:
                         n_failed += 1
-                    self._emit(
-                        recorder,
-                        "runner.job.resumed",
-                        key=job.key,
-                        label=job.label,
-                        index=job.index,
-                    )
-                    _count_job("resumed")
                     continue
                 if self.ledger is not None:
                     # Liveness for `repro top`: who is about to run what.
@@ -263,7 +245,7 @@ class SuiteRunner:
                         total=len(jobs),
                         job=job.label,
                     )
-                row = self._run_one(job, recorder)
+                row = self._run_one(job)
                 rows[position] = row
                 completed += 1
                 if row.get("status") == "ok":
@@ -330,8 +312,7 @@ class SuiteRunner:
         # A store already here belongs to an older run; callers resuming
         # a ledger fold it first (recover_local_store).
         shutil.rmtree(root, ignore_errors=True)
-        settled = set(ledger.completed)
-        pending = [job for job in jobs if job.key not in settled]
+        pending = [job for job in jobs if job.key not in ledger.completed]
         interrupted, by_worker = False, []
         try:
             if pending:
@@ -367,26 +348,10 @@ class SuiteRunner:
             ledger_path=str(self.ledger.path) if self.ledger else None,
             n_resumed=len(jobs) - len(pending),
         )
-        recorder = obs.get_recorder()
         for job in jobs:
             record = ledger.completed.get(job.key)
-            if record is None:
-                continue
-            row = dict(record["row"])
-            report.rows.append(row)
-            if job.key in settled:
-                self._emit(
-                    recorder,
-                    "runner.job.resumed",
-                    key=job.key,
-                    label=job.label,
-                    index=job.index,
-                )
-                _count_job("resumed")
-            else:
-                _count_job(
-                    "ok" if row.get("status") == "ok" else "failed", row
-                )
+            if record is not None:
+                report.rows.append(dict(record["row"]))
         report.duration_s = round(time.perf_counter() - started, 6)
         if interrupted:
             raise CampaignInterrupted(
@@ -418,11 +383,7 @@ class SuiteRunner:
         """
         import concurrent.futures as cf
 
-        recorder = obs.get_recorder()
         profiler = obs_profile.get_profiler()
-        obs.metrics.gauge(
-            "runner.workers", "worker processes of the last parallel campaign"
-        ).set(n_workers)
         payload = {"store": str(store.root), "profile": profiler.enabled}
         # Workers ignore SIGINT: the parent alone stops them, so an
         # interrupted campaign prints one resume hint, not N.
@@ -434,7 +395,6 @@ class SuiteRunner:
         futures: List[cf.Future] = []
         try:
             for rank in range(n_workers):
-                self._emit(recorder, "runner.worker.spawn", worker=rank)
                 try:
                     futures.append(pool.submit(run_local_worker, payload))
                 except cf.BrokenExecutor as exc:
@@ -463,17 +423,10 @@ class SuiteRunner:
                 # ...); what it published is still folded.
                 error = f"{type(exc).__name__}: {exc}"
                 entry = {"worker": rank, "error": error}
-                self._emit(recorder, "runner.worker.failed", **entry)
             else:
                 # Each worker profiled its own process; fold its span
                 # tree into the campaign profile.
                 profiler.merge(entry.pop("profile", None))
-                self._emit(
-                    recorder,
-                    "runner.worker.done",
-                    worker=rank,
-                    jobs=entry["jobs"],
-                )
             entries.append(entry)
         return False, entries
 
@@ -495,12 +448,12 @@ class SuiteRunner:
         if ledger is not None:
             self.ledger = ledger
         try:
-            return self._run_one(job, obs.get_recorder())
+            return self._run_one(job)
         finally:
             self.ledger = previous
 
     # ------------------------------------------------------------------
-    def _run_one(self, job: Job, recorder) -> dict:
+    def _run_one(self, job: Job) -> dict:
         deadline = (
             job.deadline_s
             if job.deadline_s is not None
@@ -514,14 +467,6 @@ class SuiteRunner:
             attempts += 1
             if self.ledger is not None:
                 self.ledger.job_started(job.key, job.index, attempts)
-            self._emit(
-                recorder,
-                "runner.job.start",
-                key=job.key,
-                label=job.label,
-                index=job.index,
-                attempt=attempts,
-            )
             fn = job.fn
             if self.host_faults:
                 fn = self.host_faults.wrap(fn, job.index, attempts)
@@ -544,18 +489,6 @@ class SuiteRunner:
                     self.ledger.job_retried(
                         job.key, attempts, str(exc), delay
                     )
-                self._emit(
-                    recorder,
-                    "runner.job.retry",
-                    key=job.key,
-                    label=job.label,
-                    attempt=attempts,
-                    error=str(exc),
-                    backoff_s=round(delay, 6),
-                )
-                obs.metrics.counter(
-                    "runner.retries", "job attempts retried, by failure kind"
-                ).labels(kind=kind).inc()
                 if delay > 0:
                     self._sleep(delay)
             except MemoryError as exc:
@@ -588,14 +521,6 @@ class SuiteRunner:
             )
             if self.ledger is not None:
                 self.ledger.job_done(job.key, row)
-            self._emit(
-                recorder,
-                "runner.job.done",
-                key=job.key,
-                label=job.label,
-                attempts=attempts,
-            )
-            _count_job("ok")
         else:
             row.update(
                 status="failed", attempts=attempts,
@@ -603,33 +528,10 @@ class SuiteRunner:
             )
             if self.ledger is not None:
                 self.ledger.job_quarantined(job.key, row)
-            self._emit(
-                recorder,
-                "runner.job.quarantined",
-                key=job.key,
-                label=job.label,
-                attempts=attempts,
-                kind=failure.kind,
-                error=failure.error,
-            )
-            _count_job("failed", row)
         return row
 
 
 # ---------------------------------------------------------------------------
-def _count_job(status: str, row: Optional[dict] = None) -> None:
-    """Count one job in the ``runner.jobs`` metric, and a failed
-    ``row`` in ``runner.quarantined`` by its failure kind."""
-    obs.metrics.counter(
-        "runner.jobs", "campaign jobs by terminal status"
-    ).labels(status=status).inc()
-    if row is not None and status == "failed":
-        kind = (row.get("failure") or {}).get("kind", "unknown")
-        obs.metrics.counter(
-            "runner.quarantined", "jobs quarantined, by failure kind"
-        ).labels(kind=kind).inc()
-
-
 def run_local_worker(payload: dict) -> dict:
     """Process-pool entry point of ``workers > 1``: one store worker.
 
@@ -729,20 +631,8 @@ def run_plan(
             resume=resume,
         )
         if resume:
-            if ledger.n_skipped:
-                # Torn lines in the canonical ledger are tolerated on
-                # load (the damaged jobs simply re-run), but surfaced:
-                # persistent damage is what `repro fsck` diagnoses.
-                obs.get_recorder().event(
-                    "runner.ledger.torn",
-                    path=str(ledger.path),
-                    skipped=ledger.n_skipped,
-                    hint="run `repro fsck` on this ledger",
-                )
-                obs.metrics.counter(
-                    "runner.ledger.torn_lines",
-                    "damaged ledger lines skipped on resume",
-                ).inc(ledger.n_skipped)
+            # Torn lines are skipped on load (the damaged jobs simply
+            # re-run); `suite-report`, `top` and `fsck` count them.
             # A killed parallel run may have left its store behind: fold
             # every group it published so only unfinished jobs re-run.
             recover_local_store(ledger, [spec.key() for spec in plan.jobs])

@@ -62,7 +62,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro import obs
 from repro.errors import ConfigError, ReproError, StorageError
 from repro.faults import io as faults_io
 from repro.faults.spec import IO_FAULTS, STORE_FAULTS, FaultSchedule
@@ -770,13 +769,7 @@ class ExperimentStore:
                     stray.unlink()
                 except OSError:  # pragma: no cover - best effort
                     pass
-            scavenged = self.scavenge_tmp(max_age_s=scavenge_age_s)
-            if scavenged:
-                obs.get_recorder().event(
-                    "runner.store.scavenged",
-                    store=str(self.root),
-                    removed=len(scavenged),
-                )
+            self.scavenge_tmp(max_age_s=scavenge_age_s)
         finally:
             manager.release(lease)
         return True
@@ -898,7 +891,6 @@ def run_store_worker(
         raise ConfigError(f"max_jobs must be >= 1, got {max_jobs!r}")
     from repro.runner.executor import SuiteRunner
 
-    recorder = obs.get_recorder()
     config = store.config
     faults = store.fault_schedule
     manager = LeaseManager(store.leases_dir, owner=owner, ttl_s=lease_ttl_s)
@@ -908,7 +900,7 @@ def run_store_worker(
         else None
     )
     shard = store.allocate_worker_shard()
-    runner = SuiteRunner(config=config, faults=faults, worker=shard.worker)
+    runner = SuiteRunner(config=config, faults=faults)
     n_ok = n_failed = n_published = 0
     #: lease_lost fires at most once per (worker, job) so a rate-1.0
     #: spec cannot livelock the campaign — the re-claim runs clean.
@@ -960,13 +952,6 @@ def run_store_worker(
                     existing = manager.read(entry.key)
                     if existing is not None and manager.expired(existing):
                         lease = manager.reclaim(entry.key)
-                        if lease is not None:
-                            recorder.event(
-                                "runner.store.reclaimed",
-                                key=entry.key,
-                                worker=shard.worker,
-                                previous_owner=existing.owner,
-                            )
                 if lease is None:
                     manager.skew_s = base_skew
                     continue
@@ -1011,24 +996,10 @@ def run_store_worker(
                     # The lease was reclaimed (or injected away) while
                     # we ran: our output is presumed stale — discard it
                     # whole and let the present owner publish.
-                    recorder.event(
-                        "runner.store.lease_lost",
-                        key=entry.key,
-                        label=job.label,
-                        worker=shard.worker,
-                    )
-                    obs.metrics.counter(
-                        "runner.store.leases",
-                        "store lease outcomes by kind",
-                    ).labels(outcome="lost").inc()
                     continue
                 won = store.publish(entry.key, group.records)
                 manager.release(keeper.lease)
                 if not won:
-                    obs.metrics.counter(
-                        "runner.store.leases",
-                        "store lease outcomes by kind",
-                    ).labels(outcome="outraced").inc()
                     continue
                 n_published += 1
                 if row.get("status") == "ok":

@@ -20,7 +20,6 @@ from typing import Optional
 
 from repro.errors import SimulationError
 from repro.obs import TraceRecorder, get_recorder
-from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.transmuter import params
 from repro.transmuter.cache_model import LevelBehaviour, LevelInputs, model_level
@@ -127,7 +126,7 @@ def record_epoch(
     dram_read_utilization: float,
     dram_write_utilization: float,
 ) -> None:
-    """Emit the ``machine.epoch`` event and metrics of one epoch.
+    """Emit the ``machine.epoch`` event of one epoch.
 
     The one place traced epochs are reported: :meth:`simulate_epoch`
     calls it per epoch and :class:`repro.fastpath.epochs.EpochGrid` per
@@ -148,22 +147,6 @@ def record_epoch(
         dram_write_utilization=dram_write_utilization,
         bandwidth_saturated=bool(saturated),
     )
-    obs_metrics.counter(
-        "machine.epochs_simulated",
-        "traced epochs: simulate_epoch calls and EpochGrid cells",
-    ).inc()
-    obs_metrics.gauge(
-        "machine.l1_hit_rate", "L1 hit rate of the last simulated epoch"
-    ).set(l1_hit_rate)
-    obs_metrics.gauge(
-        "machine.l2_hit_rate", "L2 hit rate of the last simulated epoch"
-    ).set(l2_hit_rate)
-    if saturated:
-        obs_metrics.counter(
-            "machine.bandwidth_saturated_epochs",
-            "epochs whose DRAM read+write utilization crossed the "
-            "saturation threshold",
-        ).inc()
 
 
 def _soft_roofline(core_time: float, memory_time: float) -> float:

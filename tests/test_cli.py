@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+import threading
 
 import pytest
 
@@ -279,6 +280,57 @@ class TestTraceCommands:
         ]
         assert schemes == ["Baseline", "Best Avg", "Max Cfg", "SparseAdapt"]
         assert _content_sha256(_sparseadapt_slice(records)) == digest
+
+    @pytest.mark.parametrize(
+        "extra, verdicts",
+        [
+            (
+                [],
+                {
+                    ("clock_mhz", "accepted", "within_budget"): 1,
+                    ("l1_sharing", "accepted", "within_budget"): 1,
+                    ("l2_sharing", "rejected", "over_budget"): 1,
+                    ("prefetch", "rejected", "over_budget"): 4,
+                },
+            ),
+            (
+                ["--noise", "0.15", "--noise-seed", "7"],
+                {
+                    ("clock_mhz", "accepted", "within_budget"): 2,
+                    ("clock_mhz", "rejected", "over_budget"): 12,
+                    ("l1_sharing", "accepted", "within_budget"): 2,
+                    ("l1_sharing", "rejected", "over_budget"): 6,
+                    ("prefetch", "accepted", "within_budget"): 4,
+                },
+            ),
+        ],
+        ids=["clean", "noise"],
+    )
+    def test_trace_report_verdict_table_is_pinned(
+        self, tmp_path, capsys, extra, verdicts
+    ):
+        """trace-report's policy-verdict table counts what the
+        controller's ``controller.policy_verdicts`` counter counted for
+        the same runs (its series, recorded before the counter went)."""
+        from repro.obs import report
+
+        path = tmp_path / "run.jsonl"
+        assert main(RUN_P1 + extra + ["--trace-out", str(path)]) == 0
+        summary = report.summarize(_read_trace(path))
+        table = {
+            (row["parameter"], row["verdict"], row["code"]): row["count"]
+            for row in summary["policy_verdicts"]
+        }
+        assert table == verdicts
+        capsys.readouterr()
+        assert main(["trace-report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "--- policy verdicts ---" in out
+        for (parameter, verdict, code), count in verdicts.items():
+            assert (
+                f"  {parameter:<12} {verdict:<9} {code:<16} {count:>5}"
+                in out
+            )
 
     def test_cold_model_cache_records_the_same_content(self, tmp_path):
         """The stock model is resolved before the recorder is installed,
@@ -743,13 +795,19 @@ class TestProfilingAndDeadlineCli:
         assert main(self.RUN + ["--deadline", "600"]) == 0
         assert capsys.readouterr().out == plain
 
-    def test_run_tiny_deadline_is_one_line_error(self, capsys):
-        # The watchdog can only observe the worker between GIL slices,
-        # so a warm-cache evaluation that fits in one slice can beat
-        # even a microsecond deadline. A larger scale guarantees the
-        # evaluation spans many slices and the deadline always fires.
-        args = [a if a != "0.15" else "0.8" for a in self.RUN]
-        assert main(args + ["--deadline", "1e-6"]) == 1
+    def test_run_tiny_deadline_is_one_line_error(self, monkeypatch, capsys):
+        # The job blocks until main has returned, so the 1 us watchdog
+        # fires however fast a warm evaluation would have been.
+        from repro.experiments import harness
+
+        release = threading.Event()
+        monkeypatch.setattr(
+            harness, "job_context", lambda spec: release.wait()
+        )
+        try:
+            assert main(self.RUN + ["--deadline", "1e-6"]) == 1
+        finally:
+            release.set()
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "deadline" in captured.err

@@ -327,3 +327,23 @@ def test_shipped_policies_spec_loads():
 def test_workload_spec_requires_kernel_and_matrix():
     with pytest.raises(ConfigError, match="kernel"):
         WorkloadSpec.from_dict({"matrix": "P1"})
+
+
+def test_missing_matrix_advice_is_loadable():
+    """The error names where each key may come from, and following it
+    loads: ``kernel`` from spec defaults, ``matrix`` on the workload
+    (spec defaults reject ``matrix``)."""
+    with pytest.raises(ConfigError) as missing:
+        ExperimentSpec.from_dict(_raw(workloads=[{"name": "w"}]))
+    message = str(missing.value)
+    assert "'matrix' on each workload" in message
+    assert "'kernel' there or in spec defaults" in message
+    with pytest.raises(ConfigError, match="unknown spec defaults key"):
+        ExperimentSpec.from_dict(
+            _raw(
+                defaults={"kernel": "spmspv", "matrix": "P1"},
+                workloads=[{"name": "w"}],
+            )
+        )
+    spec = ExperimentSpec.from_dict(_raw(workloads=[{"matrix": "P1"}]))
+    assert spec.workloads[0].kernel == "spmspv"

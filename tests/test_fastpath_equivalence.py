@@ -1143,35 +1143,42 @@ class TestTracedRuns:
         assert records == scalar_records
         assert any(name == "machine.epoch" for _, name, _ in records)
 
-    def test_traced_run_counts_the_untraced_memo(self):
+    def test_traced_run_counts_the_untraced_memo(self, monkeypatch):
         """A recorder adds records, not a second decision path: the
-        traced run hits and misses the decision memo exactly as the
-        untraced one does."""
+        traced run calls the model (one call per decision-memo miss)
+        exactly as often as the untraced one does, and the memo saves
+        calls on some adapting epochs."""
         from repro import obs
+        from repro.core.model import SparseAdaptModel
 
         mode = OptimizationMode.ENERGY_EFFICIENT
         model = train_default_model(mode, kernel="spmspm")
         trace = build_trace("spmspm", "R04", scale=0.15)
+        calls = []
+        predict = SparseAdaptModel.predict
 
-        def memo_counts(traced: bool):
+        def counting_predict(self, *args, **kwargs):
+            calls.append(1)
+            return predict(self, *args, **kwargs)
+
+        monkeypatch.setattr(SparseAdaptModel, "predict", counting_predict)
+
+        def predict_calls(traced: bool):
             context = EvaluationContext(
                 trace=trace, machine=TransmuterModel(), mode=mode, model=model
             )
-            obs.metrics.reset()
-            try:
-                if traced:
-                    with obs.recording(None):
-                        evaluate_schemes(context, ALL_SCHEMES)
-                else:
-                    evaluate_schemes(context, ALL_SCHEMES)
-                snapshot = obs.metrics.snapshot()
-            finally:
-                obs.metrics.reset()
-            return {
-                name: snapshot.get(name, {}).get("series")
-                for name in ("fastpath.memo_hits", "fastpath.memo_misses")
-            }
+            del calls[:]
+            if not traced:
+                evaluate_schemes(context, ALL_SCHEMES)
+                return len(calls), None
+            with obs.recording() as recorder:
+                evaluate_schemes(context, ALL_SCHEMES)
+            decisions = [
+                r for r in recorder.sink.records() if r["name"] == "decision"
+            ]
+            return len(calls), len(decisions)
 
-        untraced = memo_counts(traced=False)
-        assert untraced["fastpath.memo_hits"][""] > 0
-        assert memo_counts(traced=True) == untraced
+        untraced, _ = predict_calls(traced=False)
+        traced, adapting_epochs = predict_calls(traced=True)
+        assert traced == untraced
+        assert 0 < untraced < adapting_epochs

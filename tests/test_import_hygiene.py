@@ -24,6 +24,7 @@ TOOLING = (
     "repro.obs.diff",
     "repro.obs.explain",
     "repro.obs.live",
+    "repro.obs.metrics",
     "repro.obs.report",
     "repro.experiments.characterize",
     "repro.experiments.export",

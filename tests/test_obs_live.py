@@ -488,7 +488,83 @@ class TestRendering:
         assert payload["plan_name"] == "live-plan"
 
 
+#: The OpenMetrics text of ``test_export_bytes_are_pinned``'s status.
+_PINNED_OPENMETRICS = (
+    "# TYPE campaign_eta_s gauge\n"
+    "# HELP campaign_eta_s Estimated seconds to completion (NaN unknown)\n"
+    "campaign_eta_s NaN\n"
+    "# TYPE campaign_info gauge\n"
+    "# HELP campaign_info Campaign identity (constant 1)\n"
+    'campaign_info{campaign="c0ffee",plan="pinned-plan"} 1\n'
+    "# TYPE campaign_jobs_done gauge\n"
+    "# HELP campaign_jobs_done Jobs finished ok\n"
+    "campaign_jobs_done 2\n"
+    "# TYPE campaign_jobs_failed gauge\n"
+    "# HELP campaign_jobs_failed Jobs failed or quarantined\n"
+    "campaign_jobs_failed 1\n"
+    "# TYPE campaign_jobs_remaining gauge\n"
+    "# HELP campaign_jobs_remaining Jobs not yet terminal\n"
+    "campaign_jobs_remaining 2\n"
+    "# TYPE campaign_jobs_total gauge\n"
+    "# HELP campaign_jobs_total Jobs in the campaign plan\n"
+    "campaign_jobs_total 5\n"
+    "# TYPE campaign_stragglers gauge\n"
+    "# HELP campaign_stragglers Runners past the straggler threshold\n"
+    "campaign_stragglers 1\n"
+    "# TYPE campaign_throughput_jobs_per_s gauge\n"
+    "# HELP campaign_throughput_jobs_per_s Aggregate EWMA throughput"
+    " of live runners\n"
+    "campaign_throughput_jobs_per_s 0.25\n"
+    "# TYPE campaign_worker_done gauge\n"
+    "# HELP campaign_worker_done Terminal jobs per runner\n"
+    'campaign_worker_done{worker="w0"} 2\n'
+    'campaign_worker_done{worker="w1"} 1\n'
+    "# TYPE campaign_worker_heartbeat_age_s gauge\n"
+    "# HELP campaign_worker_heartbeat_age_s Seconds since last heartbeat\n"
+    'campaign_worker_heartbeat_age_s{worker="w0"} 1.5\n'
+    'campaign_worker_heartbeat_age_s{worker="w1"} 95\n'
+    "# TYPE campaign_worker_rate_jobs_per_s gauge\n"
+    "# HELP campaign_worker_rate_jobs_per_s Per-runner EWMA throughput\n"
+    'campaign_worker_rate_jobs_per_s{worker="w0"} 0.125\n'
+    'campaign_worker_rate_jobs_per_s{worker="w1"} 0\n'
+    "# TYPE campaign_worker_straggler gauge\n"
+    "# HELP campaign_worker_straggler 1 when past the straggler threshold\n"
+    'campaign_worker_straggler{worker="w0"} 0\n'
+    'campaign_worker_straggler{worker="w1"} 1\n'
+    "# EOF\n"
+)
+
+
 class TestMetricsExport:
+    def test_export_bytes_are_pinned(self):
+        """The export's exposition text is pinned byte for byte: a
+        scraper sees the same series, order, HELP text and NaN."""
+        status = live.CampaignStatus(
+            ledger_path="led.jsonl",
+            plan_name="pinned-plan",
+            campaign="c0ffee",
+            total=5,
+            done=2,
+            failed=1,
+            throughput_jobs_s=0.25,
+            eta_s=float("nan"),
+            workers=[
+                live.WorkerStatus(
+                    worker=0, done=2, total=3, rate_jobs_s=0.125, stale_s=1.5
+                ),
+                live.WorkerStatus(
+                    worker=1,
+                    failed=1,
+                    total=2,
+                    rate_jobs_s=0.0,
+                    stale_s=95.0,
+                    straggler=True,
+                ),
+            ],
+        )
+        registry = live.export_campaign_metrics(status, MetricsRegistry())
+        assert registry.render_openmetrics() == _PINNED_OPENMETRICS
+
     def test_export_campaign_metrics_openmetrics(self, tmp_path):
         base = tmp_path / "led.jsonl"
         _write_ledger(base, [_header()])

@@ -17,11 +17,9 @@ import time
 
 import pytest
 
-from repro import obs
 from repro.cli import main
 from repro.errors import ConfigError, ReproError, StorageError
 from repro.faults import FaultSchedule
-from repro.obs.sinks import MemorySink
 from repro.runner import (
     CampaignPlan,
     ExperimentStore,
@@ -394,39 +392,25 @@ class TestWorkerIsolation:
         )
         assert _stable_report(resumed) == _stable_report(full)
 
-    def test_worker_attribution_on_job_events(self):
-        """A sharded runner stamps its rank on every runner.job.*
-        event it emits."""
-        sink = MemorySink()
-        with obs.recording(sink):
-            SuiteRunner(config=FAST, worker=3).run(
-                [build_job(_sleep_job(0))]
-            )
-        events = [
-            record
-            for record in sink.records()
-            if str(record.get("name", "")).startswith("runner.job.")
-        ]
-        assert events
-        assert all(
-            record["attrs"]["worker"] == 3 for record in events
-        )
-
-    def test_worker_lifecycle_events_and_gauge(self, tmp_path):
-        """The parent emits runner.worker.spawn/done per worker and
-        sets the runner.workers gauge to the actual fan-out."""
-        sink = MemorySink()
-        ledger = RunLedger(tmp_path / "events.jsonl", plan_key="events")
+    def test_merge_record_names_each_worker(self, tmp_path):
+        """The ledger's merge record is the campaign's account of its
+        workers: the actual fan-out and one entry per worker rank."""
+        path = tmp_path / "events.jsonl"
+        ledger = RunLedger(path, plan_key="events")
         runner = SuiteRunner(config=FAST, ledger=ledger, workers=2)
-        with obs.recording(sink):
-            runner.run_portable(
-                [_sleep_job(index) for index in range(4)],
-                plan_key="events",
-            )
-        names = [record.get("name") for record in sink.records()]
-        assert names.count("runner.worker.spawn") == 2
-        assert names.count("runner.worker.done") == 2
-        assert obs.metrics.gauge("runner.workers").value == 2
+        runner.run_portable(
+            [_sleep_job(index) for index in range(4)], plan_key="events"
+        )
+        merges = [
+            json.loads(line)
+            for line in path.read_text().splitlines()
+            if json.loads(line)["type"] == "merge"
+        ]
+        assert len(merges) == 1
+        assert merges[0]["workers"] == 2
+        by_worker = merges[0]["by_worker"]
+        assert [entry["worker"] for entry in by_worker] == [0, 1]
+        assert sum(entry["jobs"] for entry in by_worker) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -581,6 +581,31 @@ class TestCli:
             assert code == 1
             assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "extra, hint",
+        [
+            (["--profile"], "drop --profile\n"),
+            (["--profile-out", "p.json"], "drop --profile-out\n"),
+            (["--metrics-out", "m.prom"], "--once --metrics-out m.prom`"),
+        ],
+        ids=["profile", "profile-out", "metrics-out"],
+    )
+    def test_suite_run_store_rejects_unserved_flags(
+        self, tmp_path, capsys, extra, hint
+    ):
+        """A ``--store`` run would ignore these flags, so it refuses
+        them before registering anything; ``--metrics-out`` is pointed
+        at ``repro top`` on the store's ledger."""
+        store = tmp_path / "store"
+        code = main(["suite-run", "--store", str(store), *extra])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert hint in err
+        if "--metrics-out" in extra:
+            assert f"repro top {store / 'ledger.jsonl'}" in err
+        assert not store.exists()
+
     def test_suite_report_funnels_bad_ledgers(self, tmp_path, capsys):
         # Satellite: missing / empty / header-less ledgers exit 1 with
         # the one-line error funnel, never a traceback.
