@@ -45,7 +45,9 @@ def _config_echo_ablation():
     rows = {}
     for matrix_id in ("P2", "P3"):
         trace = build_trace("spmspv", matrix_id, scale=0.4)
-        baseline = run_static(machine, trace, BASELINE)
+        baseline = run_static(machine, trace, {"Baseline": BASELINE})[
+            "Baseline"
+        ]
         gains = {}
         for label, model in (
             ("with_config_echo", full_model),
@@ -86,11 +88,11 @@ def _op_vs_ip_sweep():
         a_csc = matrix.to_csc()
         b_csr = matrix.transpose().to_csr()
         outer = run_static(
-            machine, trace_spmspm(a_csc, b_csr), BASELINE, "outer"
-        )
+            machine, trace_spmspm(a_csc, b_csr), {"outer": BASELINE}
+        )["outer"]
         inner = run_static(
-            machine, trace_spmspm_inner(a_csc, b_csr), BASELINE, "inner"
-        )
+            machine, trace_spmspm_inner(a_csc, b_csr), {"inner": BASELINE}
+        )["inner"]
         out[f"density={density:g}"] = {
             "outer_time_ms": outer.total_time_s * 1e3,
             "inner_time_ms": inner.total_time_s * 1e3,
@@ -125,7 +127,9 @@ def _epoch_size_sweep():
         trace = build_trace(
             "spmspv", "P3", scale=0.4, epoch_fp_ops=epoch_fp_ops
         )
-        baseline = run_static(machine, trace, BASELINE)
+        baseline = run_static(machine, trace, {"Baseline": BASELINE})[
+            "Baseline"
+        ]
         schedule = SparseAdaptController(
             model, machine, EE, HybridPolicy(0.4), BASELINE
         ).run(trace)
@@ -159,7 +163,9 @@ def _history_ablation():
     out = {}
     for kernel, matrix_id in (("spmspv", "P3"), ("bfs", "R10")):
         trace = build_trace(kernel, matrix_id, scale=0.3)
-        baseline = run_static(machine, trace, BASELINE)
+        baseline = run_static(machine, trace, {"Baseline": BASELINE})[
+            "Baseline"
+        ]
         stock = SparseAdaptController(
             model, machine, EE, HybridPolicy(0.4), BASELINE
         ).run(trace)

@@ -35,8 +35,12 @@ def _memory_mode_study():
     rows = {}
     for matrix_id in ("P3", "R09", "R13"):
         trace = build_trace("spmspv", matrix_id, scale=0.35)
-        cache_static = run_static(machine, trace, BASELINE)
-        spm_static = run_static(machine, trace, spm_variant(BASELINE))
+        statics = run_static(
+            machine,
+            trace,
+            {"cache": BASELINE, "spm": spm_variant(BASELINE)},
+        )
+        cache_static, spm_static = statics["cache"], statics["spm"]
         cache_adaptive = SparseAdaptController(
             memory_model.cache_model, machine, EE, HybridPolicy(0.4), BASELINE
         ).run(trace)
@@ -82,7 +86,9 @@ def _graph_workloads_study():
             ("pagerank", pagerank(csc, max_iterations=10).trace),
             ("components", connected_components(csc).trace),
         ):
-            baseline = run_static(machine, trace, BASELINE)
+            baseline = run_static(machine, trace, {"Baseline": BASELINE})[
+                "Baseline"
+            ]
             adaptive = SparseAdaptController(
                 model, machine, EE, HybridPolicy(0.4), BASELINE
             ).run(trace)

@@ -46,7 +46,7 @@ def _noise_sweep():
     machine = TransmuterModel()
     model = train_default_model(EE, kernel="spmspv")
     trace = build_trace("spmspv", "P3", scale=0.3)
-    baseline = run_static(machine, trace, BASELINE)
+    baseline = run_static(machine, trace, {"Baseline": BASELINE})["Baseline"]
     out = {}
     for noise in (0.0, 0.05, 0.15, 0.30):
         schedule = SparseAdaptController(
@@ -86,7 +86,7 @@ def test_robustness_telemetry_noise(benchmark, emit):
 def _training_size_sweep():
     machine = TransmuterModel()
     trace = build_trace("spmspv", "P3", scale=0.3)
-    baseline = run_static(machine, trace, BASELINE)
+    baseline = run_static(machine, trace, {"Baseline": BASELINE})["Baseline"]
     phases = table3_phases("spmspv")
     out = {}
     for k_samples in (4, 8, 16, 32):
@@ -127,8 +127,9 @@ def _energy_breakdown_study():
     model = train_default_model(EE, kernel="spmspv")
     trace = build_trace("spmspv", "P3", scale=0.3)
     schedules = {
-        "Baseline": run_static(machine, trace, BASELINE),
-        "Max Cfg": run_static(machine, trace, MAX_CFG),
+        **run_static(
+            machine, trace, {"Baseline": BASELINE, "Max Cfg": MAX_CFG}
+        ),
         "SparseAdapt": SparseAdaptController(
             model, machine, EE, HybridPolicy(0.4), BASELINE
         ).run(trace),

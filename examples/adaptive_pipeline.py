@@ -48,7 +48,9 @@ def main() -> None:
         initial_config=BASELINE,
     )
     result = run_pipeline(controller, stages, name="graph-analytics")
-    baseline = run_static(machine, combined, BASELINE)
+    baseline = run_static(machine, combined, {"Baseline": BASELINE})[
+        "Baseline"
+    ]
 
     print("\nper-stage outcome under SparseAdapt:")
     for name, summary in result.per_stage_summary().items():

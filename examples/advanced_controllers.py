@@ -36,7 +36,7 @@ def main() -> None:
     mode = OptimizationMode.ENERGY_EFFICIENT
     machine = TransmuterModel()
     trace = build_trace("spmspv", "P3", scale=0.4)
-    baseline = run_static(machine, trace, BASELINE)
+    baseline = run_static(machine, trace, {"Baseline": BASELINE})["Baseline"]
     print(f"workload: {trace.name}, {trace.n_epochs} epochs")
     print(
         f"static Baseline: {baseline.gflops_per_watt:.3f} GFLOPS/W\n"

@@ -42,8 +42,12 @@ def main() -> None:
             initial_config=BASELINE,
         )
         adaptive = controller.run(trace)
-        baseline = run_static(machine, trace, BASELINE)
-        best_avg = run_static(machine, trace, BEST_AVG_CACHE)
+        statics = run_static(
+            machine,
+            trace,
+            {"Baseline": BASELINE, "Best Avg": BEST_AVG_CACHE},
+        )
+        baseline, best_avg = statics["Baseline"], statics["Best Avg"]
         print(
             f"{bandwidth:>8.2f}GB {adaptive.gflops_per_watt:>12.4f} "
             f"{baseline.gflops_per_watt:>10.4f} "

@@ -47,7 +47,9 @@ def main() -> None:
         outcome = offload(graph, source=source)
         result = outcome.result
         schedule = outcome.schedule
-        baseline = run_static(machine, outcome.trace, BASELINE)
+        baseline = run_static(
+            machine, outcome.trace, {"Baseline": BASELINE}
+        )["Baseline"]
         edges = (
             result.edges_traversed
             if hasattr(result, "edges_traversed")

@@ -54,7 +54,9 @@ def figure1_motivation(
     mode = OptimizationMode.POWER_PERFORMANCE
     static = ideal_static(table, mode)
     dynamic = oracle(table, mode)
-    best_avg = run_static(machine, trace, BEST_AVG_CACHE)
+    best_avg = run_static(machine, trace, {"Best Avg": BEST_AVG_CACHE})[
+        "Best Avg"
+    ]
 
     def timeline(schedule: ScheduleResult) -> Dict[str, List[float]]:
         return {

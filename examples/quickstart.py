@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines import BASELINE, BEST_AVG_CACHE, MAX_CFG, run_static
+from repro.baselines import BASELINE, run_static, static_configs_for
 from repro.core import (
     ConservativePolicy,
     OptimizationMode,
@@ -62,20 +62,17 @@ def main() -> None:
 
     # 4. Compare with the paper's static configurations.
     print("\nstatic comparison points:")
-    for name, config in (
-        ("Baseline", BASELINE),
-        ("Best Avg", BEST_AVG_CACHE),
-        ("Max Cfg", MAX_CFG),
-    ):
-        schedule = run_static(machine, outcome.trace, config, name)
+    configs = static_configs_for("cache")
+    statics = run_static(machine, outcome.trace, configs)
+    for name, schedule in statics.items():
         print(
             f"  {name:9s} {schedule.gflops:.4f} GFLOPS, "
             f"{schedule.gflops_per_watt:.4f} GFLOPS/W"
-            f"  ({config.describe()})"
+            f"  ({configs[name].describe()})"
         )
 
     gains = outcome.schedule.gflops_per_watt
-    baseline = run_static(machine, outcome.trace, BASELINE)
+    baseline = statics["Baseline"]
     print(
         f"\nSparseAdapt efficiency gain over Baseline: "
         f"{gains / baseline.gflops_per_watt:.2f}x"

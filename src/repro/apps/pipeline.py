@@ -12,7 +12,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.controller import SparseAdaptController
 from repro.core.schedule import ScheduleResult

@@ -11,13 +11,13 @@
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping, Optional
 
 from repro.baselines.table import EpochTable
 from repro.core.modes import OptimizationMode, metric_value
 from repro.core.schedule import EpochRecord, ScheduleResult
 from repro.errors import ConfigError
-from repro.fastpath.epochs import simulate_trace
+from repro.fastpath.epochs import EpochGrid
 from repro.kernels.base import KernelTrace
 from repro.transmuter.config import HardwareConfig
 from repro.transmuter.machine import TransmuterModel
@@ -107,18 +107,36 @@ def static_configs_for(l1_type: str = "cache") -> Dict[str, HardwareConfig]:
 def run_static(
     machine: TransmuterModel,
     trace: KernelTrace,
-    config: HardwareConfig,
-    scheme: str = "static",
-) -> ScheduleResult:
-    """Run every epoch of a trace on one fixed configuration."""
-    schedule = ScheduleResult(scheme=scheme)
-    if trace.epochs:
-        results = simulate_trace(machine, trace.epochs, config)
-        for index, result in enumerate(results):
-            schedule.append(
-                EpochRecord(index=index, config=config, result=result)
+    configs: Mapping[str, HardwareConfig],
+    table: Optional[EpochTable] = None,
+) -> Dict[str, ScheduleResult]:
+    """Run every epoch of a trace on each named fixed configuration.
+
+    One ``epochs x configs`` :class:`EpochGrid` evaluates every static
+    at once. With an :class:`EpochTable` over the same trace whose
+    sampled set includes the configs, the schedules read its columns
+    and nothing is evaluated again. A grid cell equals
+    ``simulate_epoch`` whatever the batch around it, so each schedule
+    is the one a per-config evaluation would build.
+    """
+    schedules = {name: ScheduleResult(scheme=name) for name in configs}
+    if not trace.epochs or not configs:
+        return schedules
+    if table is not None:
+        if table.trace is not trace:
+            raise ConfigError(
+                f"table is over {table.trace.name!r}, not {trace.name!r}"
             )
-    return schedule
+        rows = table.results
+        columns = [table.config_index(c) for c in configs.values()]
+    else:
+        rows = EpochGrid(machine, trace.epochs, list(configs.values())).rows()
+        columns = range(len(configs))
+    for (name, config), j in zip(configs.items(), columns):
+        append = schedules[name].append
+        for index, row in enumerate(rows):
+            append(EpochRecord(index=index, config=config, result=row[j]))
+    return schedules
 
 
 def ideal_static(table: EpochTable, mode: OptimizationMode) -> ScheduleResult:

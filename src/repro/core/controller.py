@@ -166,12 +166,6 @@ class SparseAdaptController:
         self._memo_token: Optional[tuple] = None
 
     # ------------------------------------------------------------------
-    def invalidate_memo(self) -> None:
-        """Drop memoized decisions (call after mutating model/policy
-        in place; swapping the objects invalidates automatically)."""
-        self._decision_memo.clear()
-        self._memo_token = None
-
     def _check_memo_token(self) -> None:
         """Invalidate the decision memo if model or policy changed."""
         token = (id(self.model), id(self.policy))

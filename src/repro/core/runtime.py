@@ -13,7 +13,7 @@ workload trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro import obs
 from repro.core.controller import SparseAdaptController
@@ -33,8 +33,6 @@ from repro.kernels.base import (
 from repro.kernels.spmspm import trace_spmspm
 from repro.kernels.spmspv import trace_spmspv
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csc import CSCMatrix
-from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import spmspm_reference, spmspv_reference
 from repro.sparse.vector import SparseVector
 from repro.transmuter.config import HardwareConfig

@@ -20,15 +20,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro import obs
 from repro.obs import profile as obs_profile
 from repro.baselines import (
-    BASELINE,
-    BEST_AVG_CACHE,
-    BEST_AVG_SPM,
-    MAX_CFG,
     EpochTable,
     epoch_cost_proxy,
     ideal_greedy,
@@ -37,7 +33,7 @@ from repro.baselines import (
     per_epoch_costs,
     profile_adapt,
     run_static,
-    spm_variant,
+    static_configs_for,
 )
 from repro.core.controller import SparseAdaptController
 from repro.core.hardening import HardeningConfig
@@ -49,7 +45,7 @@ from repro.core.policies import (
     ReconfigurationPolicy,
     parse_policy,
 )
-from repro.core.schedule import ScheduleResult
+from repro.core.schedule import ScheduleResult, ScheduleTotals
 from repro.core.training import train_default_model
 from repro.errors import ConfigError
 from repro.faults.spec import FaultSchedule
@@ -240,17 +236,7 @@ class EvaluationContext:
     hardening: Optional[HardeningConfig] = None
 
     def static_points(self) -> Dict[str, HardwareConfig]:
-        if self.l1_type == "cache":
-            return {
-                "Baseline": BASELINE,
-                "Best Avg": BEST_AVG_CACHE,
-                "Max Cfg": MAX_CFG,
-            }
-        return {
-            "Baseline": spm_variant(BASELINE),
-            "Best Avg": BEST_AVG_SPM,
-            "Max Cfg": spm_variant(MAX_CFG),
-        }
+        return static_configs_for(self.l1_type)
 
 
 def job_context(spec) -> EvaluationContext:
@@ -323,7 +309,9 @@ def evaluate_schemes(
     without a ``profiling_epoch_trace``, ProfileAdapt stitches from the
     same table as the upper bounds. The Ideal Greedy schedule is
     computed once per table and reused as ProfileAdapt's base sequence;
-    every scheme still returns its own :class:`ScheduleResult`.
+    every scheme still returns its own :class:`ScheduleResult`. The
+    requested statics are one :func:`run_static` call: the table's
+    columns when there is a table, else one grid over all of them.
 
     SparseAdapt runs the context's ``model``; :func:`job_context` is the
     one place a stock model is chosen, so a context without one cannot
@@ -361,6 +349,13 @@ def evaluate_schemes(
     pa_table = table
     if profile_schemes and context.profiling_epoch_trace is not None:
         pa_table = make_table(context.profiling_epoch_trace)
+    # The requested statics, in one grid or read from the table.
+    static_runs = run_static(
+        context.machine,
+        context.trace,
+        {name: config for name, config in statics.items() if name in schemes},
+        table,
+    )
     greedy: Dict[int, ScheduleResult] = {}
 
     def greedy_on(source: EpochTable) -> ScheduleResult:
@@ -370,10 +365,8 @@ def evaluate_schemes(
         return greedy[id(source)]
 
     def run_scheme(name: str) -> ScheduleResult:
-        if name in statics:
-            return run_static(
-                context.machine, context.trace, statics[name], name
-            )
+        if name in static_runs:
+            return static_runs[name]
         if name == "SparseAdapt":
             controller = SparseAdaptController(
                 model=context.model,
@@ -504,13 +497,22 @@ def oracle_regret(
 
 
 def gains_over(
-    results: Dict[str, ScheduleResult],
+    results: Mapping[str, Union[ScheduleResult, ScheduleTotals]],
     reference: str = "Baseline",
 ) -> Dict[str, Dict[str, float]]:
-    """Per-scheme performance and efficiency gains over a reference."""
+    """Per-scheme performance and efficiency gains over a reference.
+
+    Takes each scheme's schedule, or its :class:`ScheduleTotals` when
+    the caller has already summed them (each sum walks the records).
+    """
     if reference not in results:
         raise ConfigError(f"reference scheme {reference!r} not evaluated")
-    totals = {name: result.totals() for name, result in results.items()}
+    totals = {
+        name: (
+            result.totals() if isinstance(result, ScheduleResult) else result
+        )
+        for name, result in results.items()
+    }
     ref = totals[reference]
     out: Dict[str, Dict[str, float]] = {}
     for name, schedule in totals.items():

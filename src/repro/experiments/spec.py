@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 

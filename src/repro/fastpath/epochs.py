@@ -83,7 +83,7 @@ from repro.transmuter.machine import (
 from repro.transmuter.power import EnergyBreakdown, _sram_access_energy
 from repro.transmuter.workload import EpochWorkload
 
-__all__ = ["pow_exact", "EpochGrid", "simulate_trace"]
+__all__ = ["pow_exact", "EpochGrid"]
 
 # CPython's float.__pow__ applied elementwise (object ufunc). numpy's
 # own pow uses a SIMD implementation whose results differ in the last
@@ -870,13 +870,3 @@ class EpochGrid:
         self._cache[key] = result
         return result
 
-
-# ---------------------------------------------------------------------------
-def simulate_trace(
-    machine: TransmuterModel,
-    workloads: Sequence[EpochWorkload],
-    config: HardwareConfig,
-) -> List[EpochResult]:
-    """Many epochs under one fixed configuration (static baselines)."""
-    grid = EpochGrid(machine, workloads, [config])
-    return [grid.result(i, 0) for i in range(grid.n_workloads)]

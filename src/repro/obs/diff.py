@@ -10,7 +10,7 @@ different policy, telemetry noise, a code change. This module answers
   diverged at which epochs, and how often overall;
 * the **counter deltas at the divergence point**: what the two
   controllers actually observed when their decisions split (taken from
-  ``provenance`` records, falling back to ``machine.epoch`` events);
+  ``provenance`` records; a trace without them has no deltas);
 * a **metric regression summary**: whole-run GFLOPS, GFLOPS/W and
   GFLOPS^3/W for both runs and the relative change, reconstructed from
   the per-epoch spans (host decision overhead is not in the trace, so

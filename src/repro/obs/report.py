@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from collections import Counter as TallyCounter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.obs.metrics import Histogram
 from repro.obs.sinks import read_jsonl

@@ -70,7 +70,6 @@ from repro.runner.lease import (
     DEFAULT_LEASE_TTL_S,
     Lease,
     LeaseManager,
-    default_owner,
 )
 from repro.runner.ledger import (
     RunLedger,

@@ -100,7 +100,9 @@ def _evaluate_fn(payload: dict) -> Callable[[], dict]:
         with obs_profile.span("evaluate_job"):
             context = job_context(spec)
             results = evaluate_schemes(context, spec.schemes)
-            gains = gains_over(results)
+            # One walk of each schedule's records, for gains and row.
+            totals = {name: r.totals() for name, r in results.items()}
+            gains = gains_over(totals)
             table = None
             if spec.regret:
                 from repro.baselines import EpochTable
@@ -120,7 +122,7 @@ def _evaluate_fn(payload: dict) -> Callable[[], dict]:
             entry = {
                 metric: float(value) for metric, value in values.items()
             }
-            total = schedule.totals()
+            total = totals[name]
             entry["time_s"] = float(total.time_s)
             entry["energy_j"] = float(total.energy_j)
             entry["edp_js"] = float(total.energy_j * total.time_s)

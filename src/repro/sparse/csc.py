@@ -7,7 +7,7 @@ SpMSpM (column fetches) and for column-driven SpMSpV.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -97,13 +97,6 @@ class CSCMatrix:
     def col_lengths(self) -> np.ndarray:
         """Array of per-column nnz counts."""
         return np.diff(self.indptr)
-
-    def iter_cols(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(col, row_indices, values)`` for every non-empty column."""
-        for j in range(self.shape[1]):
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            if hi > lo:
-                yield j, self.indices[lo:hi], self.data[lo:hi]
 
     # ------------------------------------------------------------------
     # Conversions

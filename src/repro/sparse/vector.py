@@ -7,8 +7,6 @@ parallel arrays sorted by index.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.errors import FormatError, ShapeError
@@ -106,7 +104,3 @@ class SparseVector:
         )
         del common
         return float(np.dot(self.values[ia], other.values[ib]))
-
-    def as_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the ``(indices, values)`` pair (views)."""
-        return self.indices, self.values

@@ -66,10 +66,6 @@ class EpochEnvironment:
                 f"got {self.clock_cap_mhz!r}"
             )
 
-    @property
-    def is_nominal(self) -> bool:
-        return self.bandwidth_scale == 1.0 and self.clock_cap_mhz is None
-
     def constrain(self, config: HardwareConfig) -> HardwareConfig:
         """The configuration the hardware effectively runs under."""
         if self.clock_cap_mhz is None:

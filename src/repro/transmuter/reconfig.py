@@ -446,14 +446,3 @@ def parameter_change_cost(
 def host_decision_overhead_s() -> float:
     """Telemetry + inference + command time on the host per epoch."""
     return params.HOST_DECISION_CYCLES / (params.HOST_CLOCK_MHZ * 1e6)
-
-
-def cost_summary(cost: ReconfigCost) -> Dict[str, float]:
-    """Loggable summary of a transition cost."""
-    return {
-        "time_us": cost.time_s * 1e6,
-        "energy_uj": cost.energy_j * 1e6,
-        "flushed_l1": float(cost.flushed_l1),
-        "flushed_l2": float(cost.flushed_l2),
-        "n_changed": float(len(cost.changed)),
-    }

@@ -6,10 +6,10 @@ scalar code each of them replaced, and :func:`scalar_path` patches it
 in for the duration of a ``with`` block, so a test can run the same
 campaign both ways and compare the results byte for byte:
 
-* ``run_static`` simulates epoch by epoch (``simulate_trace``);
-* ``EpochTable`` fills its table cell by cell, and the training-set
-  search and ProfileAdapt simulate their (workload, config) pairs one
-  at a time, in pair order (``EpochGrid`` and its paired form);
+* ``run_static`` and ``EpochTable`` fill their grids cell by cell,
+  and the training-set search and ProfileAdapt simulate their
+  (workload, config) pairs one at a time, in pair order (``EpochGrid``
+  and its paired form);
 * ``ideal_static`` scores a full schedule per configuration;
 * ``DecisionTreeClassifier.predict_proba`` and ``decision_path`` walk
   the linked ``TreeNode``s instead of the flat table, and
@@ -28,6 +28,7 @@ patching: the set-based matrix generators (``rmat``,
 ``diagonal_local``, ``block_arrow``), the per-column
 ``partials_per_row``, the two-sort COO conversions
 (``coo_sum_duplicates``, ``coo_to_csr``, ``coo_to_csc``), the
+epoch-by-epoch run of one static configuration (``simulate_trace``), the
 all-positions CART split search (``all_position_splits``), the
 whole-grid unboxing of ``EpochGrid`` cells through the dataclass
 constructors (``whole_grid_results``) and the per-workload loop that
@@ -104,6 +105,7 @@ __all__ = [
     "all_position_splits",
     "whole_grid_results",
     "workload_scalars",
+    "simulate_trace",
 ]
 
 
@@ -956,7 +958,7 @@ def _bindings(original) -> List[Tuple[object, str]]:
 def scalar_path() -> Iterator[None]:
     """Run the block on the scalar reference code."""
     patches = [
-        (static, "simulate_trace", simulate_trace),
+        (static, "EpochGrid", ScalarGrid),
         (baselines_table, "EpochGrid", ScalarGrid),
         (dataset, "EpochGrid", ScalarGrid),
         (profileadapt, "EpochGrid", ScalarGrid),

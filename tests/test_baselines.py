@@ -62,13 +62,17 @@ class TestStaticConfigs:
             static_configs_for("hbm")
 
     def test_run_static_covers_trace(self, machine, spmspm_trace):
-        schedule = run_static(machine, spmspm_trace, BASELINE)
+        schedule = run_static(
+            machine, spmspm_trace, {"Baseline": BASELINE}
+        )["Baseline"]
         assert schedule.n_epochs == spmspm_trace.n_epochs
         assert schedule.n_reconfigurations == 0
 
     def test_max_cfg_fast_but_inefficient(self, machine, spmspm_trace):
-        base = run_static(machine, spmspm_trace, BASELINE)
-        maxi = run_static(machine, spmspm_trace, MAX_CFG)
+        statics = run_static(
+            machine, spmspm_trace, {"Baseline": BASELINE, "Max Cfg": MAX_CFG}
+        )
+        base, maxi = statics["Baseline"], statics["Max Cfg"]
         assert maxi.gflops > base.gflops
         assert maxi.gflops_per_watt < base.gflops_per_watt
 
@@ -123,8 +127,9 @@ class TestSchemeOrdering:
         self, table, machine, spmspm_trace, mode
     ):
         static = ideal_static(table, mode)
-        for config in (BASELINE, MAX_CFG, BEST_AVG_CACHE):
-            named = run_static(machine, spmspm_trace, config)
+        for named in run_static(
+            machine, spmspm_trace, static_configs_for("cache")
+        ).values():
             assert static.metric(mode) >= named.metric(mode) - 1e-12
 
     def test_oracle_ee_minimizes_energy(self, table):

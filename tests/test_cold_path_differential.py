@@ -16,9 +16,10 @@ code it replaced.
   column must equal the per-workload loop's (``np.array_equal``) on
   every Table-5 trace, on an epoch without memory accesses, and both
   must raise on a negative crossbar load.
-* ``gains_over`` and the job body each read a schedule's totals once,
-  so an untraced job walks each schedule's records at most twice per
-  total, and an untraced offload reads none once its run is done.
+* The job body sums a schedule's totals once and hands them to
+  ``gains_over``, so an untraced job walks each schedule's records
+  once per total, and an untraced offload reads none once its run is
+  done.
 * ``build_trace`` loads each suite matrix once per process. Traces of
   the cached matrix must equal traces of a fresh ``suite.load``
   (``np.array_equal`` on every epoch field), four SpMSpV seeds must
@@ -448,7 +449,7 @@ class TestWorkloadScalars:
 # ---------------------------------------------------------------------------
 class TestTotalsWalks:
     @pytest.mark.parametrize("mode", ["ee", "pp"])
-    def test_job_walks_each_total_at_most_twice(self, monkeypatch, mode):
+    def test_job_walks_each_total_once(self, monkeypatch, mode):
         # Only walks made after a scheme returned its schedule count: the
         # pp-mode oracle reads each candidate's totals while it searches.
         walks = {}
@@ -485,7 +486,7 @@ class TestTotalsWalks:
         )
         report = _evaluate_fn(spec.as_dict())()
         assert sorted(report["schemes"]) == sorted(KNOWN_SCHEMES)
-        assert walks and max(walks.values()) <= 2, walks
+        assert walks and max(walks.values()) == 1, walks
 
     def test_untraced_offload_reads_no_totals(
         self, monkeypatch, model_ee, small_powerlaw, small_vector

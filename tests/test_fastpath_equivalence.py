@@ -24,6 +24,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.baselines import static
+from repro.baselines.static import BASELINE, run_static, static_configs_for
 from repro.baselines.table import EpochTable
 from repro.core.controller import SparseAdaptController
 from repro.core.modes import OptimizationMode
@@ -32,6 +34,7 @@ from repro.core.telemetry import build_features
 from repro.core.training import train_default_model
 from repro.errors import ConfigError
 from repro.experiments.harness import (
+    STANDARD_SCHEMES,
     EvaluationContext,
     build_trace,
     evaluate_schemes,
@@ -47,6 +50,7 @@ from repro.transmuter.reconfig import (
 from tests.scalar_reference import code_path, scalar_path
 from tests.scalar_reference import decision_path as reference_path
 from tests.scalar_reference import predict_proba as reference_proba
+from tests.scalar_reference import simulate_trace as reference_simulate_trace
 
 SEEDS = (0, 1, 2)
 
@@ -321,6 +325,64 @@ class TestEpochGrid:
                 cell = grid.result(i, j)
                 assert grid.times[i, j] == cell.time_s
                 assert grid.energies[i, j] == cell.energy_j
+
+
+class TestStaticGrid:
+    """The Table-4 statics as one grid, or as columns of the job's
+    table, against one per-epoch loop per static."""
+
+    @pytest.mark.parametrize("with_table", [False, True])
+    @pytest.mark.parametrize("l1_type", ["cache", "spm"])
+    @pytest.mark.parametrize(
+        "kernel,matrix", [("spmspm", "R04"), ("spmspv", "R12")]
+    )
+    def test_statics_match_per_epoch_loop(
+        self, kernel, matrix, l1_type, with_table, monkeypatch
+    ):
+        machine = TransmuterModel()
+        trace = build_trace(kernel, matrix, scale=0.12)
+        configs = static_configs_for(l1_type)
+        expected = {}
+        for name, config in configs.items():
+            schedule = ScheduleResult(scheme=name)
+            for index, result in enumerate(
+                reference_simulate_trace(machine, trace.epochs, config)
+            ):
+                schedule.append(
+                    EpochRecord(index=index, config=config, result=result)
+                )
+            expected[name] = schedule
+        table = None
+        if with_table:
+            # The statics last and reversed: no static's column index
+            # is its position in ``configs``.
+            table = EpochTable(
+                machine,
+                trace,
+                configs=sample_configs(13, l1_type=l1_type, seed=5)
+                + list(configs.values())[::-1],
+            )
+            # Every static is a column of the table: no grid of its own.
+            monkeypatch.setattr(static, "EpochGrid", None)
+        statics = run_static(machine, trace, configs, table)
+        assert list(statics) == list(configs)
+        assert statics == expected
+
+    def test_table_of_another_trace_rejected(self):
+        machine = TransmuterModel()
+        table = EpochTable(
+            machine,
+            build_trace("spmspv", "R12", scale=0.12),
+            n_samples=4,
+            include=[BASELINE],
+        )
+        with pytest.raises(ConfigError, match="not"):
+            run_static(
+                machine,
+                build_trace("spmspv", "R11", scale=0.12),
+                {"Baseline": BASELINE},
+                table,
+            )
 
 
 def _reference_find_best_config(
@@ -1096,10 +1158,22 @@ class TestTracedRuns:
     the records of the per-epoch scalar reference."""
 
     @pytest.mark.parametrize(
-        "kernel,matrix", [("spmspm", "R04"), ("spmspv", "R12")]
+        "kernel,matrix,schemes",
+        [
+            ("spmspm", "R04", ALL_SCHEMES),
+            ("spmspv", "R12", ALL_SCHEMES),
+            ("spmspm", "R04", STANDARD_SCHEMES),
+            ("spmspv", "R12", STANDARD_SCHEMES),
+        ],
+        ids=[
+            "spmspm-R04",
+            "spmspv-R12",
+            "spmspm-R04-no-table",
+            "spmspv-R12-no-table",
+        ],
     )
     def test_traced_records_match_scalar_reference(
-        self, kernel, matrix, monkeypatch
+        self, kernel, matrix, schemes, monkeypatch
     ):
         from repro import obs
         from repro.fastpath.epochs import EpochGrid
@@ -1125,9 +1199,9 @@ class TestTracedRuns:
             )
             with code_path(fast):
                 if not traced:
-                    return schedules(evaluate_schemes(context, ALL_SCHEMES))
+                    return schedules(evaluate_schemes(context, schemes))
                 with obs.recording() as recorder:
-                    results = evaluate_schemes(context, ALL_SCHEMES)
+                    results = evaluate_schemes(context, schemes)
                 records = recorder.sink.records()
             assert len(records) == recorder.n_emitted
             return schedules(results), [_record_content(r) for r in records]
@@ -1141,7 +1215,29 @@ class TestTracedRuns:
         assert not grids, "the scalar reference built an EpochGrid"
         assert traced == untraced
         assert records == scalar_records
-        assert any(name == "machine.epoch" for _, name, _ in records)
+        # Between the header and the first scheme's span (spans close
+        # after their records) every record is machine.epoch: the
+        # table's cells, each once, and no records of the statics;
+        # without a table, one row-major grid of the three statics.
+        first_scheme = next(
+            k
+            for k, (_, name, _) in enumerate(records)
+            if name == "harness.scheme"
+        )
+        assert records[0][:2] == ("header", "trace")
+        head = records[1:first_scheme]
+        assert {name for _, name, _ in head} == {"machine.epoch"}
+        statics = list(static_configs_for("cache").values())
+        if schemes == STANDARD_SCHEMES:
+            columns = [config.describe() for config in statics]
+        else:
+            columns = [
+                config.describe()
+                for config in sample_configs(64, seed=0, include=statics)
+            ]
+        assert [attrs["config"] for _, _, attrs in head] == (
+            columns * trace.n_epochs
+        )
 
     def test_traced_run_counts_the_untraced_memo(self, monkeypatch):
         """A recorder adds records, not a second decision path: the
