@@ -6,8 +6,6 @@
 2. **Outer- vs inner-product SpMSpM** (paper Section 5.4's algorithm
    choice): modeled cost of both formulations across a density sweep.
 3. **Epoch size** (paper Section 5.4 sweeps 250-4k FP-ops for SpMSpV).
-4. **History-based control** (paper Section 7 future work): the
-   pattern-table controller vs. the stock controller.
 """
 
 import numpy as np
@@ -15,7 +13,6 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.baselines import BASELINE, run_static
 from repro.core import (
-    HistoryAwareController,
     HybridPolicy,
     OptimizationMode,
     SparseAdaptController,
@@ -77,6 +74,8 @@ def test_ablation_config_echo(benchmark, emit):
         # The echo must not hurt; it usually helps. (Its main value is
         # removing the profiling configuration — see bench_sec64.)
         assert gains["with_config_echo"] >= 0.95 * gains["counters_only"]
+        # EXPERIMENTS.md: the counters-only model never beats the echo.
+        assert gains["with_config_echo"] >= gains["counters_only"]
 
 
 def _op_vs_ip_sweep():
@@ -117,6 +116,9 @@ def test_ablation_outer_vs_inner_product(benchmark, emit):
     assert ratios[0] > 1.5
     # ...and the gap narrows monotonically as density rises.
     assert ratios == sorted(ratios, reverse=True)
+    # EXPERIMENTS.md: the inner product wins only past 2% density.
+    assert rows["density=0.02"]["inner_over_outer"] > 1.0
+    assert rows["density=0.08"]["inner_over_outer"] < 1.0
 
 
 def _epoch_size_sweep():
@@ -155,46 +157,6 @@ def test_ablation_epoch_size(benchmark, emit):
     gains = [row["efficiency_gain"] for row in rows.values()]
     # Every epoch size must produce a working controller with gains.
     assert all(g > 1.0 for g in gains)
-
-
-def _history_ablation():
-    machine = TransmuterModel()
-    model = train_default_model(EE, kernel="spmspv")
-    out = {}
-    for kernel, matrix_id in (("spmspv", "P3"), ("bfs", "R10")):
-        trace = build_trace(kernel, matrix_id, scale=0.3)
-        baseline = run_static(machine, trace, {"Baseline": BASELINE})[
-            "Baseline"
-        ]
-        stock = SparseAdaptController(
-            model, machine, EE, HybridPolicy(0.4), BASELINE
-        ).run(trace)
-        history_controller = HistoryAwareController(
-            model, machine, EE, HybridPolicy(0.4), BASELINE, history=2
-        )
-        history = history_controller.run(trace)
-        out[f"{kernel}-{matrix_id}"] = {
-            "stock_gain": stock.gflops_per_watt / baseline.gflops_per_watt,
-            "history_gain": (
-                history.gflops_per_watt / baseline.gflops_per_watt
-            ),
-            "pattern_hit_rate": history_controller.pattern_hit_rate,
-        }
-    return out
-
-
-def test_ablation_history_controller(benchmark, emit):
-    rows = run_once(benchmark, _history_ablation)
-    emit(
-        format_gain_table(
-            "Ablation 4 - history-based pattern table"
-            " (paper Section 7 future work), EE mode",
-            rows,
-            ("stock_gain", "history_gain", "pattern_hit_rate"),
-        )
-    )
-    for row in rows.values():
-        # The table must actually fire on these repetitive workloads...
-        assert row["pattern_hit_rate"] > 0.0
-        # ...and stay competitive with the stock controller.
-        assert row["history_gain"] > 0.85 * row["stock_gain"]
+    # EXPERIMENTS.md: the sweep peaks at the paper's 500 FP-op choice.
+    best = max(rows, key=lambda name: rows[name]["efficiency_gain"])
+    assert best == "epoch=500"

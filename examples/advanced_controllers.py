@@ -3,8 +3,6 @@
 Compares, on one power-law SpMSpV workload:
 
 * the stock SparseAdapt controller,
-* the history-aware controller (paper Section 7 future work: a
-  branch-predictor-style pattern table over telemetry signatures),
 * the dynamic memory-mode controller (paper Section 7: runtime
   cache <-> SPM switching),
 * the stock controller under noisy telemetry (deployment robustness).
@@ -19,7 +17,6 @@ from __future__ import annotations
 from repro.baselines import BASELINE, run_static
 from repro.core import (
     HardeningConfig,
-    HistoryAwareController,
     HybridPolicy,
     MemoryModeController,
     OptimizationMode,
@@ -49,9 +46,6 @@ def main() -> None:
         "stock SparseAdapt": SparseAdaptController(
             model, machine, mode, HybridPolicy(0.4), BASELINE
         ),
-        "history-aware": HistoryAwareController(
-            model, machine, mode, HybridPolicy(0.4), BASELINE, history=2
-        ),
         "memory-mode": MemoryModeController(
             memory_model, machine, mode, HybridPolicy(0.4), BASELINE
         ),
@@ -70,8 +64,6 @@ def main() -> None:
     for name, controller in controllers.items():
         schedule = controller.run(trace)
         extra = ""
-        if isinstance(controller, HistoryAwareController):
-            extra = f"  (pattern hit rate {controller.pattern_hit_rate:.0%})"
         if isinstance(controller, MemoryModeController):
             extra = f"  ({controller.n_type_switches} type switches)"
         print(

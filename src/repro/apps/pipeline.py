@@ -5,8 +5,7 @@ offloaded kernels — e.g. a graph-analytics service running BFS, then
 PageRank, then connected components over the same graph. Each kernel
 boundary is a hard explicit phase change on top of the kernels' own
 internal phases, and a single controller instance carries its
-configuration (and, for the history variant, its pattern table) across
-them.
+configuration across them.
 """
 
 from __future__ import annotations

@@ -45,8 +45,6 @@ from repro.core.training import (
 
 __all__ = [
     "OptimizationMode",
-    "HistoryAwareController",
-    "quantize_signature",
     "MemoryModeModel",
     "MemoryModeController",
     "train_memory_mode_model",
@@ -97,13 +95,10 @@ __getattr__ = lazy_attributes(
     globals(),
     {
         "ablation": "ablation",
-        "history": "history",
         "memorymode": "memorymode",
         "persistence": "persistence",
         "runtime": "runtime",
         "train_counters_only_model": "ablation.train_counters_only_model",
-        "HistoryAwareController": "history.HistoryAwareController",
-        "quantize_signature": "history.quantize_signature",
         "MemoryModeController": "memorymode.MemoryModeController",
         "MemoryModeModel": "memorymode.MemoryModeModel",
         "train_memory_mode_model": "memorymode.train_memory_mode_model",

@@ -238,6 +238,20 @@ class EvaluationContext:
     def static_points(self) -> Dict[str, HardwareConfig]:
         return static_configs_for(self.l1_type)
 
+    def epoch_table(self, trace: Optional[KernelTrace] = None) -> EpochTable:
+        """The job's :class:`EpochTable` over ``trace`` (default: the
+        context's): its sampled configurations plus the statics."""
+        trace = self.trace if trace is None else trace
+        with obs_profile.span("epoch_table"):
+            return EpochTable(
+                self.machine,
+                trace,
+                n_samples=self.n_samples,
+                l1_type=self.l1_type,
+                seed=self.seed,
+                include=list(self.static_points().values()),
+            )
+
 
 def job_context(spec) -> EvaluationContext:
     """Decode one :class:`~repro.runner.plan.JobSpec` into its context.
@@ -295,6 +309,7 @@ def job_context(spec) -> EvaluationContext:
 def evaluate_schemes(
     context: EvaluationContext,
     schemes: Sequence[str] = STANDARD_SCHEMES,
+    table: Optional[EpochTable] = None,
 ) -> Dict[str, ScheduleResult]:
     """Run the requested schemes over one trace on one machine.
 
@@ -312,6 +327,8 @@ def evaluate_schemes(
     every scheme still returns its own :class:`ScheduleResult`. The
     requested statics are one :func:`run_static` call: the table's
     columns when there is a table, else one grid over all of them.
+    ``table``, when given, is that shared table (the caller's
+    :meth:`EvaluationContext.epoch_table`), built here otherwise.
 
     SparseAdapt runs the context's ``model``; :func:`job_context` is the
     one place a stock model is chosen, so a context without one cannot
@@ -328,27 +345,18 @@ def evaluate_schemes(
             f"job_context() or pass model= ({context.trace.name!r})"
         )
     statics = context.static_points()
-
-    def make_table(trace: KernelTrace) -> EpochTable:
-        with obs_profile.span("epoch_table"):
-            return EpochTable(
-                context.machine,
-                trace,
-                n_samples=context.n_samples,
-                l1_type=context.l1_type,
-                seed=context.seed,
-                include=list(statics.values()),
-            )
-
     profile_schemes = any(name.startswith("ProfileAdapt") for name in schemes)
-    table: Optional[EpochTable] = None
-    if any(
-        name in ("Ideal Static", "Ideal Greedy", "Oracle") for name in schemes
-    ) or (profile_schemes and context.profiling_epoch_trace is None):
-        table = make_table(context.trace)
+    if table is None and (
+        any(
+            name in ("Ideal Static", "Ideal Greedy", "Oracle")
+            for name in schemes
+        )
+        or (profile_schemes and context.profiling_epoch_trace is None)
+    ):
+        table = context.epoch_table()
     pa_table = table
     if profile_schemes and context.profiling_epoch_trace is not None:
-        pa_table = make_table(context.profiling_epoch_trace)
+        pa_table = context.epoch_table(context.profiling_epoch_trace)
     # The requested statics, in one grid or read from the table.
     static_runs = run_static(
         context.machine,
@@ -418,16 +426,19 @@ def evaluate_schemes(
 
 def oracle_regret(
     schedule: ScheduleResult,
-    table: EpochTable,
+    reference: ScheduleResult,
     mode: OptimizationMode,
     records: Optional[Sequence[Dict]] = None,
     top: int = 5,
 ) -> Dict:
     """Per-epoch regret of a schedule against the Oracle upper bound.
 
-    Answers "how far from optimal was this run, and where" in the
-    mode's additive cost proxy (energy for Energy-Efficient, time for
-    Power-Performance — see :func:`repro.baselines.epoch_cost_proxy`).
+    ``reference`` is the Oracle schedule over the run's
+    :class:`EpochTable`: ``oracle(table, mode)``, or the job's own
+    ``Oracle`` scheme when it evaluates one. Answers "how far from
+    optimal was this run, and where" in the mode's additive cost proxy
+    (energy for Energy-Efficient, time for Power-Performance — see
+    :func:`repro.baselines.epoch_cost_proxy`).
     ``records``, when given, is a loaded trace of the *same* run: each
     worst-regret epoch is joined with the ``decision`` event of the
     preceding epoch (the decision that chose its configuration), so a
@@ -439,7 +450,6 @@ def oracle_regret(
     visits configurations outside the sample — that reads as "beat the
     sampled upper bound", not an error.
     """
-    reference = oracle(table, mode)
     costs = per_epoch_costs(schedule, mode)
     ref_costs = per_epoch_costs(reference, mode)
     n = min(len(costs), len(ref_costs))

@@ -88,6 +88,7 @@ def _evaluate_fn(payload: dict) -> Callable[[], dict]:
             evaluate_schemes,
             gains_over,
             job_context,
+            oracle,
             oracle_regret,
         )
         from repro.obs import profile as obs_profile
@@ -99,23 +100,19 @@ def _evaluate_fn(payload: dict) -> Callable[[], dict]:
         # nests under it in the campaign flamegraph.
         with obs_profile.span("evaluate_job"):
             context = job_context(spec)
-            results = evaluate_schemes(context, spec.schemes)
+            # A regret job's Oracle and upper bounds share one table.
+            table = context.epoch_table() if spec.regret else None
+            results = evaluate_schemes(context, spec.schemes, table)
             # One walk of each schedule's records, for gains and row.
             totals = {name: r.totals() for name, r in results.items()}
             gains = gains_over(totals)
-            table = None
-            if spec.regret:
-                from repro.baselines import EpochTable
-
-                with obs_profile.span("epoch_table"):
-                    table = EpochTable(
-                        context.machine,
-                        context.trace,
-                        n_samples=context.n_samples,
-                        l1_type=context.l1_type,
-                        seed=context.seed,
-                        include=list(context.static_points().values()),
-                    )
+            reference = None
+            if table is not None:
+                reference = (
+                    results["Oracle"]
+                    if "Oracle" in results
+                    else oracle(table, context.mode)
+                )
         schemes: Dict[str, dict] = {}
         for name, values in gains.items():
             schedule = results[name]
@@ -130,8 +127,8 @@ def _evaluate_fn(payload: dict) -> Callable[[], dict]:
             entry["reconfigurations"] = int(schedule.n_reconfigurations)
             if schedule.fault_stats is not None:
                 entry["fault_stats"] = dict(schedule.fault_stats)
-            if table is not None:
-                regret = oracle_regret(schedule, table, context.mode)
+            if reference is not None:
+                regret = oracle_regret(schedule, reference, context.mode)
                 entry["oracle_regret_pct"] = float(regret["regret_pct"])
             schemes[name] = entry
         return {"n_epochs": int(context.trace.n_epochs), "schemes": schemes}

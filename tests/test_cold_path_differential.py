@@ -20,6 +20,9 @@ code it replaced.
   ``gains_over``, so an untraced job walks each schedule's records
   once per total, and an untraced offload reads none once its run is
   done.
+* A regret job builds one ``EpochTable`` and solves the Oracle once,
+  and its ``oracle_regret_pct`` values equal the former computation's
+  (a second table, one Oracle solve per scheme).
 * ``build_trace`` loads each suite matrix once per process. Traces of
   the cached matrix must equal traces of a fresh ``suite.load``
   (``np.array_equal`` on every epoch field), four SpMSpV seeds must
@@ -36,6 +39,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.baselines import EpochTable, oracle, per_epoch_costs
 from repro.core import dataset
 from repro.core.modes import OptimizationMode
 from repro.core.runtime import TransmuterRuntime
@@ -523,6 +527,72 @@ class TestTotalsWalks:
         runtime.spmspv(small_powerlaw, small_vector)
         assert len(finished) == 1
         assert reads == []
+
+
+def _two_table_regret_pcts(spec: JobSpec) -> dict:
+    """``oracle_regret_pct`` per scheme as the job body computed it
+    before sharing the table: a second ``EpochTable`` after the schemes
+    ran, and one Oracle solve per scheme."""
+    context = harness.job_context(spec)
+    results = harness.evaluate_schemes(context, spec.schemes)
+    table = EpochTable(
+        context.machine,
+        context.trace,
+        n_samples=context.n_samples,
+        l1_type=context.l1_type,
+        seed=context.seed,
+        include=list(context.static_points().values()),
+    )
+    pcts = {}
+    for name, schedule in results.items():
+        costs = per_epoch_costs(schedule, context.mode)
+        ref_costs = per_epoch_costs(oracle(table, context.mode), context.mode)
+        n = min(len(costs), len(ref_costs))
+        total_cost = float(costs[:n].sum())
+        oracle_cost = float(ref_costs[:n].sum())
+        pcts[name] = (
+            (total_cost - oracle_cost) / oracle_cost * 100.0
+            if oracle_cost > 0
+            else 0.0
+        )
+    return pcts
+
+
+class TestRegretJob:
+    @pytest.mark.parametrize("mode", ["ee", "pp"])
+    @pytest.mark.parametrize(
+        "schemes", [KNOWN_SCHEMES, ("Baseline", "SparseAdapt")]
+    )
+    def test_one_table_one_oracle(self, monkeypatch, mode, schemes):
+        spec = JobSpec(
+            kernel="spmspv",
+            matrix="P1",
+            scale=0.05,
+            mode=mode,
+            schemes=schemes,
+            regret=True,
+        )
+        expected = _two_table_regret_pcts(spec)
+        calls = {"table": 0, "oracle": 0}
+        table_init = EpochTable.__init__
+        solve = harness.oracle
+
+        def counted_init(self, *args, **kwargs):
+            calls["table"] += 1
+            table_init(self, *args, **kwargs)
+
+        def counted_oracle(*args, **kwargs):
+            calls["oracle"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(EpochTable, "__init__", counted_init)
+        monkeypatch.setattr(harness, "oracle", counted_oracle)
+        report = _evaluate_fn(spec.as_dict())()
+        assert calls == {"table": 1, "oracle": 1}
+        assert {
+            name: entry["oracle_regret_pct"]
+            for name, entry in report["schemes"].items()
+        } == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,17 @@
 """Tests for the extension features: model persistence, the
-history-based controller (paper Section 7 future work), the
 inner-product SpMSpM foil, and the extra graph algorithms."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    HistoryAwareController,
-    HybridPolicy,
     OptimizationMode,
-    SparseAdaptController,
     load_model,
     model_from_dict,
     model_to_dict,
-    quantize_signature,
     save_model,
 )
-from repro.errors import ConfigError, ModelError, ShapeError
+from repro.errors import ModelError, ShapeError
 from repro.graph import connected_components, pagerank
 from repro.kernels import trace_spmspm, trace_spmspm_inner
 from repro.sparse import COOMatrix, generators, ops
@@ -92,51 +87,6 @@ class TestPersistence:
     def test_subsampled_tree_rejected(self, model_ee):
         with pytest.raises(ModelError):
             model_from_dict(self._with_subsampling_params(model_ee, 3))
-
-
-class TestHistoryController:
-    def test_signature_is_stable_and_hashable(self, machine, spmspv_trace):
-        counters = machine.simulate_epoch(
-            spmspv_trace.epochs[0], HardwareConfig()
-        ).counters
-        a = quantize_signature(counters)
-        b = quantize_signature(counters)
-        assert a == b
-        assert isinstance(hash(a), int)
-
-    def test_runs_all_epochs(self, model_ee, machine, spmspv_trace):
-        controller = HistoryAwareController(
-            model_ee, machine, EE, HybridPolicy(0.4)
-        )
-        schedule = controller.run(spmspv_trace)
-        assert schedule.n_epochs == spmspv_trace.n_epochs
-        assert schedule.total_flops == pytest.approx(
-            spmspv_trace.total_flops
-        )
-
-    def test_pattern_table_learns(self, model_ee, machine, spmspv_trace):
-        controller = HistoryAwareController(
-            model_ee, machine, EE, HybridPolicy(0.4), history=2
-        )
-        controller.run(spmspv_trace)
-        assert len(controller.pattern_table) >= 1
-        assert 0.0 <= controller.pattern_hit_rate <= 1.0
-
-    def test_competitive_with_base_controller(
-        self, model_ee, machine, spmspv_trace
-    ):
-        base = SparseAdaptController(
-            model_ee, machine, EE, HybridPolicy(0.4)
-        ).run(spmspv_trace)
-        history = HistoryAwareController(
-            model_ee, machine, EE, HybridPolicy(0.4)
-        ).run(spmspv_trace)
-        # The pattern table must not lose much against the stock loop.
-        assert history.metric(EE) > 0.8 * base.metric(EE)
-
-    def test_invalid_history_rejected(self, model_ee, machine):
-        with pytest.raises(ConfigError):
-            HistoryAwareController(model_ee, machine, EE, history=0)
 
 
 class TestInnerProduct:

@@ -31,7 +31,6 @@ TOOLING = (
     "repro.experiments.reporting",
     "repro.experiments.spec",
     "repro.core.ablation",
-    "repro.core.history",
     "repro.core.memorymode",
     "repro.core.persistence",
     "repro.core.runtime",

@@ -335,10 +335,13 @@ class TestOracleRegret:
         return schedule, table, mode, records
 
     def test_regret_structure(self, setup):
+        from repro.baselines import oracle
         from repro.experiments.harness import oracle_regret
 
         schedule, table, mode, records = setup
-        regret = oracle_regret(schedule, table, mode, records=records)
+        regret = oracle_regret(
+            schedule, oracle(table, mode), mode, records=records
+        )
         assert regret["proxy"] == "energy_j"
         assert regret["n_epochs"] == schedule.n_epochs
         assert len(regret["per_epoch"]) == schedule.n_epochs
@@ -351,20 +354,23 @@ class TestOracleRegret:
         assert {"epoch", "regret", "config", "oracle_config"} <= set(worst)
 
     def test_pp_mode_uses_time_proxy(self, setup):
+        from repro.baselines import oracle
         from repro.core.modes import OptimizationMode
         from repro.experiments.harness import oracle_regret
 
         schedule, table, _, _ = setup
-        regret = oracle_regret(
-            schedule, table, OptimizationMode.POWER_PERFORMANCE
-        )
+        pp = OptimizationMode.POWER_PERFORMANCE
+        regret = oracle_regret(schedule, oracle(table, pp), pp)
         assert regret["proxy"] == "time_s"
 
     def test_rejected_proposals_joined_from_trace(self, setup):
+        from repro.baselines import oracle
         from repro.experiments.harness import oracle_regret
 
         schedule, table, mode, records = setup
-        regret = oracle_regret(schedule, table, mode, records=records)
+        regret = oracle_regret(
+            schedule, oracle(table, mode), mode, records=records
+        )
         # Epoch 0 can never join a decision (none precedes it); any
         # joined entry must name proposed values for rejected params.
         for worst in regret["worst_epochs"]:
